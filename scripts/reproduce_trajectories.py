@@ -11,11 +11,10 @@ verdict summary for each run.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 
-from mosquito_allee import Params, State, classify_fate, find_fixed_points, iterate
-from mosquito_allee.cli import report_to_dict
+from mosquito_allee import Params, State, find_fixed_points, simulate
+from mosquito_allee.cli import report_to_json, trajectory_to_csv
 
 STARTS = {
     "high_adults_collapse": State(0.2, 4.0),
@@ -40,22 +39,16 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     report = find_fixed_points(params)
-    (out_dir / "fixed_points.json").write_text(
-        json.dumps(report_to_dict(report, params), indent=2) + "\n", encoding="utf-8"
-    )
+    (out_dir / "fixed_points.json").write_text(report_to_json(report, params), encoding="utf-8", newline="")
     print(f"regime: {report.regime.value}")
     if report.interior is not None:
         loc = report.interior.location
         print(f"interior fixed point: ({loc.x!r}, {loc.y!r}) [{report.interior.stability.value}]")
 
     for name, s0 in STARTS.items():
-        trajectory = iterate(params, s0, args.budget)
-        outcome = classify_fate(params, s0, args.budget)
+        trajectory, outcome = simulate(params, s0, args.budget)
         path = out_dir / f"trajectory_{name}.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write("n,x,y\n")
-            for i, s in zip(trajectory.indices, trajectory.points):
-                fh.write(f"{i},{s.x:.17g},{s.y:.17g}\n")
+        path.write_text(trajectory_to_csv(trajectory), encoding="utf-8", newline="")
         line = (
             f"{name}: start ({s0.x}, {s0.y}) -> {outcome.verdict.value} "
             f"after {outcome.iterations_used} iterations"

@@ -59,6 +59,7 @@ from .dynamics import (
     iterate,
     membership,
     monotonicity_probe,
+    simulate,
     sum_identity_residual,
 )
 
@@ -105,6 +106,7 @@ __all__ = [
     "iterate",
     "membership",
     "classify_fate",
+    "simulate",
     "check_invariance",
     "monotonicity_probe",
     "sum_identity_residual",

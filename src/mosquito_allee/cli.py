@@ -18,10 +18,10 @@ import numpy as np
 from .dynamics import (
     DEFAULT_BUDGET,
     Region,
+    Trajectory,
     basin_scan,
     check_invariance,
-    classify_fate,
-    iterate,
+    simulate,
     sum_identity_residual,
 )
 from .errors import ConfigurationError, DomainError, InternalConsistencyError
@@ -43,7 +43,9 @@ __all__ = [
     "EXIT_IO",
     "EXIT_FALSIFIED",
     "build_parser",
+    "trajectory_to_csv",
     "report_to_dict",
+    "report_to_json",
     "report_from_dict",
     "report_from_json",
     "main",
@@ -214,22 +216,24 @@ def report_from_dict(payload: dict) -> FixedPointReport:
     )
 
 
+def report_to_json(report: FixedPointReport, params: Params) -> str:
+    return json.dumps(report_to_dict(report, params), indent=2) + "\n"
+
+
 def report_from_json(text: str) -> FixedPointReport:
     return report_from_dict(json.loads(text))
 
 
+def trajectory_to_csv(trajectory: Trajectory) -> str:
+    rows = (f"{i},{_fmt(s.x)},{_fmt(s.y)}\n" for i, s in zip(trajectory.indices, trajectory.points))
+    return "n,x,y\n" + "".join(rows)
+
+
 def _cmd_simulate(params: Params, args) -> int:
-    s0 = State(args.x0, args.y0)
-    trajectory = iterate(params, s0, args.budget)
-    outcome = classify_fate(params, s0, args.budget)
+    trajectory, outcome = simulate(params, State(args.x0, args.y0), args.budget)
 
     if args.format == "csv":
-        lines = ["n,x,y\n"]
-        lines += [
-            f"{i},{_fmt(s.x)},{_fmt(s.y)}\n"
-            for i, s in zip(trajectory.indices, trajectory.points)
-        ]
-        _write_text(args.out, "".join(lines))
+        _write_text(args.out, trajectory_to_csv(trajectory))
     else:
         rows = [
             {"n": i, "x": s.x, "y": s.y}
@@ -252,7 +256,7 @@ def _cmd_simulate(params: Params, args) -> int:
 
 def _cmd_fixed_points(params: Params, args) -> int:
     report = find_fixed_points(params)
-    _write_text(args.out, json.dumps(report_to_dict(report, params), indent=2) + "\n")
+    _write_text(args.out, report_to_json(report, params))
     return EXIT_OK
 
 

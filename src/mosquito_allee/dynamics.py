@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -59,6 +60,7 @@ __all__ = [
     "iterate",
     "membership",
     "classify_fate",
+    "simulate",
     "check_invariance",
     "monotonicity_probe",
     "sum_identity_residual",
@@ -213,6 +215,74 @@ class BasinGrid:
                 yield float(xs[ix]), float(ys[iy]), self.cells[ix][iy]
 
 
+def _orbit(params: Params, x: float, y: float, budget: int):
+    """Yield ``(n, x, y, displacement)`` after each of up to ``budget`` steps.
+
+    ``displacement`` is the sup-norm distance from the previous state;
+    the orbit stops before its first non-finite image.
+    """
+    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
+    isfinite = math.isfinite
+    for n in range(1, budget + 1):
+        x1, y1 = _w0_xy(alpha, beta, gamma, mu, x, y)
+        if not (isfinite(x1) and isfinite(y1)):
+            return
+        yield n, x1, y1, max(abs(x1 - x), abs(y1 - y))
+        x, y = x1, y1
+
+
+class _Recorder:
+    """The trajectory logic of :func:`iterate`, fed one orbit step at a time.
+
+    Steps stay raw tuples; a ``State`` is built only for the points kept.
+    """
+
+    def __init__(self, s0: State, max_iter: int, window: int, th: FateThresholds) -> None:
+        if window < 1:
+            raise ConfigurationError(f"window must be >= 1, got {window}")
+        self.max_iter = max_iter
+        self.window = window
+        self.th = th
+        self.head: list[tuple] = [(0, s0.x, s0.y)]
+        self.tail: deque[tuple] = deque(maxlen=window)
+        self.terminated: Termination | None = None
+
+    def feed(self, step: tuple) -> bool:
+        """Record one step; True once the trajectory has ended."""
+        if self.terminated is not None:
+            return True
+        n, x, _, displacement = step
+        if n <= self.window:
+            self.head.append(step)
+        else:
+            self.tail.append(step)
+        if x > self.th.divergence_x:
+            self.terminated = Termination.DIVERGED
+        elif displacement < self.th.step_tol:
+            self.terminated = Termination.CONVERGED
+        return self.terminated is not None
+
+    def trajectory(self, params: Params) -> Trajectory:
+        entries = self.head + list(self.tail)
+        terminated = self.terminated
+        if terminated is None:
+            # the orbit ends short of the budget only before a non-finite image
+            terminated = Termination.BUDGET if entries[-1][0] == self.max_iter else Termination.DIVERGED
+        return Trajectory(
+            params=params,
+            points=tuple(State(e[1], e[2]) for e in entries),
+            indices=tuple(e[0] for e in entries),
+            terminated=terminated,
+        )
+
+
+def _checked(params: Params, budget: int, thresholds: FateThresholds | None) -> FateThresholds:
+    params.require_analysis_valid()
+    if budget < 1:
+        raise ConfigurationError(f"budget must be >= 1, got {budget}")
+    return thresholds if thresholds is not None else FateThresholds()
+
+
 def iterate(
     params: Params,
     s0: State,
@@ -228,47 +298,12 @@ def iterate(
     A non-finite image is never stored; the trajectory ends at the last
     finite state.
     """
-    params.require_analysis_valid()
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
-    if window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {window}")
-    th = thresholds if thresholds is not None else FateThresholds()
-    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
-
-    head: list[tuple[int, State]] = [(0, s0)]
-    tail: deque[tuple[int, State]] = deque(maxlen=window)
-
-    def record(i: int, s: State) -> None:
-        if len(head) <= window:
-            head.append((i, s))
-        else:
-            tail.append((i, s))
-
-    x, y = s0.x, s0.y
-    terminated = Termination.BUDGET
-    for n in range(1, max_iter + 1):
-        x1, y1 = _w0_xy(alpha, beta, gamma, mu, x, y)
-        if not (math.isfinite(x1) and math.isfinite(y1)):
-            terminated = Termination.DIVERGED
+    th = _checked(params, max_iter, thresholds)
+    recorder = _Recorder(s0, max_iter, window, th)
+    for step in _orbit(params, s0.x, s0.y, max_iter):
+        if recorder.feed(step):
             break
-        record(n, State(x1, y1))
-        displacement = max(abs(x1 - x), abs(y1 - y))
-        x, y = x1, y1
-        if x1 > th.divergence_x:
-            terminated = Termination.DIVERGED
-            break
-        if displacement < th.step_tol:
-            terminated = Termination.CONVERGED
-            break
-
-    entries = head + list(tail)
-    return Trajectory(
-        params=params,
-        points=tuple(s for _, s in entries),
-        indices=tuple(i for i, _ in entries),
-        terminated=terminated,
-    )
+    return recorder.trajectory(params)
 
 
 def _region(x: float, y: float, xs: float, ys: float) -> Region:
@@ -303,6 +338,100 @@ def membership(params: Params, s: State) -> Region:
     return _region(s.x, s.y, fp.x, fp.y)
 
 
+class _Fate:
+    """The fate logic of :func:`classify_fate`, fed one orbit step at a time.
+
+    The start's certificate is settled at construction.
+    """
+
+    def __init__(self, params: Params, s0: State, th: FateThresholds) -> None:
+        self.th = th
+        self.radius = th.extinction_radius
+        self.y_cap = derived_constants(params).y_limit
+        self.fp = fp = interior_fixed_point(params)
+        self.tag: TheoremTag | None = None
+        self.extinction_proved = False
+        self.growth_proved = False
+        self.last = (0, s0.x, s0.y)
+        self.ball_hit = max(s0.x, s0.y) <= th.extinction_radius
+        self.stalled = False
+        self.estimate: float | None = None
+        self.est_prev: float | None = None
+        self.est_prev_x = 0.0
+        self.done = self.ball_hit
+        if fp is None:
+            if s0.y <= self.y_cap:
+                self.extinction_proved = True
+                self.tag = TheoremTag.THM1_II
+        else:
+            start_region = _region(s0.x, s0.y, fp.x, fp.y)
+            if start_region is Region.IS_FIXED_POINT:
+                # undetermined, even when the fixed point lies in the origin ball
+                self.ball_hit = False
+                self.done = True
+            elif start_region is Region.OMEGA1:
+                self.extinction_proved = True
+                self.tag = TheoremTag.THM2_OMEGA1
+            elif start_region is Region.OMEGA2:
+                self.growth_proved = True
+                self.tag = TheoremTag.THM2_OMEGA2
+
+    def feed(self, step: tuple) -> bool:
+        """Judge one step; True once the verdict is final."""
+        if self.done:
+            return True
+        self.last = step
+        _, x, y, displacement = step
+        if x <= self.radius and y <= self.radius:  # max() would cost a call per step
+            self.ball_hit = self.done = True
+            return True
+        fp = self.fp
+        if fp is None:
+            if not self.extinction_proved and y <= self.y_cap:
+                self.extinction_proved = True
+                self.tag = TheoremTag.THM1_II
+        elif not (self.extinction_proved or self.growth_proved):
+            region = _region(x, y, fp.x, fp.y)
+            if region is Region.OMEGA1:
+                self.extinction_proved = True
+            elif region is Region.OMEGA2:
+                self.growth_proved = True
+        if not self.growth_proved and x > self.th.divergence_x:
+            self.growth_proved = True
+
+        if self.growth_proved and x >= 100.0 and x >= 2.0 * self.est_prev_x:
+            # estimator error scales as 1/x^2, so checkpoints are spaced
+            # by x-doubling; accept once one doubling moves the estimate
+            # by less than a tenth of the tolerance
+            est = y * (1.0 + x) / x
+            if self.est_prev is not None and abs(est - self.est_prev) <= 0.1 * self.th.y_limit_tol:
+                self.estimate = est
+                self.done = True
+                return True
+            self.est_prev = est
+            self.est_prev_x = x
+
+        if displacement < self.th.step_tol:
+            self.stalled = self.done = True
+            return True
+        return False
+
+    def outcome(self) -> TrajectoryOutcome:
+        n, x, y = self.last[:3]
+        final = State(x, y)
+        tag = self.tag or TheoremTag.EMPIRICAL
+        if self.ball_hit or (self.extinction_proved and not self.stalled):
+            return TrajectoryOutcome(Verdict.EXTINCTION, n, final, None, tag)
+        if self.growth_proved and not self.stalled:
+            estimate = self.estimate
+            if estimate is None and x > 0.0:
+                estimate = y * (1.0 + x) / x
+            return TrajectoryOutcome(Verdict.UNBOUNDED_GROWTH, n, final, estimate, tag)
+        # no event, or pinned at a numerical fixed point away from the
+        # origin (the float image of (x*, y*)): no asymptotic claim
+        return TrajectoryOutcome(Verdict.UNDETERMINED, n, final, None, None)
+
+
 def classify_fate(
     params: Params,
     s0: State,
@@ -323,104 +452,28 @@ def classify_fate(
     that go numerically stationary away from the origin (which only
     happens within rounding distance of the fixed point).
     """
-    params.require_analysis_valid()
-    if budget < 1:
-        raise ConfigurationError(f"budget must be >= 1, got {budget}")
-    th = thresholds if thresholds is not None else FateThresholds()
-    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
-    y_cap = derived_constants(params).y_limit
-    fp = interior_fixed_point(params)
-
-    tag: TheoremTag | None = None
-    extinction_proved = False
-    growth_proved = False
-    if fp is None:
-        if s0.y <= y_cap:
-            extinction_proved = True
-            tag = TheoremTag.THM1_II
-    else:
-        start_region = _region(s0.x, s0.y, fp.x, fp.y)
-        if start_region is Region.IS_FIXED_POINT:
-            return TrajectoryOutcome(Verdict.UNDETERMINED, 0, s0, None, None)
-        if start_region is Region.OMEGA1:
-            extinction_proved = True
-            tag = TheoremTag.THM2_OMEGA1
-        elif start_region is Region.OMEGA2:
-            growth_proved = True
-            tag = TheoremTag.THM2_OMEGA2
-
-    x, y = s0.x, s0.y
-    n = 0
-    ball_hit = max(x, y) <= th.extinction_radius
-    stalled = False
-    estimate: float | None = None
-    est_prev: float | None = None
-    est_prev_x = 0.0
-
-    while n < budget and not ball_hit and estimate is None:
-        x1, y1 = _w0_xy(alpha, beta, gamma, mu, x, y)
-        if not (math.isfinite(x1) and math.isfinite(y1)):
-            break  # overflowed; judge from what is already proven
-        n += 1
-        displacement = max(abs(x1 - x), abs(y1 - y))
-        x, y = x1, y1
-
-        if max(x, y) <= th.extinction_radius:
-            ball_hit = True
+    th = _checked(params, budget, thresholds)
+    fate = _Fate(params, s0, th)
+    for step in _orbit(params, s0.x, s0.y, 0 if fate.done else budget):
+        if fate.feed(step):
             break
-        if fp is None:
-            if not extinction_proved and y <= y_cap:
-                extinction_proved = True
-                tag = TheoremTag.THM1_II
-        elif not (extinction_proved or growth_proved):
-            region = _region(x, y, fp.x, fp.y)
-            if region is Region.OMEGA1:
-                extinction_proved = True
-            elif region is Region.OMEGA2:
-                growth_proved = True
-        if not growth_proved and x > th.divergence_x:
-            growth_proved = True
+    return fate.outcome()
 
-        if growth_proved and x >= 100.0 and x >= 2.0 * est_prev_x:
-            # estimator error scales as 1/x^2, so checkpoints are spaced
-            # by x-doubling; accept once one doubling moves the estimate
-            # by less than a tenth of the tolerance
-            est = y * (1.0 + x) / x
-            if est_prev is not None and abs(est - est_prev) <= 0.1 * th.y_limit_tol:
-                estimate = est
-                break
-            est_prev = est
-            est_prev_x = x
 
-        if displacement < th.step_tol:
-            stalled = True
+def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, TrajectoryOutcome]:
+    """``(iterate(params, s0, budget), classify_fate(params, s0, budget))`` in one pass.
+
+    Each step is computed once and fed to both until both are done: a
+    growth trajectory runs on past its verdict to the budget, and a fate
+    refining its adult-limit estimate runs on past ``divergence_x``.
+    """
+    th = _checked(params, budget, None)
+    recorder = _Recorder(s0, budget, TRAJECTORY_WINDOW, th)
+    fate = _Fate(params, s0, th)
+    for step in _orbit(params, s0.x, s0.y, budget):
+        if recorder.feed(step) & fate.feed(step):  # `&`, not `and`: both must see every step
             break
-
-    final = State(x, y)
-    if ball_hit:
-        verdict = Verdict.EXTINCTION
-        estimate = None
-    elif stalled:
-        # pinned at a numerical fixed point away from the origin (the
-        # float image of (x*, y*)); no asymptotic claim can be confirmed
-        verdict = Verdict.UNDETERMINED
-        estimate = None
-        tag = None
-    elif extinction_proved:
-        verdict = Verdict.EXTINCTION
-        estimate = None
-    elif growth_proved:
-        verdict = Verdict.UNBOUNDED_GROWTH
-        if estimate is None and x > 0.0:
-            estimate = y * (1.0 + x) / x
-    else:
-        verdict = Verdict.UNDETERMINED
-        estimate = None
-    if verdict is not Verdict.UNDETERMINED and tag is None:
-        tag = TheoremTag.EMPIRICAL
-    if verdict is Verdict.UNDETERMINED:
-        tag = None
-    return TrajectoryOutcome(verdict, n, final, estimate, tag)
+    return recorder.trajectory(params), fate.outcome()
 
 
 def check_invariance(
@@ -493,31 +546,22 @@ def monotonicity_probe(params: Params, s0: State, horizon: int) -> MonotonicityR
         )
     decreasing = region in (Region.OMEGA1, Region.IS_FIXED_POINT)
 
-    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
     step_tol = FateThresholds().step_tol
     x, y = s0.x, s0.y
-    last_violation = -1  # transition index t covers points t -> t+1
-    scanned = 0
-    for t in range(horizon):
-        x1, y1 = _w0_xy(alpha, beta, gamma, mu, x, y)
-        if not (math.isfinite(x1) and math.isfinite(y1)):
-            break
+    n = n0 = 0  # n0: the step after the latest violating transition
+    for n, x1, y1, displacement in _orbit(params, x, y, horizon):
         if decreasing:
             violated = x1 > x or y1 > y
         else:
             violated = x1 < x or y1 < y
         if violated:
-            last_violation = t
-        displacement = max(abs(x1 - x), abs(y1 - y))
+            n0 = n
         x, y = x1, y1
-        scanned = t + 1
         if displacement < step_tol:
             break  # stationary; the remaining tail is constant
 
-    if scanned == 0 or last_violation == scanned - 1:
+    if n == 0 or n0 == n:
         n0 = None  # no monotone tail observed within the horizon
-    else:
-        n0 = last_violation + 1
     return MonotonicityReport(region=region, n0=n0, horizon=horizon)
 
 
@@ -552,6 +596,18 @@ def _classify_cell(
     return classify_fate(params, State(cell[0], cell[1]), budget, thresholds)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_size(workers: int, cells: int) -> int:
+    """Worker processes for a scan: no more than requested, usable CPUs or cells."""
+    return min(workers, _usable_cpus(), cells)
+
+
 def basin_scan(
     params: Params,
     x_range: tuple[float, float],
@@ -565,8 +621,10 @@ def basin_scan(
     """Classify every grid point's long-run fate.
 
     Cells are independent; with ``workers > 1`` they are distributed
-    over a process pool.  Assembly is by cell index, so the result is
-    deterministic for fixed inputs regardless of worker count.
+    over a process pool of at most as many processes as there are
+    CPUs this process may run on, and
+    never more than there are cells.  Assembly is by cell index, so the
+    result is deterministic for fixed inputs regardless of worker count.
     """
     params.require_analysis_valid()
     if nx < 2 or ny < 2:
@@ -587,11 +645,12 @@ def basin_scan(
     ys = np.linspace(y_lo, y_hi, ny)
     tasks = [(float(x), float(y)) for y in ys for x in xs]
     classify = partial(_classify_cell, params=params, budget=budget, thresholds=thresholds)
-    if workers == 1:
+    pool_size = _pool_size(workers, len(tasks))
+    if pool_size == 1:
         outcomes = [classify(t) for t in tasks]
     else:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(tasks) // (4 * pool_size))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             outcomes = list(pool.map(classify, tasks, chunksize=chunk))
 
     cells = tuple(

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import SHOWCASE, interior_params, origin_only_params
+from mosquito_allee import dynamics
 from mosquito_allee import (
     ConfigurationError,
     FateThresholds,
@@ -360,6 +363,34 @@ class TestBasinScan:
         assert serial == parallel
         again = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 3, budget=10**4, thresholds=FAST, workers=2)
         assert parallel == again
+
+    def test_pool_size_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)
+        assert dynamics._pool_size(10**9, 10**6) == 4
+        assert dynamics._pool_size(3, 10**6) == 3
+        assert dynamics._pool_size(10**9, 2) == 2
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert dynamics._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0, 1})
+            monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 64)
+            assert dynamics._usable_cpus() == 2
+        monkeypatch.delattr(dynamics.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 3)
+        assert dynamics._usable_cpus() == 3
+        monkeypatch.setattr(dynamics.os, "cpu_count", lambda: None)
+        assert dynamics._usable_cpus() == 1
+
+    def test_single_cpu_scans_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        serial = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 2, 2, budget=10**3, thresholds=FAST)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(dynamics, "ProcessPoolExecutor", no_pool)
+        wide = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 2, 2, budget=10**3, thresholds=FAST, workers=10**6)
+        assert wide == serial
 
     def test_argument_validation(self):
         with pytest.raises(ConfigurationError):

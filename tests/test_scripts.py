@@ -1,0 +1,43 @@
+"""The scripts write the same bytes as the CLI commands they mirror."""
+
+from __future__ import annotations
+
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+from mosquito_allee.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "reproduce_trajectories.py"
+SHOWCASE_ARGS = ["--alpha", "0.8", "--beta", "0.9", "--gamma", "2", "--mu", "0.4"]
+
+
+def test_reproduce_trajectories_matches_cli(tmp_path):
+    budget = 2000
+    out_dir = tmp_path / "script"
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--budget", str(budget), "--out-dir", str(out_dir)],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    starts = runpy.run_path(str(SCRIPT))["STARTS"]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        ["fixed_points.json"] + [f"trajectory_{name}.csv" for name in starts]
+    )
+    for name, s0 in starts.items():
+        cli_out = tmp_path / f"{name}.csv"
+        args = ["--x0", repr(s0.x), "--y0", repr(s0.y), "--budget", str(budget), "--out", str(cli_out)]
+        assert main(["simulate", *SHOWCASE_ARGS, *args]) == EXIT_OK
+        assert (out_dir / f"trajectory_{name}.csv").read_bytes() == cli_out.read_bytes()
+
+    cli_out = tmp_path / "fixed_points.json"
+    assert main(["fixed-points", *SHOWCASE_ARGS, "--out", str(cli_out)]) == EXIT_OK
+    assert (out_dir / "fixed_points.json").read_bytes() == cli_out.read_bytes()
