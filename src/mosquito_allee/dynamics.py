@@ -26,6 +26,17 @@ adult update balances exactly when ``y = (alpha/mu)*x/(1+x)``, and the
 inversion converges to ``alpha/mu`` quadratically in ``1/x``.  The
 estimate is accepted once consecutive doubling checkpoints agree to a
 tenth of the reporting tolerance.
+
+Single orbits (``iterate``, ``classify_fate``, ``simulate``,
+``monotonicity_probe``) step on one scalar loop.  A basin scan steps all
+of its unresolved cells together as float64 arrays through the same
+kernel, applying the fate rules elementwise; numpy's ``+ - * /`` round
+exactly as Python's float operations do, so every cell's outcome is
+``classify_fate``'s, bit for bit.  A lockstep step costs about the same
+whether it carries one cell or hundreds, about 25 times a scalar step,
+so once ``LOCKSTEP_CROSSOVER`` cells or fewer remain they resume on the
+scalar loop from the state they have reached.  For the same reason
+``classify_fate`` stays scalar.
 """
 
 from __future__ import annotations
@@ -36,7 +47,6 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -46,6 +56,7 @@ from .stability import interior_fixed_point
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "MAX_GRID_CELLS",
     "TRAJECTORY_WINDOW",
     "FateThresholds",
     "Termination",
@@ -69,6 +80,9 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**6
 TRAJECTORY_WINDOW = 1024
+# a CLI basin scan holds every cell's outcome and CSV row in memory, about
+# 550 bytes of RSS per cell (measured at 1e4 and 5e4 cells), so about 550 MB here
+MAX_GRID_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -215,15 +229,16 @@ class BasinGrid:
                 yield float(xs[ix]), float(ys[iy]), self.cells[ix][iy]
 
 
-def _orbit(params: Params, x: float, y: float, budget: int):
-    """Yield ``(n, x, y, displacement)`` after each of up to ``budget`` steps.
+def _orbit(params: Params, x: float, y: float, budget: int, start: int = 0):
+    """Yield ``(n, x, y, displacement)`` after each step up to step ``budget``.
 
-    ``displacement`` is the sup-norm distance from the previous state;
-    the orbit stops before its first non-finite image.
+    ``(x, y)`` is the state after ``start`` steps.  ``displacement`` is
+    the sup-norm distance from the previous state; the orbit stops
+    before its first non-finite image.
     """
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
     isfinite = math.isfinite
-    for n in range(1, budget + 1):
+    for n in range(start + 1, budget + 1):
         x1, y1 = _w0_xy(alpha, beta, gamma, mu, x, y)
         if not (isfinite(x1) and isfinite(y1)):
             return
@@ -341,40 +356,59 @@ def membership(params: Params, s: State) -> Region:
 class _Fate:
     """The fate logic of :func:`classify_fate`, fed one orbit step at a time.
 
-    The start's certificate is settled at construction.
+    Constructed from a cell's state after ``last = (n, x, y)``: the step
+    count and the certificates and estimate checkpoint reached so far.
+    :meth:`start` builds the state at step 0, with the start's
+    certificate settled.
     """
 
-    def __init__(self, params: Params, s0: State, th: FateThresholds) -> None:
+    def __init__(
+        self,
+        th: FateThresholds,
+        y_cap: float,
+        fp: State | None,
+        last: tuple,
+        tag: TheoremTag | None = None,
+        extinction_proved: bool = False,
+        growth_proved: bool = False,
+        est_prev: float | None = None,
+        est_prev_x: float = 0.0,
+    ) -> None:
         self.th = th
         self.radius = th.extinction_radius
-        self.y_cap = derived_constants(params).y_limit
-        self.fp = fp = interior_fixed_point(params)
-        self.tag: TheoremTag | None = None
-        self.extinction_proved = False
-        self.growth_proved = False
-        self.last = (0, s0.x, s0.y)
-        self.ball_hit = max(s0.x, s0.y) <= th.extinction_radius
-        self.stalled = False
+        self.y_cap = y_cap
+        self.fp = fp
+        self.last = last
+        self.tag = tag
+        self.extinction_proved = extinction_proved
+        self.growth_proved = growth_proved
+        self.est_prev = est_prev
+        self.est_prev_x = est_prev_x
+        self.ball_hit = self.stalled = self.done = False
         self.estimate: float | None = None
-        self.est_prev: float | None = None
-        self.est_prev_x = 0.0
-        self.done = self.ball_hit
+
+    @classmethod
+    def start(cls, params: Params, s0: State, th: FateThresholds) -> _Fate:
+        fate = cls(th, derived_constants(params).y_limit, interior_fixed_point(params), (0, s0.x, s0.y))
+        fp = fate.fp
+        fate.ball_hit = fate.done = max(s0.x, s0.y) <= th.extinction_radius
         if fp is None:
-            if s0.y <= self.y_cap:
-                self.extinction_proved = True
-                self.tag = TheoremTag.THM1_II
+            if s0.y <= fate.y_cap:
+                fate.extinction_proved = True
+                fate.tag = TheoremTag.THM1_II
         else:
             start_region = _region(s0.x, s0.y, fp.x, fp.y)
             if start_region is Region.IS_FIXED_POINT:
                 # undetermined, even when the fixed point lies in the origin ball
-                self.ball_hit = False
-                self.done = True
+                fate.ball_hit = False
+                fate.done = True
             elif start_region is Region.OMEGA1:
-                self.extinction_proved = True
-                self.tag = TheoremTag.THM2_OMEGA1
+                fate.extinction_proved = True
+                fate.tag = TheoremTag.THM2_OMEGA1
             elif start_region is Region.OMEGA2:
-                self.growth_proved = True
-                self.tag = TheoremTag.THM2_OMEGA2
+                fate.growth_proved = True
+                fate.tag = TheoremTag.THM2_OMEGA2
+        return fate
 
     def feed(self, step: tuple) -> bool:
         """Judge one step; True once the verdict is final."""
@@ -418,18 +452,35 @@ class _Fate:
 
     def outcome(self) -> TrajectoryOutcome:
         n, x, y = self.last[:3]
-        final = State(x, y)
-        tag = self.tag or TheoremTag.EMPIRICAL
-        if self.ball_hit or (self.extinction_proved and not self.stalled):
-            return TrajectoryOutcome(Verdict.EXTINCTION, n, final, None, tag)
-        if self.growth_proved and not self.stalled:
-            estimate = self.estimate
-            if estimate is None and x > 0.0:
-                estimate = y * (1.0 + x) / x
-            return TrajectoryOutcome(Verdict.UNBOUNDED_GROWTH, n, final, estimate, tag)
-        # no event, or pinned at a numerical fixed point away from the
-        # origin (the float image of (x*, y*)): no asymptotic claim
-        return TrajectoryOutcome(Verdict.UNDETERMINED, n, final, None, None)
+        return _outcome(
+            n, x, y, self.ball_hit, self.extinction_proved, self.growth_proved,
+            self.stalled, self.estimate, self.tag,
+        )
+
+
+def _outcome(
+    n: int,
+    x: float,
+    y: float,
+    ball_hit: bool,
+    extinction_proved: bool,
+    growth_proved: bool,
+    stalled: bool,
+    estimate: float | None,
+    tag: TheoremTag | None,
+) -> TrajectoryOutcome:
+    """The verdict of a fate that stopped at ``(x, y)`` after ``n`` steps."""
+    final = State(x, y)
+    tag = tag or TheoremTag.EMPIRICAL
+    if ball_hit or (extinction_proved and not stalled):
+        return TrajectoryOutcome(Verdict.EXTINCTION, n, final, None, tag)
+    if growth_proved and not stalled:
+        if estimate is None and x > 0.0:
+            estimate = y * (1.0 + x) / x
+        return TrajectoryOutcome(Verdict.UNBOUNDED_GROWTH, n, final, estimate, tag)
+    # no event, or pinned at a numerical fixed point away from the
+    # origin (the float image of (x*, y*)): no asymptotic claim
+    return TrajectoryOutcome(Verdict.UNDETERMINED, n, final, None, None)
 
 
 def classify_fate(
@@ -453,7 +504,7 @@ def classify_fate(
     happens within rounding distance of the fixed point).
     """
     th = _checked(params, budget, thresholds)
-    fate = _Fate(params, s0, th)
+    fate = _Fate.start(params, s0, th)
     for step in _orbit(params, s0.x, s0.y, 0 if fate.done else budget):
         if fate.feed(step):
             break
@@ -469,7 +520,7 @@ def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, Trajec
     """
     th = _checked(params, budget, None)
     recorder = _Recorder(s0, budget, TRAJECTORY_WINDOW, th)
-    fate = _Fate(params, s0, th)
+    fate = _Fate.start(params, s0, th)
     for step in _orbit(params, s0.x, s0.y, budget):
         if recorder.feed(step) & fate.feed(step):  # `&`, not `and`: both must see every step
             break
@@ -510,7 +561,9 @@ def check_invariance(
         y0 = ys + rng.uniform(0.0, span, samples)
     at_fp = (x0 == xs) & (y0 == ys)
     if at_fp.any():  # measure-zero draw; the fixed point is not in the region
-        x0 = np.where(at_fp, 0.5 * x0, x0)
+        # move it along x into the region sampled: down into Omega1, up into Omega2
+        moved = 0.5 * xs if region is Region.OMEGA1 else np.nextafter(xs, np.inf)
+        x0 = np.where(at_fp, moved, x0)
 
     x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x0, y0)
     if region is Region.OMEGA1:
@@ -587,13 +640,140 @@ def sum_identity_residual(params: Params, s: State) -> float:
     return increment + (beta - mu) * y * (ystar - y) / gy
 
 
-def _classify_cell(
-    cell: tuple[float, float],
+# On a 2-CPU Xeon with numpy 2.4 a lockstep step cost about 40 us whether
+# it carried 1 or 128 cells, and a scalar step about 1.6 us per cell; the
+# two meet near 25 cells, so at this many unresolved cells or fewer the
+# scalar loop is the cheaper one.
+LOCKSTEP_CROSSOVER = 24
+
+_TAGS = (None, TheoremTag.THM1_II, TheoremTag.THM2_OMEGA1, TheoremTag.THM2_OMEGA2)
+
+
+def _lockstep_fates(
     params: Params,
+    x0: np.ndarray,
+    y0: np.ndarray,
     budget: int,
-    thresholds: FateThresholds | None,
-) -> TrajectoryOutcome:
-    return classify_fate(params, State(cell[0], cell[1]), budget, thresholds)
+    th: FateThresholds,
+) -> list[TrajectoryOutcome]:
+    """``classify_fate`` of every start ``(x0[i], y0[i])``, bit for bit.
+
+    The unresolved starts step together as float64 arrays through the
+    same kernel, with the rules of ``_Fate`` applied elementwise.  A
+    finished cell is compacted out and its outcome built then.  Once
+    ``LOCKSTEP_CROSSOVER`` or fewer remain, each resumes on the scalar
+    loop from the state it has reached.
+    """
+    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
+    fp = interior_fixed_point(params)
+    y_cap = derived_constants(params).y_limit
+    r, div_x, step_tol = th.extinction_radius, th.divergence_x, th.step_tol
+    est_tol = 0.1 * th.y_limit_tol
+    outcomes: list = [None] * len(x0)
+
+    # the unresolved cells' state, one entry per cell (with the
+    # extinction and growth flags set below); a tag indexes _TAGS
+    idx = np.arange(len(x0))
+    x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    tag = np.zeros(len(x0), dtype=np.int8)
+    est_prev = np.full(len(x0), np.nan)  # nan: no checkpoint yet
+    # x at which the next estimate checkpoint falls, max(100, 2*est_prev_x)
+    checkpoint_x = np.full(len(x0), 100.0)
+
+    def finish(done, ball=None, stalled=None, estimate=None) -> None:
+        """Build the outcomes of the cells in ``done`` at step ``n``, and drop them.
+
+        ``ball`` and ``stalled`` default to all False; ``estimate`` holds
+        the accepted estimate, nan where there is none, and defaults to none.
+        """
+        nonlocal idx, x, y, tag, extinction, growth, est_prev, checkpoint_x
+        count = int(np.count_nonzero(done))
+        flags = ([False] * count if a is None else a[done].tolist() for a in (ball, stalled))
+        estimates = [None] * count if estimate is None else estimate[done].tolist()
+        rows = zip(*(a[done].tolist() for a in (idx, x, y, extinction, growth, tag)), *flags, estimates)
+        for i, xi, yi, e, g, t, b, st, est in rows:
+            est = None if est != est else est
+            outcomes[i] = _outcome(n, xi, yi, b, e, g, st, est, _TAGS[t])
+        keep = ~done
+        idx, x, y, tag, extinction, growth, est_prev, checkpoint_x = (
+            a[keep] for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x)
+        )
+
+    # the start's certificate, as in _Fate.start
+    n = 0
+    ball = np.maximum(x, y) <= r
+    if fp is None:
+        extinction = y <= y_cap
+        growth = np.zeros(len(x0), dtype=bool)
+        tag[extinction] = 1
+        finish(ball, ball)
+    else:
+        at_fp = (x == fp.x) & (y == fp.y)
+        extinction = ~at_fp & (x <= fp.x) & (y <= fp.y)
+        growth = ~at_fp & (x >= fp.x) & (y >= fp.y)
+        tag[extinction] = 2
+        tag[growth] = 3
+        # a start at the fixed point is undetermined, even inside the origin ball
+        ball &= ~at_fp
+        finish(ball | at_fp, ball)
+
+    # the steps, as in _orbit and _Fate.feed; an image or an estimate may
+    # overflow, and an orbit stops before a non-finite image
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(idx) > LOCKSTEP_CROSSOVER and n < budget:
+            x1, y1 = _w0_xy(alpha, beta, gamma, mu, x, y)
+            # both images are >= 0, so their difference is finite iff both are
+            finite = np.isfinite(x1 - y1)
+            if not finite.all():  # these stop before the non-finite image
+                finish(~finite)
+                x1, y1 = x1[finite], y1[finite]
+            n += 1
+            displacement = np.maximum(np.abs(x1 - x), np.abs(y1 - y))
+            x, y = x1, y1
+
+            ball = np.maximum(x, y) <= r
+            if fp is None:
+                if not extinction.all():
+                    new = ~ball & ~extinction & (y <= y_cap)
+                    tag[new] = 1
+                    extinction |= new
+            else:
+                open_ = ~(extinction | growth)
+                if open_.any():
+                    open_ &= (x != fp.x) | (y != fp.y)
+                    extinction |= open_ & (x <= fp.x) & (y <= fp.y)
+                    growth |= open_ & (x >= fp.x) & (y >= fp.y)
+            growth |= x > div_x
+
+            stalled = displacement < step_tol
+            done = ball | stalled
+            estimate = None
+            checkpoint = growth & (x >= checkpoint_x)
+            if checkpoint.any():
+                xc = x[checkpoint]
+                est = y[checkpoint] * (1.0 + xc) / xc
+                estimate = np.full(len(x), np.nan)
+                estimate[checkpoint] = np.where(np.abs(est - est_prev[checkpoint]) <= est_tol, est, np.nan)
+                est_prev[checkpoint] = est
+                checkpoint_x[checkpoint] = 2.0 * xc
+                accepted = ~np.isnan(estimate)
+                stalled &= ~accepted
+                done |= accepted
+            if n == budget:
+                done[:] = True
+            if done.any():
+                finish(done, ball, stalled, estimate)
+
+    for i, xi, yi, t, e, g, ep, cx in zip(
+        *(a.tolist() for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x))
+    ):
+        # any est_prev_x with max(100, 2*est_prev_x) == cx checkpoints alike
+        fate = _Fate(th, y_cap, fp, (n, xi, yi), _TAGS[t], e, g, None if ep != ep else ep, 0.5 * cx)
+        for step in _orbit(params, xi, yi, budget, n):
+            if fate.feed(step):
+                break
+        outcomes[i] = fate.outcome()
+    return outcomes
 
 
 def _usable_cpus() -> int:
@@ -620,15 +800,20 @@ def basin_scan(
 ) -> BasinGrid:
     """Classify every grid point's long-run fate.
 
-    Cells are independent; with ``workers > 1`` they are distributed
-    over a process pool of at most as many processes as there are
-    CPUs this process may run on, and
-    never more than there are cells.  Assembly is by cell index, so the
-    result is deterministic for fixed inputs regardless of worker count.
+    Each cell's outcome is ``classify_fate`` of its start, bit for bit.
+    The cells, y outer, are cut into contiguous blocks, one per worker
+    process, at most as many as there are CPUs this process may run on
+    and never more than there are cells; with one block the scan runs
+    in process.  A block steps its unresolved cells together as numpy
+    arrays until ``LOCKSTEP_CROSSOVER`` or fewer remain, which finish on
+    the scalar loop.  The result does not depend on the worker count.
+    A grid holds at most ``MAX_GRID_CELLS`` cells.
     """
-    params.require_analysis_valid()
+    th = _checked(params, budget, thresholds)
     if nx < 2 or ny < 2:
         raise ConfigurationError(f"grid resolution must be >= 2 per axis, got {nx}x{ny}")
+    if nx * ny > MAX_GRID_CELLS:
+        raise ConfigurationError(f"grid of {nx}x{ny} cells exceeds the maximum of {MAX_GRID_CELLS} cells")
     x_lo, x_hi = (float(x_range[0]), float(x_range[1]))
     y_lo, y_hi = (float(y_range[0]), float(y_range[1]))
     for name, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
@@ -641,26 +826,24 @@ def basin_scan(
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
 
-    xs = np.linspace(x_lo, x_hi, nx)
-    ys = np.linspace(y_lo, y_hi, ny)
-    tasks = [(float(x), float(y)) for y in ys for x in xs]
-    classify = partial(_classify_cell, params=params, budget=budget, thresholds=thresholds)
-    pool_size = _pool_size(workers, len(tasks))
+    x0 = np.tile(np.linspace(x_lo, x_hi, nx), ny)
+    y0 = np.repeat(np.linspace(y_lo, y_hi, ny), nx)
+    pool_size = _pool_size(workers, nx * ny)
     if pool_size == 1:
-        outcomes = [classify(t) for t in tasks]
+        outcomes = _lockstep_fates(params, x0, y0, budget, th)
     else:
-        chunk = max(1, len(tasks) // (4 * pool_size))
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outcomes = list(pool.map(classify, tasks, chunksize=chunk))
+            blocks = [
+                pool.submit(_lockstep_fates, params, bx, by, budget, th)
+                for bx, by in zip(np.array_split(x0, pool_size), np.array_split(y0, pool_size))
+            ]
+            outcomes = [o for block in blocks for o in block.result()]
 
-    cells = tuple(
-        tuple(outcomes[iy * nx + ix] for iy in range(ny)) for ix in range(nx)
-    )
     return BasinGrid(
         params=params,
         x_range=(x_lo, x_hi),
         y_range=(y_lo, y_hi),
         nx=nx,
         ny=ny,
-        cells=cells,
+        cells=tuple(tuple(outcomes[ix::nx]) for ix in range(nx)),
     )

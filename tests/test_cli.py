@@ -218,6 +218,17 @@ class TestExitCodes:
         )
         assert code == EXIT_CONFIG
 
+    def test_oversized_basin(self, capsys):
+        code = main(
+            [
+                "basin", *SHOWCASE_ARGS,
+                "--x-min", "0", "--x-max", "1", "--y-min", "0", "--y-max", "1",
+                "--nx", "100000", "--ny", "100000", "--budget", "1",
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "exceeds the maximum" in capsys.readouterr().err
+
     def test_invalid_span(self, capsys):
         code = main(["check", *SHOWCASE_ARGS, "--span", "0"])
         assert code == EXIT_CONFIG

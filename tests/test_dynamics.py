@@ -235,6 +235,21 @@ class TestCheckInvariance:
         with pytest.raises(ConfigurationError):
             check_invariance(ORIGIN_ONLY, Region.OMEGA1, samples=10, seed=0)
 
+    @pytest.mark.parametrize("region, bound", [(Region.OMEGA1, "high"), (Region.OMEGA2, "low")])
+    def test_draw_at_the_fixed_point_stays_in_its_region(self, monkeypatch, region, bound):
+        class EdgeRng:
+            """Every draw at one end of its range, so each sample is (x*, y*)."""
+
+            def __init__(self, seed):
+                pass
+
+            def uniform(self, low, high, size):
+                return np.full(size, float(high if bound == "high" else low))
+
+        monkeypatch.setattr(dynamics.np.random, "default_rng", EdgeRng)
+        report = check_invariance(SHOWCASE, region, samples=4, seed=0)
+        assert report.escapes == 0 and report.counterexample is None
+
 
 class TestMonotonicityProbe:
     def test_showcase_onsets(self):
@@ -403,6 +418,21 @@ class TestBasinScan:
             basin_scan(SHOWCASE, (0.0, 1.0), (0.0, float("inf")), 2, 2)
         with pytest.raises(ConfigurationError):
             basin_scan(SHOWCASE, (0.0, 1.0), (0.0, 1.0), 2, 2, workers=0)
+
+    def test_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a scan was started")
+
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dynamics, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(dynamics, "_lockstep_fates", no_work)
+        with pytest.raises(ConfigurationError, match="budget must be >= 1, got 0"):
+            basin_scan(SHOWCASE, (0.0, 1.0), (0.0, 1.0), 2, 2, budget=0, workers=2)
+        with pytest.raises(ConfigurationError, match="exceeds the maximum"):
+            basin_scan(SHOWCASE, (0.0, 1.0), (0.0, 1.0), 10**5, 10**5, budget=1, workers=2)
+        side = int(dynamics.MAX_GRID_CELLS**0.5)
+        with pytest.raises(ConfigurationError, match="exceeds the maximum"):
+            basin_scan(SHOWCASE, (0.0, 1.0), (0.0, 1.0), side, side + 1, budget=1)
 
 
 @given(x=st.floats(0.0, 10.0), y=st.floats(0.0, 10.0))

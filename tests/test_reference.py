@@ -1,14 +1,17 @@
-"""Differential tests: the orbit engine against the reference oracle.
+"""Differential tests: the orbit engines against the reference oracle.
 
 ``iterate``, ``classify_fate`` and ``simulate`` step orbits through one
-shared generator; :mod:`reference` keeps the original scalar loops.
-Both must agree bit for bit (``repr`` tells every double apart,
-``-0.0`` included) over both regimes, windows and budgets, including
-starts whose first image overflows or passes ``divergence_x``;
-``iterate`` and ``classify_fate`` also under threshold overrides.
+shared generator, and ``basin_scan`` steps its cells in lockstep as
+numpy arrays; :mod:`reference` keeps the original scalar loops.  Both
+must agree bit for bit (``repr`` tells every double apart, ``-0.0``
+included) over both regimes, windows and budgets, including starts
+whose first image overflows or passes ``divergence_x``; ``iterate``,
+``classify_fate`` and the lockstep engine also under threshold overrides.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -22,11 +25,14 @@ from mosquito_allee import (
     FateThresholds,
     Params,
     State,
+    basin_scan,
     classify_fate,
+    dynamics,
     interior_fixed_point,
     iterate,
     simulate,
 )
+from mosquito_allee.dynamics import LOCKSTEP_CROSSOVER
 
 
 @st.composite
@@ -118,3 +124,105 @@ def test_simulate_argument_validation():
         simulate(SHOWCASE, State(1.0, 1.0), 0)
     with pytest.raises(ConfigurationError):
         simulate(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0), 10)
+
+
+@st.composite
+def lockstep_cases(draw):
+    """Batches of starts on both sides of the crossover, mixed kinds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = draw(st.sampled_from([interior_params, origin_only_params]))(rng)
+    fp = interior_fixed_point(params) or State(0.0, 0.0)
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["box"] * 6 + ["tall", "huge", "ball", "fixed-point", "near-fixed-point"]),
+            min_size=1,
+            max_size=3 * LOCKSTEP_CROSSOVER,
+        )
+    )
+    starts = []
+    for kind in kinds:
+        if kind == "box":
+            starts.append((rng.uniform(0.0, 12.0), rng.uniform(0.0, 8.0)))
+        elif kind == "tall":
+            starts.append((rng.uniform(0.0, 12.0), rng.uniform(1e9, 1e12)))
+        elif kind == "huge":  # the first image may overflow
+            starts.append((rng.uniform(0.0, 1e300), rng.uniform(0.0, 1e300)))
+        elif kind == "ball":
+            starts.append((rng.uniform(0.0, 1e-9), rng.uniform(0.0, 1e-9)))
+        elif kind == "fixed-point":
+            starts.append((fp.x, fp.y))
+        else:  # one ulp off (x*, y*): a region boundary, or a stall
+            starts.append((np.nextafter(fp.x, rng.choice([0.0, np.inf])), np.nextafter(fp.y, rng.choice([0.0, np.inf]))))
+    thresholds = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                lambda e, tol, y_tol: FateThresholds(divergence_x=10.0**e, step_tol=tol, y_limit_tol=y_tol),
+                st.floats(2.0, 9.0),
+                st.sampled_from([1e-14, 1e-8]),
+                st.sampled_from([1e-6, 1e-3, 1e-1]),
+            ),
+        )
+    )
+    budget = draw(st.integers(1, 2000))
+    # the hand-off point: 0 keeps every cell in lockstep to its end, and
+    # any other count hands cells over in whatever state they have reached
+    crossover = draw(st.one_of(st.just(LOCKSTEP_CROSSOVER), st.integers(0, len(starts))))
+    return params, [(float(x), float(y)) for x, y in starts], thresholds, budget, crossover
+
+
+def assert_lockstep_matches_reference(params, starts, budget, thresholds=None, crossover=LOCKSTEP_CROSSOVER):
+    expected = [reference.classify_fate(params, State(x, y), budget, thresholds) for x, y in starts]
+    x0, y0 = (np.array(c, dtype=float) for c in zip(*starts))
+    th = thresholds if thresholds is not None else FateThresholds()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(dynamics, "LOCKSTEP_CROSSOVER", crossover)
+        warnings.simplefilter("error")  # overflowing starts print no numpy warnings
+        got = dynamics._lockstep_fates(params, x0, y0, budget, th)
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+@settings(max_examples=100)
+@given(case=lockstep_cases())
+def test_lockstep_engine_matches_reference_bit_for_bit(case):
+    params, starts, thresholds, budget, crossover = case
+    assert_lockstep_matches_reference(params, starts, budget, thresholds, crossover)
+
+
+# mu = 1 and a tiny alpha: from (0, 1e-6) one step lands in the origin
+# ball before any y <= alpha/mu was seen, so the verdict is empirical
+BALL_IN_ONE_STEP = Params(alpha=1e-12, beta=1.0, gamma=1.0, mu=1.0)
+
+
+@pytest.mark.parametrize("crossover", [0, 2])
+@pytest.mark.parametrize(
+    "params, start, budget, thresholds",
+    [
+        (TINY_FIXED_POINT, interior_fixed_point(TINY_FIXED_POINT).as_tuple(), 100, None),
+        (BALL_IN_ONE_STEP, (0.0, 1e-6), 100, None),
+        # growth past its first estimate checkpoint (step 1187) when the
+        # extinction next to the fixed point ends (step 1402); the
+        # estimate is accepted at the next checkpoint (step 2228)
+        (SHOWCASE, (5.0, 2.0), 5000, FateThresholds(y_limit_tol=1e-3)),
+    ],
+)
+def test_lockstep_engine_edge_starts(params, start, budget, thresholds, crossover):
+    # with crossover 2 the last two cells are handed over when the third-last ends
+    starts = [start, (0.0, 0.0), (1e-10, 0.0), (4.0, 1.599999999), (6.0, 3.0)]
+    assert_lockstep_matches_reference(params, starts, budget, thresholds, crossover)
+
+
+def test_basin_scan_matches_reference_across_worker_counts(monkeypatch):
+    # 48 cells, more than LOCKSTEP_CROSSOVER; two CPUs so that two blocks run in two processes
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    grid = dict(x_range=(0.0, 7.0), y_range=(0.0, 5.0), nx=8, ny=6, budget=3000)
+    assert grid["nx"] * grid["ny"] > LOCKSTEP_CROSSOVER
+    serial = basin_scan(SHOWCASE, **grid, workers=1)
+    parallel = basin_scan(SHOWCASE, **grid, workers=2)
+    assert serial == parallel
+    assert repr(serial) == repr(parallel)
+    for x0, y0, outcome in serial.iter_rows():
+        expected = reference.classify_fate(SHOWCASE, State(x0, y0), grid["budget"])
+        assert outcome == expected
+        assert repr(outcome) == repr(expected)
