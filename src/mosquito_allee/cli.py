@@ -9,23 +9,22 @@ error, 2 I/O error, 3 property falsified by sampling.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
-
-import numpy as np
 
 from .dynamics import (
     DEFAULT_BUDGET,
     Region,
     Trajectory,
     basin_scan,
+    check_adult_bound,
     check_invariance,
+    check_sum_identity,
     simulate,
-    sum_identity_residual,
 )
 from .errors import ConfigurationError, DomainError, InternalConsistencyError
-from .model import Params, State, derived_constants, _w0_xy
+from .model import Params, State, derived_constants
 from .stability import (
     FixedPoint,
     FixedPointReport,
@@ -34,7 +33,6 @@ from .stability import (
     Regime,
     Stability,
     find_fixed_points,
-    interior_fixed_point,
 )
 
 __all__ = [
@@ -143,76 +141,42 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _fixed_point_dict(fp: FixedPoint, eigenvalues: tuple[float, float] | None = None) -> dict:
-    payload = {
-        "location": {"x": fp.location.x, "y": fp.location.y},
-        "kind": fp.kind.value,
-        "stability": fp.stability.value,
-    }
-    if eigenvalues is not None:
-        payload["eigenvalues"] = [eigenvalues[0], eigenvalues[1]]
-    return payload
-
-
 def report_to_dict(report: FixedPointReport, params: Params) -> dict:
-    constants = derived_constants(params)
-    analysis = None
-    if report.analysis is not None:
-        a = report.analysis
-        analysis = {
-            "matrix": [list(row) for row in a.matrix],
-            "eigenvalues": list(a.eigenvalues),
-            "moduli": list(a.moduli),
-            "A": a.A,
-            "B": a.B,
-            "Lambda1": a.Lambda1,
-            "Lambda2": a.Lambda2,
-            "alpha1": a.alpha1,
-            "alpha2": a.alpha2,
-        }
-    return {
-        "regime": report.regime.value,
-        "origin": _fixed_point_dict(report.origin, report.origin_eigenvalues),
-        "interior": None if report.interior is None else _fixed_point_dict(report.interior),
-        "analysis": analysis,
-        "thresholds": {
-            "threshold_beta": constants.threshold_beta,
-            "y_limit": constants.y_limit,
-            "allee_threshold_gamma": constants.allee_threshold_gamma,
-        },
-    }
+    """The report's fields, with the origin's eigenvalues inside ``origin``
+    and ``derived_constants(params)`` as ``thresholds``.  Enum members stay:
+    they are ``str`` enums, which JSON writes as their values."""
+    payload = dataclasses.asdict(report)
+    payload["origin"]["eigenvalues"] = payload.pop("origin_eigenvalues")
+    payload["thresholds"] = dataclasses.asdict(derived_constants(params))
+    return payload
 
 
 def _fixed_point_from_dict(payload: dict) -> FixedPoint:
     return FixedPoint(
-        location=State(payload["location"]["x"], payload["location"]["y"]),
+        location=State(**payload["location"]),
         kind=PointKind(payload["kind"]),
         stability=Stability(payload["stability"]),
     )
+
+
+def _tuples(value):
+    """A JSON array as the nested tuples a report holds; other values as they are."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def report_from_dict(payload: dict) -> FixedPointReport:
     analysis = None
     if payload["analysis"] is not None:
         a = payload["analysis"]
-        analysis = JacobianAnalysis(
-            matrix=tuple(tuple(row) for row in a["matrix"]),
-            eigenvalues=tuple(a["eigenvalues"]),
-            moduli=tuple(a["moduli"]),
-            A=a["A"],
-            B=a["B"],
-            Lambda1=a["Lambda1"],
-            Lambda2=a["Lambda2"],
-            alpha1=a["alpha1"],
-            alpha2=a["alpha2"],
-        )
+        fields = dataclasses.fields(JacobianAnalysis)
+        analysis = JacobianAnalysis(**{f.name: _tuples(a[f.name]) for f in fields})
     origin = payload["origin"]
     return FixedPointReport(
         regime=Regime(payload["regime"]),
         origin=_fixed_point_from_dict(origin),
         interior=None if payload["interior"] is None else _fixed_point_from_dict(payload["interior"]),
         analysis=analysis,
-        origin_eigenvalues=(origin["eigenvalues"][0], origin["eigenvalues"][1]),
+        origin_eigenvalues=_tuples(origin["eigenvalues"]),
     )
 
 
@@ -283,85 +247,44 @@ def _cmd_basin(params: Params, args) -> int:
 
 
 def _cmd_check(params: Params, args) -> int:
-    if args.samples < 1:
-        raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
-    if args.span is not None and not (math.isfinite(args.span) and args.span > 0):
-        raise ConfigurationError(f"--span must be positive and finite, got {args.span}")
-    fp = interior_fixed_point(params)
-    if fp is None:
-        raise ConfigurationError(
-            "check requires the two-fixed-point regime (beta > mu*(1 + gamma*mu/alpha))"
-        )
-    constants = derived_constants(params)
-    failures = 0
+    invariance = [
+        check_invariance(params, Region.OMEGA1, args.samples, args.seed),
+        check_invariance(params, Region.OMEGA2, args.samples, args.seed + 1, span=args.span),
+    ]
+    identity = check_sum_identity(params, args.samples, args.seed)
+    bound = check_adult_bound(params, args.samples, args.seed)
 
-    for region, seed_offset, span in (
-        (Region.OMEGA1, 0, None),
-        (Region.OMEGA2, 1, args.span),
-    ):
-        report = check_invariance(params, region, args.samples, args.seed + seed_offset, span=span)
+    for report in invariance:
         if report.passed:
-            print(f"invariance {region.value}: PASS ({report.samples} samples, 0 escapes)")
+            print(f"invariance {report.region.value}: PASS ({report.samples} samples, 0 escapes)")
         else:
-            failures += 1
             before, after = report.counterexample
             print(
-                f"invariance {region.value}: FAIL ({report.escapes} escapes; "
+                f"invariance {report.region.value}: FAIL ({report.escapes} escapes; "
                 f"counterexample ({_fmt(before.x)}, {_fmt(before.y)}) -> "
                 f"({_fmt(after.x)}, {_fmt(after.y)}))"
             )
 
-    # identity sampling window keeps beta*y small enough that the
-    # absolute 1e-12 contract is meaningful in double precision
-    rng = np.random.default_rng(args.seed + 2)
-    y_window = max(1.0, min(10.0 * max(constants.y_limit, fp.y), 500.0 / params.beta))
-    xs = rng.uniform(0.0, 1e4, args.samples)
-    ys = rng.uniform(0.0, y_window, args.samples)
-    worst = -1.0
-    worst_state = None
-    for xv, yv in zip(xs, ys):
-        state = State(float(xv), float(yv))
-        residual = abs(sum_identity_residual(params, state))
-        if residual > worst:
-            worst = residual
-            worst_state = state
-    if worst <= 1e-12:
-        print(f"sum identity: PASS ({args.samples} samples, max |residual| {worst:.3g})")
+    if identity.passed:
+        print(f"sum identity: PASS ({identity.samples} samples, max |residual| {identity.worst_residual:.3g})")
     else:
-        failures += 1
+        s = identity.witness
         print(
-            f"sum identity: FAIL (|residual| {worst:.3g} > 1e-12 at "
-            f"({_fmt(worst_state.x)}, {_fmt(worst_state.y)}))"
+            f"sum identity: FAIL (|residual| {identity.worst_residual:.3g} > {identity.tolerance:g} at "
+            f"({_fmt(s.x)}, {_fmt(s.y)}))"
         )
 
-    # adult-density bound along trajectories: y never exceeds
-    # max(y0, alpha/mu) by more than rounding
-    n_starts = min(args.samples, 1000)
-    horizon = 256
-    rng_bound = np.random.default_rng(args.seed + 3)
-    bx = rng_bound.uniform(0.0, 100.0, n_starts)
-    by = rng_bound.uniform(0.0, 3.0 * constants.y_limit, n_starts)
-    bounds = np.maximum(by, constants.y_limit) + 1e-12
-    bound_violation = None
-    cx, cy = bx.copy(), by.copy()
-    for _ in range(horizon):
-        cx, cy = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, cx, cy)
-        bad = cy > bounds
-        if bad.any():
-            i = int(np.argmax(bad))
-            bound_violation = (float(bx[i]), float(by[i]), float(cy[i]))
-            break
-    if bound_violation is None:
-        print(f"adult bound: PASS ({n_starts} trajectories, horizon {horizon})")
+    if bound.passed:
+        print(f"adult bound: PASS ({bound.starts} trajectories, horizon {bound.horizon})")
     else:
-        failures += 1
-        x0, y0, y_bad = bound_violation
+        start, y_bad = bound.violation
         print(
-            f"adult bound: FAIL (start ({_fmt(x0)}, {_fmt(y0)}) reached y={_fmt(y_bad)} "
-            f"above max(y0, {_fmt(constants.y_limit)}))"
+            f"adult bound: FAIL (start ({_fmt(start.x)}, {_fmt(start.y)}) reached y={_fmt(y_bad)} "
+            f"above max(y0, {_fmt(bound.y_limit)}))"
         )
 
-    return EXIT_FALSIFIED if failures else EXIT_OK
+    passed = all(report.passed for report in (*invariance, identity, bound))
+    return EXIT_OK if passed else EXIT_FALSIFIED
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -57,6 +57,7 @@ from .stability import interior_fixed_point
 __all__ = [
     "DEFAULT_BUDGET",
     "MAX_GRID_CELLS",
+    "MAX_SAMPLES",
     "TRAJECTORY_WINDOW",
     "FateThresholds",
     "Termination",
@@ -66,6 +67,8 @@ __all__ = [
     "Trajectory",
     "TrajectoryOutcome",
     "InvarianceReport",
+    "IdentityReport",
+    "AdultBoundReport",
     "MonotonicityReport",
     "BasinGrid",
     "iterate",
@@ -73,6 +76,8 @@ __all__ = [
     "classify_fate",
     "simulate",
     "check_invariance",
+    "check_sum_identity",
+    "check_adult_bound",
     "monotonicity_probe",
     "sum_identity_residual",
     "basin_scan",
@@ -83,6 +88,9 @@ TRAJECTORY_WINDOW = 1024
 # a CLI basin scan holds every cell's outcome and CSV row in memory, about
 # 550 bytes of RSS per cell (measured at 1e4 and 5e4 cells), so about 550 MB here
 MAX_GRID_CELLS = 10**6
+# a sampled check holds a few arrays of this length, about 50 bytes of RSS
+# per sample (measured at 1e5 and 1e6 samples), so about 500 MB here
+MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -178,6 +186,30 @@ class InvarianceReport:
     @property
     def passed(self) -> bool:
         return self.escapes == 0
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    samples: int
+    worst_residual: float
+    witness: State  # the first state drawn with the worst |residual|
+    tolerance: float = 1e-12
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_residual <= self.tolerance
+
+
+@dataclass(frozen=True)
+class AdultBoundReport:
+    starts: int
+    horizon: int
+    y_limit: float
+    violation: tuple[State, float] | None  # a start and the adult density it reached
+
+    @property
+    def passed(self) -> bool:
+        return self.violation is None
 
 
 @dataclass(frozen=True)
@@ -527,6 +559,16 @@ def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, Trajec
     return recorder.trajectory(params), fate.outcome()
 
 
+def _require_sampling(samples: int, seed: int) -> None:
+    """Reject a sample count or seed before any array is allocated."""
+    if samples < 1:
+        raise ConfigurationError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ConfigurationError(f"{samples} samples exceed the maximum of {MAX_SAMPLES}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+
+
 def check_invariance(
     params: Params,
     region: Region,
@@ -539,13 +581,13 @@ def check_invariance(
     ``Omega2`` is unbounded, so it is sampled on the window
     ``[x*, x*+span] x [y*, y*+span]`` (default span ``10*max(x*, y*)``);
     invariance of the map does not depend on the window.  Returns the
-    escape count and the first counterexample, if any.
+    escape count and the first counterexample, if any.  At most
+    ``MAX_SAMPLES`` samples; the seed must be nonnegative.
     """
     fp = _require_interior(params)
     if region not in (Region.OMEGA1, Region.OMEGA2):
         raise ConfigurationError(f"invariance is defined for omega1/omega2, got {region}")
-    if samples < 1:
-        raise ConfigurationError(f"samples must be >= 1, got {samples}")
+    _require_sampling(samples, seed)
     xs, ys = fp.x, fp.y
     if span is None:
         span = 10.0 * max(xs, ys)
@@ -633,11 +675,61 @@ def sum_identity_residual(params: Params, s: State) -> float:
     beta, gamma, mu = params.beta, params.gamma, params.mu
     if not beta > mu:
         raise ConfigurationError(f"identity requires beta > mu, got beta={beta}, mu={mu}")
-    y = s.y
+    return _identity_defect(beta, gamma, mu, s.y)
+
+
+def _identity_defect(beta: float, gamma: float, mu: float, y):
+    """The defect of :func:`sum_identity_residual`, on floats or numpy arrays."""
     ystar = gamma * mu / (beta - mu)
     gy = gamma + y
     increment = beta * y * y / gy - mu * y
     return increment + (beta - mu) * y * (ystar - y) / gy
+
+
+def check_sum_identity(params: Params, samples: int, seed: int) -> IdentityReport:
+    """Sample states and report the worst defect of the total-population identity.
+
+    ``x`` is drawn from ``[0, 1e4]`` and ``y`` from a window that keeps
+    ``beta*y`` small enough for the absolute tolerance to be meaningful
+    in double precision.  The draws come from ``seed + 2``, apart from
+    the invariance draws a ``check`` seed makes at ``seed`` and ``seed + 1``.
+    """
+    fp = _require_interior(params)
+    _require_sampling(samples, seed)
+    y_window = max(1.0, min(10.0 * max(derived_constants(params).y_limit, fp.y), 500.0 / params.beta))
+    rng = np.random.default_rng(seed + 2)
+    xs = rng.uniform(0.0, 1e4, samples)
+    ys = rng.uniform(0.0, y_window, samples)
+    residuals = np.abs(_identity_defect(params.beta, params.gamma, params.mu, ys))
+    i = int(np.argmax(residuals))
+    return IdentityReport(samples, float(residuals[i]), State(float(xs[i]), float(ys[i])))
+
+
+def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundReport:
+    """Step sampled orbits and report one whose adult density passes ``max(y0, alpha/mu)``.
+
+    ``min(samples, 1000)`` starts are drawn from ``seed + 3`` on
+    ``[0, 100] x [0, 3*alpha/mu]`` and stepped 256 times together.  The
+    violation reported is the first start, in draw order, to pass its
+    bound by more than ``1e-12`` at the earliest step any start does.
+    """
+    y_limit = derived_constants(params).y_limit
+    _require_sampling(samples, seed)
+    starts = min(samples, 1000)
+    horizon = 256
+    rng = np.random.default_rng(seed + 3)
+    x0 = rng.uniform(0.0, 100.0, starts)
+    y0 = rng.uniform(0.0, 3.0 * y_limit, starts)
+    bounds = np.maximum(y0, y_limit) + 1e-12
+    x, y = x0, y0
+    for _ in range(horizon):
+        x, y = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x, y)
+        bad = y > bounds
+        if bad.any():
+            i = int(np.argmax(bad))
+            violation = (State(float(x0[i]), float(y0[i])), float(y[i]))
+            return AdultBoundReport(starts, horizon, y_limit, violation)
+    return AdultBoundReport(starts, horizon, y_limit, None)
 
 
 # On a 2-CPU Xeon with numpy 2.4 a lockstep step cost about 40 us whether

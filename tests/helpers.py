@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mosquito_allee import Params
+from mosquito_allee import Params, model
 
 # used throughout the docs and regression fixtures: interior fixed point
 # (4, 1.6), existence threshold 0.8, adult growth limit 2
@@ -59,3 +59,13 @@ def identity_params(rng: np.random.Generator) -> Params:
         gamma=float(rng.uniform(0.1, 3.0)),
         mu=mu,
     )
+
+
+def pumped_kernel(alpha, beta, gamma, mu, x, y):
+    """The restricted map with one percent too many adults after each step.
+
+    Patched in for ``dynamics._w0_xy``, it breaks the adult bound
+    ``y <= max(y0, alpha/mu)`` after a few steps.
+    """
+    x1, y1 = model._w0_xy(alpha, beta, gamma, mu, x, y)
+    return x1, 1.01 * y1

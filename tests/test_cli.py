@@ -5,21 +5,38 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import SHOWCASE
+from helpers import SHOWCASE, pumped_kernel
 from mosquito_allee import (
     InvarianceReport,
+    Params,
     State,
     Termination,
+    check_adult_bound,
+    check_sum_identity,
     find_fixed_points,
     iterate,
 )
-from mosquito_allee import cli
-from mosquito_allee.cli import EXIT_CONFIG, EXIT_FALSIFIED, EXIT_IO, EXIT_OK, main, report_from_json
+from mosquito_allee import cli, dynamics
+from mosquito_allee.cli import (
+    EXIT_CONFIG,
+    EXIT_FALSIFIED,
+    EXIT_IO,
+    EXIT_OK,
+    main,
+    report_from_json,
+    report_to_json,
+)
 
 SHOWCASE_ARGS = ["--alpha", "0.8", "--beta", "0.9", "--gamma", "2.0", "--mu", "0.4"]
+
+# CLI stdout, byte for byte; a change to these files changes an output contract
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_simulate_csv_stdout_round_trips(capsys):
@@ -115,6 +132,39 @@ def test_fixed_points_origin_only_nulls(capsys):
     assert payload["thresholds"]["allee_threshold_gamma"] is not None
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["fixed-points", *SHOWCASE_ARGS], "fixed_points_showcase.json"),
+        (["fixed-points", "--alpha", "0.8", "--beta", "0.7", "--gamma", "2.0", "--mu", "0.4"],
+         "fixed_points_origin_only.json"),
+        (["check", *SHOWCASE_ARGS, "--samples", "2000", "--seed", "7"], "check_showcase.txt"),
+    ],
+)
+def test_stdout_matches_golden_bytes(argv, golden, capsys):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
+_rate = st.floats(0.05, 1.0)
+
+
+@st.composite
+def _params_either_regime(draw) -> Params:
+    """Either regime: beta at 20%..95% of the existence threshold or 5%..300% above it."""
+    alpha, mu, gamma = draw(_rate), draw(_rate), draw(st.floats(0.1, 5.0))
+    threshold = mu * (1.0 + gamma * mu / alpha)
+    factor = draw(st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0)))
+    return Params(alpha=alpha, beta=threshold * factor, gamma=gamma, mu=mu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=_params_either_regime())
+def test_report_json_round_trips(params):
+    report = find_fixed_points(params)
+    assert report_from_json(report_to_json(report, params)) == report
+
+
 def test_basin_csv_contents(capsys):
     code = main(
         [
@@ -182,6 +232,28 @@ def test_check_reports_falsification(monkeypatch, capsys):
     assert "counterexample" in out
 
 
+def test_check_reports_identity_failure(monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "_identity_defect", lambda beta, gamma, mu, y: 1e-9 * y)
+    code = main(["check", *SHOWCASE_ARGS, "--samples", "300", "--seed", "5"])
+    assert code == EXIT_FALSIFIED
+    report = check_sum_identity(SHOWCASE, 300, 5)
+    w = report.witness
+    assert capsys.readouterr().out.splitlines()[2] == (
+        f"sum identity: FAIL (|residual| {report.worst_residual:.3g} > 1e-12 at "
+        f"({w.x:.17g}, {w.y:.17g}))"
+    )
+
+
+def test_check_reports_adult_bound_failure(monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "_w0_xy", pumped_kernel)
+    code = main(["check", *SHOWCASE_ARGS, "--samples", "40", "--seed", "1"])
+    assert code == EXIT_FALSIFIED
+    start, y_bad = check_adult_bound(SHOWCASE, 40, 1).violation
+    assert capsys.readouterr().out.splitlines()[3] == (
+        f"adult bound: FAIL (start ({start.x:.17g}, {start.y:.17g}) reached y={y_bad:.17g} above max(y0, 2))"
+    )
+
+
 class TestExitCodes:
     def test_out_of_regime_alpha(self, capsys):
         code = main(["fixed-points", "--alpha", "1.5", "--beta", "0.9", "--gamma", "2.0", "--mu", "0.4"])
@@ -236,6 +308,31 @@ class TestExitCodes:
     def test_check_needs_interior_point(self, capsys):
         code = main(["check", "--alpha", "0.8", "--beta", "0.7", "--gamma", "2.0", "--mu", "0.4"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--samples", "0"], "samples must be >= 1"),
+            (["--span", "nan"], "span must be positive and finite"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--seed", "-3"], "seed must be >= 0, got -3"),
+        ],
+    )
+    def test_check_usage_error_prints_no_report(self, extra, message, capsys):
+        code = main(["check", *SHOWCASE_ARGS, *extra])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_check_sample_count_bounded(self, monkeypatch, capsys):
+        def no_rng(seed):
+            raise AssertionError("samples were drawn")
+
+        monkeypatch.setattr(dynamics.np.random, "default_rng", no_rng)
+        code = main(["check", *SHOWCASE_ARGS, "--samples", str(dynamics.MAX_SAMPLES + 1)])
+        assert code == EXIT_CONFIG
+        assert "exceed the maximum" in capsys.readouterr().err
 
     def test_unwritable_output_path(self, capsys):
         code = main(["fixed-points", *SHOWCASE_ARGS, "--out", "/nonexistent-dir/report.json"])

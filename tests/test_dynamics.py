@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import SHOWCASE, interior_params, origin_only_params
+from helpers import SHOWCASE, interior_params, origin_only_params, pumped_kernel
 from mosquito_allee import dynamics
 from mosquito_allee import (
     ConfigurationError,
@@ -21,7 +21,9 @@ from mosquito_allee import (
     TheoremTag,
     Verdict,
     basin_scan,
+    check_adult_bound,
     check_invariance,
+    check_sum_identity,
     classify_fate,
     derived_constants,
     interior_fixed_point,
@@ -291,6 +293,113 @@ class TestSumIdentityResidual:
     def test_requires_beta_above_mu(self):
         with pytest.raises(ConfigurationError):
             sum_identity_residual(Params(alpha=1.0, beta=0.5, gamma=1.0, mu=0.5), State(1.0, 1.0))
+
+
+def identity_by_loop(params, samples, seed):
+    """The worst identity defect and its first state, one ``State`` at a time."""
+    rng = np.random.default_rng(seed + 2)
+    y_window = max(1.0, min(10.0 * max(derived_constants(params).y_limit, interior_fixed_point(params).y),
+                            500.0 / params.beta))
+    xs = rng.uniform(0.0, 1e4, samples)
+    ys = rng.uniform(0.0, y_window, samples)
+    worst, witness = -1.0, None
+    for xv, yv in zip(xs, ys):
+        state = State(float(xv), float(yv))
+        residual = abs(sum_identity_residual(params, state))
+        if residual > worst:
+            worst, witness = residual, state
+    return worst, witness
+
+
+def adult_bound_by_loop(params, samples, seed):
+    """The first start to pass its adult bound at the earliest step, one orbit at a time."""
+    y_limit = derived_constants(params).y_limit
+    rng = np.random.default_rng(seed + 3)
+    starts = min(samples, 1000)
+    x0 = rng.uniform(0.0, 100.0, starts).tolist()
+    y0 = rng.uniform(0.0, 3.0 * y_limit, starts).tolist()
+    orbits = list(zip(x0, y0))
+    for _ in range(256):
+        orbits = [dynamics._w0_xy(params.alpha, params.beta, params.gamma, params.mu, x, y) for x, y in orbits]
+        for x_start, y_start, (_, y) in zip(x0, y0, orbits):
+            if y > max(y_start, y_limit) + 1e-12:
+                return State(x_start, y_start), y
+    return None
+
+
+class TestCheckSumIdentity:
+    def test_matches_the_scalar_loop(self):
+        rng = np.random.default_rng(37)
+        for seed, p in enumerate([SHOWCASE] * 10 + [interior_params(rng) for _ in range(10)]):
+            report = check_sum_identity(p, 500, seed)
+            worst, witness = identity_by_loop(p, 500, seed)
+            assert report.worst_residual == worst and report.witness == witness
+            assert report.samples == 500 and report.passed
+
+    def test_failure_names_the_worst_state(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_identity_defect", lambda beta, gamma, mu, y: 1e-9 * y)
+        report = check_sum_identity(SHOWCASE, 300, 5)
+        worst, witness = identity_by_loop(SHOWCASE, 300, 5)
+        assert not report.passed
+        assert report.worst_residual == worst > report.tolerance == 1e-12
+        assert report.witness == witness
+
+    def test_requires_interior_point(self):
+        with pytest.raises(ConfigurationError):
+            check_sum_identity(ORIGIN_ONLY, 10, 0)
+
+
+class TestCheckAdultBound:
+    def test_showcase_and_origin_only_hold(self):
+        for p in (SHOWCASE, ORIGIN_ONLY):
+            report = check_adult_bound(p, 2000, 0)
+            assert report.passed and report.violation is None
+            assert (report.starts, report.horizon) == (1000, 256)
+            assert report.y_limit == derived_constants(p).y_limit
+        assert check_adult_bound(SHOWCASE, 10, 0).starts == 10
+
+    def test_rounding_is_not_a_violation(self, monkeypatch):
+        # one ulp up per step: after 256 steps y is at most 256 ulps of 6
+        # (about 2.3e-13) above its bound, inside the 1e-12 allowance
+        monkeypatch.setattr(dynamics, "_w0_xy", lambda alpha, beta, gamma, mu, x, y: (x, np.nextafter(y, np.inf)))
+        assert check_adult_bound(SHOWCASE, 1000, 0).passed
+
+    def test_failure_names_the_first_violation(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_w0_xy", pumped_kernel)
+        for seed in range(5):
+            report = check_adult_bound(SHOWCASE, 40, seed)
+            assert not report.passed
+            assert report.violation == adult_bound_by_loop(SHOWCASE, 40, seed)
+
+
+class TestSamplingArguments:
+    CHECKS = [
+        lambda samples, seed: check_invariance(SHOWCASE, Region.OMEGA1, samples, seed),
+        lambda samples, seed: check_invariance(SHOWCASE, Region.OMEGA2, samples, seed),
+        lambda samples, seed: check_sum_identity(SHOWCASE, samples, seed),
+        lambda samples, seed: check_adult_bound(SHOWCASE, samples, seed),
+    ]
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_rejects_negative_seed_and_no_samples(self, check):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            check(10, -1)
+        with pytest.raises(ConfigurationError, match="samples must be >= 1, got 0"):
+            check(0, 0)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_sample_count_bounded_before_drawing(self, check, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def rng(seed):
+            raise Drawn
+
+        monkeypatch.setattr(dynamics.np.random, "default_rng", rng)
+        with pytest.raises(ConfigurationError, match="exceed the maximum"):
+            check(dynamics.MAX_SAMPLES + 1, 0)
+        with pytest.raises(Drawn):
+            check(dynamics.MAX_SAMPLES, 0)
 
 
 class TestTrajectoryInvariants:
