@@ -27,15 +27,19 @@ inversion converges to ``alpha/mu`` quadratically in ``1/x``.  The
 estimate is accepted once consecutive doubling checkpoints agree to a
 tenth of the reporting tolerance.
 
-Single orbits (``iterate``, ``classify_fate``, ``simulate``,
-``monotonicity_probe``) step on one scalar loop.  A basin scan steps all
-of its unresolved cells together as float64 arrays through the same
-kernel, applying the fate rules elementwise; numpy's ``+ - * /`` round
-exactly as Python's float operations do, so every cell's outcome is
-``classify_fate``'s, bit for bit.  A lockstep step costs about the same
-whether it carries one cell or hundreds, about 25 times a scalar step,
-so once ``LOCKSTEP_CROSSOVER`` cells or fewer remain they resume on the
-scalar loop from the state they have reached.  For the same reason
+Single orbits step on scalar loops through one kernel.  The fate rules
+run in one loop, ``_Fate.run``, which keeps its state in locals while it
+steps; ``classify_fate`` is that loop, and ``simulate`` feeds its
+trajectory from it, continuing a trajectory that outlives the verdict on
+the ``_orbit`` generator that also steps ``iterate`` and
+``monotonicity_probe``.  A basin scan steps all of its unresolved cells
+together as float64 arrays through the same kernel, applying the fate
+rules elementwise; numpy's ``+ - * /`` round exactly as Python's float
+operations do, so every cell's outcome is ``classify_fate``'s, bit for
+bit.  A lockstep step costs about the same whether it carries one cell
+or hundreds, about 60 times a scalar step, so once
+``LOCKSTEP_CROSSOVER`` cells or fewer remain they resume on the scalar
+loop from the state they have reached.  For the same reason
 ``classify_fate`` stays scalar.
 """
 
@@ -386,12 +390,14 @@ def membership(params: Params, s: State) -> Region:
 
 
 class _Fate:
-    """The fate logic of :func:`classify_fate`, fed one orbit step at a time.
+    """The fate rules of :func:`classify_fate`, in their one scalar form.
 
     Constructed from a cell's state after ``last = (n, x, y)``: the step
-    count and the certificates and estimate checkpoint reached so far.
+    count, the certificates and tag reached so far, the last estimate
+    checkpoint ``est_prev`` and the ``x`` at which the next one falls.
     :meth:`start` builds the state at step 0, with the start's
-    certificate settled.
+    certificate settled; :meth:`run` steps on to the verdict in one
+    loop.  ``_lockstep_fates`` applies the same rules elementwise.
     """
 
     def __init__(
@@ -399,15 +405,14 @@ class _Fate:
         th: FateThresholds,
         y_cap: float,
         fp: State | None,
-        last: tuple,
+        last: tuple[int, float, float],
         tag: TheoremTag | None = None,
         extinction_proved: bool = False,
         growth_proved: bool = False,
         est_prev: float | None = None,
-        est_prev_x: float = 0.0,
+        checkpoint_x: float = 100.0,
     ) -> None:
         self.th = th
-        self.radius = th.extinction_radius
         self.y_cap = y_cap
         self.fp = fp
         self.last = last
@@ -415,9 +420,8 @@ class _Fate:
         self.extinction_proved = extinction_proved
         self.growth_proved = growth_proved
         self.est_prev = est_prev
-        self.est_prev_x = est_prev_x
+        self.checkpoint_x = checkpoint_x
         self.ball_hit = self.stalled = self.done = False
-        self.estimate: float | None = None
 
     @classmethod
     def start(cls, params: Params, s0: State, th: FateThresholds) -> _Fate:
@@ -442,51 +446,72 @@ class _Fate:
                 fate.tag = TheoremTag.THM2_OMEGA2
         return fate
 
-    def feed(self, step: tuple) -> bool:
-        """Judge one step; True once the verdict is final."""
+    def run(self, params: Params, budget: int, recorder: _Recorder | None = None) -> None:
+        """Step from ``last`` until the verdict is final or ``budget`` steps are reached.
+
+        The orbit stops before its first non-finite image.  ``recorder``,
+        if given, is fed each step until its trajectory ends.  The state
+        lives in locals while stepping and is written back once at the end.
+        """
         if self.done:
-            return True
-        self.last = step
-        _, x, y, displacement = step
-        if x <= self.radius and y <= self.radius:  # max() would cost a call per step
-            self.ball_hit = self.done = True
-            return True
-        fp = self.fp
-        if fp is None:
-            if not self.extinction_proved and y <= self.y_cap:
-                self.extinction_proved = True
-                self.tag = TheoremTag.THM1_II
-        elif not (self.extinction_proved or self.growth_proved):
-            region = _region(x, y, fp.x, fp.y)
-            if region is Region.OMEGA1:
-                self.extinction_proved = True
-            elif region is Region.OMEGA2:
-                self.growth_proved = True
-        if not self.growth_proved and x > self.th.divergence_x:
-            self.growth_proved = True
+            return
+        w0_xy, isfinite = _w0_xy, math.isfinite
+        alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
+        th, y_cap, fp = self.th, self.y_cap, self.fp
+        radius, divergence_x, step_tol = th.extinction_radius, th.divergence_x, th.step_tol
+        est_tol = 0.1 * th.y_limit_tol
+        n, x, y = self.last
+        tag, extinction, growth = self.tag, self.extinction_proved, self.growth_proved
+        est_prev, checkpoint_x = self.est_prev, self.checkpoint_x
+        for n in range(n + 1, budget + 1):
+            x1, y1 = w0_xy(alpha, beta, gamma, mu, x, y)
+            # both images are >= 0, so their difference is finite iff both are
+            if not isfinite(x1 - y1):
+                n -= 1
+                break
+            if recorder is not None and recorder.feed((n, x1, y1, max(abs(x1 - x), abs(y1 - y)))):
+                recorder = None
+            # the displacement, max(|x1 - x|, |y1 - y|), is below step_tol
+            stalled = abs(x1 - x) < step_tol and abs(y1 - y) < step_tol
+            x, y = x1, y1
+            if x <= radius and y <= radius:  # max() would cost a call per step
+                self.ball_hit = self.done = True
+                break
+            if fp is None:
+                if not extinction and y <= y_cap:
+                    extinction = True
+                    tag = TheoremTag.THM1_II
+            elif not (extinction or growth):
+                region = _region(x, y, fp.x, fp.y)
+                if region is Region.OMEGA1:
+                    extinction = True
+                elif region is Region.OMEGA2:
+                    growth = True
+            if not growth and x > divergence_x:
+                growth = True
 
-        if self.growth_proved and x >= 100.0 and x >= 2.0 * self.est_prev_x:
-            # estimator error scales as 1/x^2, so checkpoints are spaced
-            # by x-doubling; accept once one doubling moves the estimate
-            # by less than a tenth of the tolerance
-            est = y * (1.0 + x) / x
-            if self.est_prev is not None and abs(est - self.est_prev) <= 0.1 * self.th.y_limit_tol:
-                self.estimate = est
-                self.done = True
-                return True
-            self.est_prev = est
-            self.est_prev_x = x
+            if growth and x >= checkpoint_x:
+                # estimator error scales as 1/x^2, so checkpoints are spaced
+                # by x-doubling; accept once one doubling moves the estimate
+                # by less than a tenth of the tolerance
+                est = y * (1.0 + x) / x
+                if est_prev is not None and abs(est - est_prev) <= est_tol:
+                    self.done = True  # the outcome reports est, the inversion at the final state
+                    break
+                est_prev = est
+                checkpoint_x = 2.0 * x
 
-        if displacement < self.th.step_tol:
-            self.stalled = self.done = True
-            return True
-        return False
+            if stalled:
+                self.stalled = self.done = True
+                break
+        self.last = (n, x, y)
+        self.tag, self.extinction_proved, self.growth_proved = tag, extinction, growth
+        self.est_prev, self.checkpoint_x = est_prev, checkpoint_x
 
     def outcome(self) -> TrajectoryOutcome:
-        n, x, y = self.last[:3]
+        n, x, y = self.last
         return _outcome(
-            n, x, y, self.ball_hit, self.extinction_proved, self.growth_proved,
-            self.stalled, self.estimate, self.tag,
+            n, x, y, self.ball_hit, self.extinction_proved, self.growth_proved, self.stalled, self.tag
         )
 
 
@@ -498,17 +523,19 @@ def _outcome(
     extinction_proved: bool,
     growth_proved: bool,
     stalled: bool,
-    estimate: float | None,
     tag: TheoremTag | None,
 ) -> TrajectoryOutcome:
-    """The verdict of a fate that stopped at ``(x, y)`` after ``n`` steps."""
+    """The verdict of a fate that stopped at ``(x, y)`` after ``n`` steps.
+
+    A growth verdict carries the adult-limit estimate ``y*(1+x)/x`` at
+    ``(x, y)``; for an accepted estimate that is the checkpoint's own value.
+    """
     final = State(x, y)
     tag = tag or TheoremTag.EMPIRICAL
     if ball_hit or (extinction_proved and not stalled):
         return TrajectoryOutcome(Verdict.EXTINCTION, n, final, None, tag)
     if growth_proved and not stalled:
-        if estimate is None and x > 0.0:
-            estimate = y * (1.0 + x) / x
+        estimate = y * (1.0 + x) / x if x > 0.0 else None
         return TrajectoryOutcome(Verdict.UNBOUNDED_GROWTH, n, final, estimate, tag)
     # no event, or pinned at a numerical fixed point away from the
     # origin (the float image of (x*, y*)): no asymptotic claim
@@ -537,25 +564,28 @@ def classify_fate(
     """
     th = _checked(params, budget, thresholds)
     fate = _Fate.start(params, s0, th)
-    for step in _orbit(params, s0.x, s0.y, 0 if fate.done else budget):
-        if fate.feed(step):
-            break
+    fate.run(params, budget)
     return fate.outcome()
 
 
 def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, TrajectoryOutcome]:
     """``(iterate(params, s0, budget), classify_fate(params, s0, budget))`` in one pass.
 
-    Each step is computed once and fed to both until both are done: a
-    growth trajectory runs on past its verdict to the budget, and a fate
-    refining its adult-limit estimate runs on past ``divergence_x``.
+    Each step is computed once: the fate's loop feeds the trajectory
+    until either is done, and a trajectory still open when the verdict
+    is final (growth runs on to the budget) continues from the fate's
+    last state.  A fate refining its adult-limit estimate runs on past
+    the trajectory's end at ``divergence_x``.
     """
     th = _checked(params, budget, None)
     recorder = _Recorder(s0, budget, TRAJECTORY_WINDOW, th)
     fate = _Fate.start(params, s0, th)
-    for step in _orbit(params, s0.x, s0.y, budget):
-        if recorder.feed(step) & fate.feed(step):  # `&`, not `and`: both must see every step
-            break
+    fate.run(params, budget, recorder)
+    if recorder.terminated is None:
+        n, x, y = fate.last
+        for step in _orbit(params, x, y, budget, n):
+            if recorder.feed(step):
+                break
     return recorder.trajectory(params), fate.outcome()
 
 
@@ -582,7 +612,8 @@ def check_invariance(
     ``[x*, x*+span] x [y*, y*+span]`` (default span ``10*max(x*, y*)``);
     invariance of the map does not depend on the window.  Returns the
     escape count and the first counterexample, if any.  At most
-    ``MAX_SAMPLES`` samples; the seed must be nonnegative.
+    ``MAX_SAMPLES`` samples; the seed must be nonnegative.  A span so
+    large that an image overflows float64 is a ``ConfigurationError``.
     """
     fp = _require_interior(params)
     if region not in (Region.OMEGA1, Region.OMEGA2):
@@ -607,7 +638,11 @@ def check_invariance(
         moved = 0.5 * xs if region is Region.OMEGA1 else np.nextafter(xs, np.inf)
         x0 = np.where(at_fp, moved, x0)
 
-    x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x0, y0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x0, y0)
+    if not (np.isfinite(x1).all() and np.isfinite(y1).all()):
+        # a float64 limit, not a counterexample: a State cannot hold inf
+        raise ConfigurationError(f"sampling span {span} overflows the map's float64 images; use a smaller span")
     if region is Region.OMEGA1:
         inside = (x1 >= 0.0) & (x1 <= xs) & (y1 >= 0.0) & (y1 <= ys)
     else:
@@ -732,11 +767,11 @@ def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundRepo
     return AdultBoundReport(starts, horizon, y_limit, None)
 
 
-# On a 2-CPU Xeon with numpy 2.4 a lockstep step cost about 40 us whether
-# it carried 1 or 128 cells, and a scalar step about 1.6 us per cell; the
-# two meet near 25 cells, so at this many unresolved cells or fewer the
+# On a 2-CPU Xeon with numpy 2.4 a lockstep step cost about 30 us whether
+# it carried 1 or 128 growth cells, and a scalar step about 0.5 us per cell;
+# the two meet near 60 cells, so at this many unresolved cells or fewer the
 # scalar loop is the cheaper one.
-LOCKSTEP_CROSSOVER = 24
+LOCKSTEP_CROSSOVER = 56
 
 _TAGS = (None, TheoremTag.THM1_II, TheoremTag.THM2_OMEGA1, TheoremTag.THM2_OMEGA2)
 
@@ -769,23 +804,20 @@ def _lockstep_fates(
     x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     tag = np.zeros(len(x0), dtype=np.int8)
     est_prev = np.full(len(x0), np.nan)  # nan: no checkpoint yet
-    # x at which the next estimate checkpoint falls, max(100, 2*est_prev_x)
+    # x at which the next estimate checkpoint falls: 100, then twice the last checkpoint's x
     checkpoint_x = np.full(len(x0), 100.0)
 
-    def finish(done, ball=None, stalled=None, estimate=None) -> None:
+    def finish(done, ball=None, stalled=None) -> None:
         """Build the outcomes of the cells in ``done`` at step ``n``, and drop them.
 
-        ``ball`` and ``stalled`` default to all False; ``estimate`` holds
-        the accepted estimate, nan where there is none, and defaults to none.
+        ``ball`` and ``stalled`` default to all False.
         """
         nonlocal idx, x, y, tag, extinction, growth, est_prev, checkpoint_x
         count = int(np.count_nonzero(done))
         flags = ([False] * count if a is None else a[done].tolist() for a in (ball, stalled))
-        estimates = [None] * count if estimate is None else estimate[done].tolist()
-        rows = zip(*(a[done].tolist() for a in (idx, x, y, extinction, growth, tag)), *flags, estimates)
-        for i, xi, yi, e, g, t, b, st, est in rows:
-            est = None if est != est else est
-            outcomes[i] = _outcome(n, xi, yi, b, e, g, st, est, _TAGS[t])
+        rows = zip(*(a[done].tolist() for a in (idx, x, y, extinction, growth, tag)), *flags)
+        for i, xi, yi, e, g, t, b, st in rows:
+            outcomes[i] = _outcome(n, xi, yi, b, e, g, st, _TAGS[t])
         keep = ~done
         idx, x, y, tag, extinction, growth, est_prev, checkpoint_x = (
             a[keep] for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x)
@@ -809,7 +841,7 @@ def _lockstep_fates(
         ball &= ~at_fp
         finish(ball | at_fp, ball)
 
-    # the steps, as in _orbit and _Fate.feed; an image or an estimate may
+    # the steps, as in _Fate.run; an image or an estimate may
     # overflow, and an orbit stops before a non-finite image
     with np.errstate(over="ignore", invalid="ignore"):
         while len(idx) > LOCKSTEP_CROSSOVER and n < budget:
@@ -839,31 +871,26 @@ def _lockstep_fates(
 
             stalled = displacement < step_tol
             done = ball | stalled
-            estimate = None
             checkpoint = growth & (x >= checkpoint_x)
             if checkpoint.any():
                 xc = x[checkpoint]
                 est = y[checkpoint] * (1.0 + xc) / xc
-                estimate = np.full(len(x), np.nan)
-                estimate[checkpoint] = np.where(np.abs(est - est_prev[checkpoint]) <= est_tol, est, np.nan)
+                accepted = np.zeros(len(x), dtype=bool)
+                accepted[checkpoint] = np.abs(est - est_prev[checkpoint]) <= est_tol
                 est_prev[checkpoint] = est
                 checkpoint_x[checkpoint] = 2.0 * xc
-                accepted = ~np.isnan(estimate)
                 stalled &= ~accepted
                 done |= accepted
             if n == budget:
                 done[:] = True
             if done.any():
-                finish(done, ball, stalled, estimate)
+                finish(done, ball, stalled)
 
     for i, xi, yi, t, e, g, ep, cx in zip(
         *(a.tolist() for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x))
     ):
-        # any est_prev_x with max(100, 2*est_prev_x) == cx checkpoints alike
-        fate = _Fate(th, y_cap, fp, (n, xi, yi), _TAGS[t], e, g, None if ep != ep else ep, 0.5 * cx)
-        for step in _orbit(params, xi, yi, budget, n):
-            if fate.feed(step):
-                break
+        fate = _Fate(th, y_cap, fp, (n, xi, yi), _TAGS[t], e, g, None if ep != ep else ep, cx)
+        fate.run(params, budget)
         outcomes[i] = fate.outcome()
     return outcomes
 

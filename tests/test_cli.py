@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -324,6 +325,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_check_overflowing_span_prints_no_report(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["check", *SHOWCASE_ARGS, "--samples", "1000", "--span", "1e300"])
+        assert code == EXIT_CONFIG
+        assert caught == []  # numpy's overflow warning included
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sampling span 1e+300 overflows" in captured.err
 
     def test_check_sample_count_bounded(self, monkeypatch, capsys):
         def no_rng(seed):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,14 @@ class TestCheckInvariance:
             p = interior_params(rng)
             for region in (Region.OMEGA1, Region.OMEGA2):
                 assert check_invariance(p, region, samples=1000, seed=7).passed
+
+    def test_overflowing_span_is_a_usage_error(self):
+        # y*y overflows above about 1.3e154: the images are not a counterexample
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=r"sampling span 1e\+300 overflows"):
+                check_invariance(SHOWCASE, Region.OMEGA2, samples=1000, seed=1, span=1e300)
+            assert check_invariance(SHOWCASE, Region.OMEGA2, samples=1000, seed=1, span=1e150).passed
 
     def test_argument_validation(self):
         with pytest.raises(ConfigurationError):

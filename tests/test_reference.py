@@ -1,12 +1,14 @@
 """Differential tests: the orbit engines against the reference oracle.
 
-``iterate``, ``classify_fate`` and ``simulate`` step orbits through one
-shared generator, and ``basin_scan`` steps its cells in lockstep as
-numpy arrays; :mod:`reference` keeps the original scalar loops.  Both
-must agree bit for bit (``repr`` tells every double apart, ``-0.0``
-included) over both regimes, windows and budgets, including starts
-whose first image overflows or passes ``divergence_x``; ``iterate``,
-``classify_fate`` and the lockstep engine also under threshold overrides.
+``classify_fate`` and ``simulate`` step orbits on the one scalar fate
+loop, ``iterate`` on the shared orbit generator, and ``basin_scan``
+steps its cells in lockstep as numpy arrays; :mod:`reference` keeps the
+original scalar loops.  Both must agree bit for bit (``repr`` tells
+every double apart, ``-0.0`` included) over both regimes, windows and
+budgets, including starts whose first image overflows or passes
+``divergence_x`` and states exactly at each fate rule's threshold;
+``iterate``, ``classify_fate`` and the lockstep engine also under
+threshold overrides.
 """
 
 from __future__ import annotations
@@ -110,10 +112,21 @@ TINY_FIXED_POINT = Params(alpha=0.8, beta=1e12, gamma=0.1, mu=0.5)
         (SHOWCASE, State(1.0, 1e200), 100),  # first image overflows
         (SHOWCASE, State(4.0, 1.6), 100),  # stalls next to the fixed point
         (TINY_FIXED_POINT, interior_fixed_point(TINY_FIXED_POINT), 100),
+        (SHOWCASE, State(0.2, 5.0), 64_502),  # the estimate is accepted at the budget's last step
+        (SHOWCASE, State(1e-10, 0.0), 100),  # the fate is settled at step 0, in the origin ball
+        (SHOWCASE, interior_fixed_point(SHOWCASE), 100),  # the fate is settled at step 0, at (x*, y*)
+        (SHOWCASE, State(0.2, 5.0), 1),
+        (SHOWCASE, State(1.0, 1e10), 1),
+        (SHOWCASE, State(1.0, 1.0), 1),
     ],
 )
 def test_simulate_one_pass_matches_separate_calls(params, s0, budget):
-    expected = (reference.iterate(params, s0, budget), reference.classify_fate(params, s0, budget))
+    expected_outcome = reference.classify_fate(params, s0, budget)
+    outcome = classify_fate(params, s0, budget)
+    assert outcome == expected_outcome
+    assert repr(outcome) == repr(expected_outcome)
+
+    expected = (reference.iterate(params, s0, budget), expected_outcome)
     got = simulate(params, s0, budget)
     assert got == expected
     assert repr(got) == repr(expected)
@@ -213,11 +226,49 @@ def test_lockstep_engine_edge_starts(params, start, budget, thresholds, crossove
     assert_lockstep_matches_reference(params, starts, budget, thresholds, crossover)
 
 
+# near its existence threshold, with x* about 158: an orbit from (166, 0)
+# passes divergence_x = 100 at step 1 and enters Omega1 at step 18
+SLOW_FIXED_POINT = Params(
+    alpha=0.8925719643636392, beta=0.11255357055541854, gamma=0.5657380434076917, mu=0.10545979092306529
+)
+
+
+@pytest.mark.parametrize(
+    "params, start, budget, thresholds",
+    [
+        # max(x, y) after step 30 equals the radius
+        pytest.param(
+            SHOWCASE, (1.0, 1.0), 1000, FateThresholds(extinction_radius=0.0006622501356481844), id="ball-at-radius"
+        ),
+        pytest.param(BALL_IN_ONE_STEP, (0.0, 1e-6), 100, None, id="ball-before-any-certificate"),
+        # from x = 0, y1 = (1 - mu)*y0 = 1.6 = alpha/mu exactly
+        pytest.param(Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.5), (0.0, 3.2), 1, None, id="thm1-ii-at-cap"),
+        pytest.param(SLOW_FIXED_POINT, (166.0, 0.0), 100, FateThresholds(divergence_x=100.0), id="omega1-after-growth"),
+        # x1 equals divergence_x; (x1, y1) lies outside both regions
+        pytest.param(SHOWCASE, (200.0, 0.0), 1, FateThresholds(divergence_x=199.20398009950247), id="x-at-divergence"),
+        # x1 = 100.0 exactly, the first estimate checkpoint
+        pytest.param(SHOWCASE, (0.0, 113.07635158019905), 10**4, FateThresholds(y_limit_tol=0.1), id="x-at-checkpoint"),
+        # the first two checkpoints' estimates differ by 0.1*y_limit_tol exactly
+        pytest.param(
+            SHOWCASE, (6.0, 3.0), 10**4, FateThresholds(y_limit_tol=0.0003483250847446939), id="estimate-at-tolerance"
+        ),
+    ],
+)
+def test_fate_rules_at_their_boundaries(params, start, budget, thresholds):
+    s0 = State(*start)
+    expected = reference.classify_fate(params, s0, budget, thresholds)
+    outcome = classify_fate(params, s0, budget, thresholds)
+    assert outcome == expected
+    assert repr(outcome) == repr(expected)
+    assert_lockstep_matches_reference(params, [start], budget, thresholds, crossover=0)
+
+
 def test_basin_scan_matches_reference_across_worker_counts(monkeypatch):
-    # 48 cells, more than LOCKSTEP_CROSSOVER; two CPUs so that two blocks run in two processes
+    # two CPUs so that two blocks run in two processes, each of more than
+    # LOCKSTEP_CROSSOVER cells, so that both start in lockstep
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
-    grid = dict(x_range=(0.0, 7.0), y_range=(0.0, 5.0), nx=8, ny=6, budget=3000)
-    assert grid["nx"] * grid["ny"] > LOCKSTEP_CROSSOVER
+    grid = dict(x_range=(0.0, 7.0), y_range=(0.0, 5.0), nx=12, ny=10, budget=3000)
+    assert grid["nx"] * grid["ny"] > 2 * LOCKSTEP_CROSSOVER
     serial = basin_scan(SHOWCASE, **grid, workers=1)
     parallel = basin_scan(SHOWCASE, **grid, workers=2)
     assert serial == parallel
