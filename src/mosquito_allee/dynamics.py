@@ -27,17 +27,17 @@ inversion converges to ``alpha/mu`` quadratically in ``1/x``.  The
 estimate is accepted once consecutive doubling checkpoints agree to a
 tenth of the reporting tolerance.
 
-Single orbits step on scalar loops through one kernel.  The fate rules
-run in one loop, ``_Fate.run``, which keeps its state in locals while it
-steps; ``classify_fate`` is that loop, and ``simulate`` feeds its
-trajectory from it, continuing a trajectory that outlives the verdict on
-the ``_orbit`` generator that also steps ``iterate`` and
-``monotonicity_probe``.  A basin scan steps all of its unresolved cells
-together as float64 arrays through the same kernel, applying the fate
-rules elementwise; numpy's ``+ - * /`` round exactly as Python's float
-operations do, so every cell's outcome is ``classify_fate``'s, bit for
-bit.  A lockstep step costs about the same whether it carries one cell
-or hundreds, about 60 times a scalar step, so once
+Single orbits step on scalar loops through one kernel, one loop per
+question, each keeping its state in locals while it steps: the fate
+rules in ``_Fate.run`` (``classify_fate``), the recorded orbit in
+``iterate``, and the monotone tail in ``monotonicity_probe``.
+``simulate`` is ``iterate`` then ``classify_fate``, so it steps the
+orbit up to the verdict twice.  A basin scan steps all of its unresolved
+cells together as float64 arrays through the same kernel, applying the
+fate rules elementwise; numpy's ``+ - * /`` round exactly as Python's
+float operations do, so every cell's outcome is ``classify_fate``'s, bit
+for bit.  A lockstep step costs about the same whether it carries one
+cell or hundreds, about 60 times a scalar step, so once
 ``LOCKSTEP_CROSSOVER`` cells or fewer remain they resume on the scalar
 loop from the state they have reached.  For the same reason
 ``classify_fate`` stays scalar.
@@ -105,13 +105,20 @@ class FateThresholds:
     as extinct.  ``divergence_x``: ``x`` beyond this certifies growth.
     ``y_limit_tol``: target accuracy of the adult-limit estimate.
     ``step_tol``: displacement below which a trajectory is numerically
-    stationary.
+    stationary.  Each must be finite and positive.
     """
 
     extinction_radius: float = 1e-9
     divergence_x: float = 1e9
     y_limit_tol: float = 1e-6
     step_tol: float = 1e-14
+
+    def __post_init__(self) -> None:
+        # a cutoff <= 0 or nan turns its rule off, and an infinite one (except
+        # divergence_x) turns it on at every step
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
 class Termination(str, enum.Enum):
@@ -265,68 +272,6 @@ class BasinGrid:
                 yield float(xs[ix]), float(ys[iy]), self.cells[ix][iy]
 
 
-def _orbit(params: Params, x: float, y: float, budget: int, start: int = 0):
-    """Yield ``(n, x, y, displacement)`` after each step up to step ``budget``.
-
-    ``(x, y)`` is the state after ``start`` steps.  ``displacement`` is
-    the sup-norm distance from the previous state; the orbit stops
-    before its first non-finite image.
-    """
-    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
-    isfinite = math.isfinite
-    for n in range(start + 1, budget + 1):
-        x1, y1 = _w0_xy(alpha, beta, gamma, mu, x, y)
-        if not (isfinite(x1) and isfinite(y1)):
-            return
-        yield n, x1, y1, max(abs(x1 - x), abs(y1 - y))
-        x, y = x1, y1
-
-
-class _Recorder:
-    """The trajectory logic of :func:`iterate`, fed one orbit step at a time.
-
-    Steps stay raw tuples; a ``State`` is built only for the points kept.
-    """
-
-    def __init__(self, s0: State, max_iter: int, window: int, th: FateThresholds) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        self.max_iter = max_iter
-        self.window = window
-        self.th = th
-        self.head: list[tuple] = [(0, s0.x, s0.y)]
-        self.tail: deque[tuple] = deque(maxlen=window)
-        self.terminated: Termination | None = None
-
-    def feed(self, step: tuple) -> bool:
-        """Record one step; True once the trajectory has ended."""
-        if self.terminated is not None:
-            return True
-        n, x, _, displacement = step
-        if n <= self.window:
-            self.head.append(step)
-        else:
-            self.tail.append(step)
-        if x > self.th.divergence_x:
-            self.terminated = Termination.DIVERGED
-        elif displacement < self.th.step_tol:
-            self.terminated = Termination.CONVERGED
-        return self.terminated is not None
-
-    def trajectory(self, params: Params) -> Trajectory:
-        entries = self.head + list(self.tail)
-        terminated = self.terminated
-        if terminated is None:
-            # the orbit ends short of the budget only before a non-finite image
-            terminated = Termination.BUDGET if entries[-1][0] == self.max_iter else Termination.DIVERGED
-        return Trajectory(
-            params=params,
-            points=tuple(State(e[1], e[2]) for e in entries),
-            indices=tuple(e[0] for e in entries),
-            terminated=terminated,
-        )
-
-
 def _checked(params: Params, budget: int, thresholds: FateThresholds | None) -> FateThresholds:
     params.require_analysis_valid()
     if budget < 1:
@@ -350,11 +295,42 @@ def iterate(
     finite state.
     """
     th = _checked(params, max_iter, thresholds)
-    recorder = _Recorder(s0, max_iter, window, th)
-    for step in _orbit(params, s0.x, s0.y, max_iter):
-        if recorder.feed(step):
+    if window < 1:
+        raise ConfigurationError(f"window must be >= 1, got {window}")
+    # steps stay raw (n, x, y) tuples; a State is built only for the points kept
+    w0_xy, isfinite = _w0_xy, math.isfinite
+    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
+    divergence_x, step_tol = th.divergence_x, th.step_tol
+    head: list[tuple] = [(0, s0.x, s0.y)]
+    tail: deque[tuple] = deque(maxlen=window)
+    head_append, tail_append = head.append, tail.append
+    x, y = s0.x, s0.y
+    terminated = Termination.BUDGET
+    for n in range(1, max_iter + 1):
+        x1, y1 = w0_xy(alpha, beta, gamma, mu, x, y)
+        # both images are >= 0, so their difference is finite iff both are
+        if not isfinite(x1 - y1):
+            terminated = Termination.DIVERGED
             break
-    return recorder.trajectory(params)
+        if n <= window:
+            head_append((n, x1, y1))
+        else:
+            tail_append((n, x1, y1))
+        if x1 > divergence_x:
+            terminated = Termination.DIVERGED
+            break
+        # the displacement, max(|x1 - x|, |y1 - y|), is below step_tol
+        if abs(x1 - x) < step_tol and abs(y1 - y) < step_tol:
+            terminated = Termination.CONVERGED
+            break
+        x, y = x1, y1
+    entries = head + list(tail)
+    return Trajectory(
+        params=params,
+        points=tuple(State(e[1], e[2]) for e in entries),
+        indices=tuple(e[0] for e in entries),
+        terminated=terminated,
+    )
 
 
 def _region(x: float, y: float, xs: float, ys: float) -> Region:
@@ -446,11 +422,10 @@ class _Fate:
                 fate.tag = TheoremTag.THM2_OMEGA2
         return fate
 
-    def run(self, params: Params, budget: int, recorder: _Recorder | None = None) -> None:
+    def run(self, params: Params, budget: int) -> None:
         """Step from ``last`` until the verdict is final or ``budget`` steps are reached.
 
-        The orbit stops before its first non-finite image.  ``recorder``,
-        if given, is fed each step until its trajectory ends.  The state
+        The orbit stops before its first non-finite image.  The state
         lives in locals while stepping and is written back once at the end.
         """
         if self.done:
@@ -469,8 +444,6 @@ class _Fate:
             if not isfinite(x1 - y1):
                 n -= 1
                 break
-            if recorder is not None and recorder.feed((n, x1, y1, max(abs(x1 - x), abs(y1 - y)))):
-                recorder = None
             # the displacement, max(|x1 - x|, |y1 - y|), is below step_tol
             stalled = abs(x1 - x) < step_tol and abs(y1 - y) < step_tol
             x, y = x1, y1
@@ -569,24 +542,14 @@ def classify_fate(
 
 
 def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, TrajectoryOutcome]:
-    """``(iterate(params, s0, budget), classify_fate(params, s0, budget))`` in one pass.
+    """``(iterate(params, s0, budget), classify_fate(params, s0, budget))``.
 
-    Each step is computed once: the fate's loop feeds the trajectory
-    until either is done, and a trajectory still open when the verdict
-    is final (growth runs on to the budget) continues from the fate's
-    last state.  A fate refining its adult-limit estimate runs on past
-    the trajectory's end at ``divergence_x``.
+    The two loops run one after the other, so the steps up to the
+    verdict are computed twice: from the showcase growth start
+    ``(0.2, 5)`` at budget 1e5, 64,502 of the 164,502 steps, about 40 ms
+    on a 2-CPU Xeon.
     """
-    th = _checked(params, budget, None)
-    recorder = _Recorder(s0, budget, TRAJECTORY_WINDOW, th)
-    fate = _Fate.start(params, s0, th)
-    fate.run(params, budget, recorder)
-    if recorder.terminated is None:
-        n, x, y = fate.last
-        for step in _orbit(params, x, y, budget, n):
-            if recorder.feed(step):
-                break
-    return recorder.trajectory(params), fate.outcome()
+    return iterate(params, s0, budget), classify_fate(params, s0, budget)
 
 
 def _require_sampling(samples: int, seed: int) -> None:
@@ -676,21 +639,27 @@ def monotonicity_probe(params: Params, s0: State, horizon: int) -> MonotonicityR
         )
     decreasing = region in (Region.OMEGA1, Region.IS_FIXED_POINT)
 
+    # a streaming loop: unlike iterate it keeps no states, and it runs on past divergence_x
+    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
     step_tol = FateThresholds().step_tol
     x, y = s0.x, s0.y
-    n = n0 = 0  # n0: the step after the latest violating transition
-    for n, x1, y1, displacement in _orbit(params, x, y, horizon):
+    n0 = 0  # the step after the latest violating transition
+    for n in range(1, horizon + 1):
+        x1, y1 = _w0_xy(alpha, beta, gamma, mu, x, y)
+        if not (math.isfinite(x1) and math.isfinite(y1)):
+            n -= 1  # the orbit stops before its first non-finite image
+            break
         if decreasing:
             violated = x1 > x or y1 > y
         else:
             violated = x1 < x or y1 < y
         if violated:
             n0 = n
-        x, y = x1, y1
-        if displacement < step_tol:
+        if abs(x1 - x) < step_tol and abs(y1 - y) < step_tol:
             break  # stationary; the remaining tail is constant
+        x, y = x1, y1
 
-    if n == 0 or n0 == n:
+    if n0 == n:  # also when no step was taken
         n0 = None  # no monotone tail observed within the horizon
     return MonotonicityReport(region=region, n0=n0, horizon=horizon)
 

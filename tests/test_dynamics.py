@@ -84,6 +84,21 @@ class TestIterate:
         assert t.terminated is Termination.DIVERGED
         assert t.final.x > 1e4
 
+    @pytest.mark.parametrize(
+        "start, budget, thresholds, terminated, n_steps",
+        [
+            # x1 equals divergence_x, which does not stop the orbit
+            ((200.0, 0.0), 5, FateThresholds(divergence_x=199.20398009950247), Termination.BUDGET, 5),
+            # step 1 moves by exactly step_tol, step 2 by less
+            ((1.0, 1.0), 5, FateThresholds(step_tol=0.10000000000000009), Termination.CONVERGED, 2),
+            # the fixed point lies past divergence_x: that rule is checked before the stall
+            (interior_fixed_point(SHOWCASE).as_tuple(), 10, FateThresholds(divergence_x=1.0), Termination.DIVERGED, 1),
+        ],
+    )
+    def test_stop_rules_at_their_boundaries(self, start, budget, thresholds, terminated, n_steps):
+        t = iterate(SHOWCASE, State(*start), budget, thresholds)
+        assert (t.terminated, t.n_steps) == (terminated, n_steps)
+
     def test_argument_validation(self):
         with pytest.raises(ConfigurationError):
             iterate(SHOWCASE, State(1.0, 1.0), 0)
@@ -208,6 +223,15 @@ class TestClassifyFate:
         with pytest.raises(ConfigurationError):
             classify_fate(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0))
 
+    # a cutoff <= 0 or nan turned its rule off: with extinction_radius=-1 an
+    # Omega1 start came out undetermined, and with y_limit_tol=nan a growth
+    # start ran its whole budget
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["extinction_radius", "divergence_x", "y_limit_tol", "step_tol"])
+    def test_malformed_thresholds_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            FateThresholds(**{field: value})
+
 
 class TestCheckInvariance:
     def test_showcase_regions_hold(self):
@@ -266,6 +290,24 @@ class TestMonotonicityProbe:
     def test_showcase_onsets(self):
         assert monotonicity_probe(SHOWCASE, State(1.0, 1.0), 200).n0 == 0
         assert monotonicity_probe(SHOWCASE, State(5.0, 2.0), 200).n0 == 9
+
+    @pytest.mark.parametrize(
+        "start, horizon, n0",
+        [
+            ((5.0, 1e200), 10, None),  # the first image overflows: no step is taken
+            # past divergence_x, where iterate stops at step 1; the probe runs on
+            ((2e9, 3.0), 50, None),  # y falls through the horizon
+            ((2e9, 1.7), 50, 2),  # x falls for two steps, then both rise
+            ((0.5, 0.5), 10**5, 1),  # stalls at step 69
+            ((5.0, 2.0), 1, None),  # the only transition, y falling, violates monotonicity
+            # x too large for its increment to register: an unchanged coordinate is monotone
+            ((1e300, 2.0), 10, 0),  # y at its limit: constant, stalls at step 1
+            ((1e300, 2.5), 1000, None),  # y still falling when the displacement drops below step_tol
+            ((0.0, 1e-7), 100, 1),  # x rises at step 1 by less than step_tol while y moves on
+        ],
+    )
+    def test_stop_rules(self, start, horizon, n0):
+        assert monotonicity_probe(SHOWCASE, State(*start), horizon).n0 == n0
 
     def test_fixed_point_is_constant(self):
         fp = interior_fixed_point(SHOWCASE)

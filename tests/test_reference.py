@@ -1,9 +1,9 @@
 """Differential tests: the orbit engines against the reference oracle.
 
-``classify_fate`` and ``simulate`` step orbits on the one scalar fate
-loop, ``iterate`` on the shared orbit generator, and ``basin_scan``
-steps its cells in lockstep as numpy arrays; :mod:`reference` keeps the
-original scalar loops.  Both must agree bit for bit (``repr`` tells
+``classify_fate`` steps orbits on the scalar fate loop, ``iterate`` on
+its own scalar trajectory loop, ``simulate`` is the two calls, and
+``basin_scan`` steps its cells in lockstep as numpy arrays;
+:mod:`reference` keeps the original scalar loops.  Both must agree bit for bit (``repr`` tells
 every double apart, ``-0.0`` included) over both regimes, windows and
 budgets, including starts whose first image overflows or passes
 ``divergence_x`` and states exactly at each fate rule's threshold;
