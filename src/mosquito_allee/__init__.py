@@ -20,9 +20,7 @@ from .model import (
     Params,
     State,
     StepResult,
-    allee_birth_rate,
     derived_constants,
-    k_response,
     step_general,
     step_w0,
 )
@@ -35,7 +33,6 @@ from .stability import (
     Regime,
     Stability,
     alpha_thresholds,
-    classify_generic,
     classify_interior,
     find_fixed_points,
     interior_fixed_point,
@@ -78,8 +75,6 @@ __all__ = [
     "State",
     "StepResult",
     "DerivedConstants",
-    "k_response",
-    "allee_birth_rate",
     "step_w0",
     "step_general",
     "derived_constants",
@@ -93,7 +88,6 @@ __all__ = [
     "interior_fixed_point",
     "jacobian_at",
     "alpha_thresholds",
-    "classify_generic",
     "classify_interior",
     "find_fixed_points",
     "DEFAULT_BUDGET",

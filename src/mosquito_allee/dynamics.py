@@ -29,18 +29,20 @@ tenth of the reporting tolerance.
 
 Single orbits step on scalar loops through one kernel, one loop per
 question, each keeping its state in locals while it steps: the fate
-rules in ``_Fate.run`` (``classify_fate``), the recorded orbit in
-``iterate``, and the monotone tail in ``monotonicity_probe``.
-``simulate`` is ``iterate`` then ``classify_fate``, so it steps the
-orbit up to the verdict twice.  A basin scan steps all of its unresolved
-cells together as float64 arrays through the same kernel, applying the
-fate rules elementwise; numpy's ``+ - * /`` round exactly as Python's
-float operations do, so every cell's outcome is ``classify_fate``'s, bit
-for bit.  A lockstep step costs about the same whether it carries one
-cell or hundreds, about 60 times a scalar step, so once
+rules in ``_fate_from``, the recorded orbit in ``iterate``, and the
+monotone tail in ``monotonicity_probe``.  ``simulate`` is ``iterate``
+then ``classify_fate``, so it steps the orbit up to the verdict twice.
+Fates have one engine, ``_lockstep_fates``.  It settles the certificate
+of every start at once, then steps the unresolved cells together as
+float64 arrays through the same kernel, applying the fate rules
+elementwise; numpy's ``+ - * /`` round exactly as Python's float
+operations do, so every cell's outcome is the scalar loop's, bit for
+bit.  A lockstep step costs about the same whether it carries one cell
+or hundreds, about 60 times a scalar step, so once
 ``LOCKSTEP_CROSSOVER`` cells or fewer remain they resume on the scalar
-loop from the state they have reached.  For the same reason
-``classify_fate`` stays scalar.
+loop from the state they have reached.  ``classify_fate`` is the engine
+on one start: one cell is below the crossover, so after the start's
+certificate it hands over to the scalar loop at once.
 """
 
 from __future__ import annotations
@@ -258,15 +260,10 @@ class BasinGrid:
     ny: int
     cells: tuple[tuple[TrajectoryOutcome, ...], ...]
 
-    def axis_values(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.linspace(self.x_range[0], self.x_range[1], self.nx),
-            np.linspace(self.y_range[0], self.y_range[1], self.ny),
-        )
-
     def iter_rows(self):
         """Yield ``(x0, y0, outcome)`` with y as the outer loop."""
-        xs, ys = self.axis_values()
+        xs = np.linspace(self.x_range[0], self.x_range[1], self.nx)
+        ys = np.linspace(self.y_range[0], self.y_range[1], self.ny)
         for iy in range(self.ny):
             for ix in range(self.nx):
                 yield float(xs[ix]), float(ys[iy]), self.cells[ix][iy]
@@ -365,127 +362,72 @@ def membership(params: Params, s: State) -> Region:
     return _region(s.x, s.y, fp.x, fp.y)
 
 
-class _Fate:
+def _fate_from(
+    params: Params,
+    budget: int,
+    th: FateThresholds,
+    y_cap: float,
+    fp: State | None,
+    n: int,
+    x: float,
+    y: float,
+    tag: TheoremTag | None,
+    extinction: bool,
+    growth: bool,
+    est_prev: float,
+    checkpoint_x: float,
+) -> TrajectoryOutcome:
     """The fate rules of :func:`classify_fate`, in their one scalar form.
 
-    Constructed from a cell's state after ``last = (n, x, y)``: the step
-    count, the certificates and tag reached so far, the last estimate
-    checkpoint ``est_prev`` and the ``x`` at which the next one falls.
-    :meth:`start` builds the state at step 0, with the start's
-    certificate settled; :meth:`run` steps on to the verdict in one
-    loop.  ``_lockstep_fates`` applies the same rules elementwise.
+    Steps a cell on from its state after ``n`` steps at ``(x, y)``, with
+    the certificates and tag reached so far, the last estimate checkpoint
+    ``est_prev`` (nan before the first, which no estimate is within
+    tolerance of) and the ``x`` at which the next one falls, until the
+    verdict is final or ``budget`` steps are reached.  The orbit stops
+    before its first non-finite image.  ``_lockstep_fates`` applies the
+    same rules elementwise and hands its last cells over to this loop.
     """
-
-    def __init__(
-        self,
-        th: FateThresholds,
-        y_cap: float,
-        fp: State | None,
-        last: tuple[int, float, float],
-        tag: TheoremTag | None = None,
-        extinction_proved: bool = False,
-        growth_proved: bool = False,
-        est_prev: float | None = None,
-        checkpoint_x: float = 100.0,
-    ) -> None:
-        self.th = th
-        self.y_cap = y_cap
-        self.fp = fp
-        self.last = last
-        self.tag = tag
-        self.extinction_proved = extinction_proved
-        self.growth_proved = growth_proved
-        self.est_prev = est_prev
-        self.checkpoint_x = checkpoint_x
-        self.ball_hit = self.stalled = self.done = False
-
-    @classmethod
-    def start(cls, params: Params, s0: State, th: FateThresholds) -> _Fate:
-        fate = cls(th, derived_constants(params).y_limit, interior_fixed_point(params), (0, s0.x, s0.y))
-        fp = fate.fp
-        fate.ball_hit = fate.done = max(s0.x, s0.y) <= th.extinction_radius
+    w0_xy, isfinite = _w0_xy, math.isfinite
+    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
+    radius, divergence_x, step_tol = th.extinction_radius, th.divergence_x, th.step_tol
+    est_tol = 0.1 * th.y_limit_tol
+    for n in range(n + 1, budget + 1):
+        x1, y1 = w0_xy(alpha, beta, gamma, mu, x, y)
+        # both images are >= 0, so their difference is finite iff both are
+        if not isfinite(x1 - y1):
+            n -= 1
+            break
+        # the displacement, max(|x1 - x|, |y1 - y|), is below step_tol
+        stalled = abs(x1 - x) < step_tol and abs(y1 - y) < step_tol
+        x, y = x1, y1
+        if x <= radius and y <= radius:  # max() would cost a call per step
+            return _outcome(n, x, y, True, extinction, growth, False, tag)
         if fp is None:
-            if s0.y <= fate.y_cap:
-                fate.extinction_proved = True
-                fate.tag = TheoremTag.THM1_II
-        else:
-            start_region = _region(s0.x, s0.y, fp.x, fp.y)
-            if start_region is Region.IS_FIXED_POINT:
-                # undetermined, even when the fixed point lies in the origin ball
-                fate.ball_hit = False
-                fate.done = True
-            elif start_region is Region.OMEGA1:
-                fate.extinction_proved = True
-                fate.tag = TheoremTag.THM2_OMEGA1
-            elif start_region is Region.OMEGA2:
-                fate.growth_proved = True
-                fate.tag = TheoremTag.THM2_OMEGA2
-        return fate
-
-    def run(self, params: Params, budget: int) -> None:
-        """Step from ``last`` until the verdict is final or ``budget`` steps are reached.
-
-        The orbit stops before its first non-finite image.  The state
-        lives in locals while stepping and is written back once at the end.
-        """
-        if self.done:
-            return
-        w0_xy, isfinite = _w0_xy, math.isfinite
-        alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
-        th, y_cap, fp = self.th, self.y_cap, self.fp
-        radius, divergence_x, step_tol = th.extinction_radius, th.divergence_x, th.step_tol
-        est_tol = 0.1 * th.y_limit_tol
-        n, x, y = self.last
-        tag, extinction, growth = self.tag, self.extinction_proved, self.growth_proved
-        est_prev, checkpoint_x = self.est_prev, self.checkpoint_x
-        for n in range(n + 1, budget + 1):
-            x1, y1 = w0_xy(alpha, beta, gamma, mu, x, y)
-            # both images are >= 0, so their difference is finite iff both are
-            if not isfinite(x1 - y1):
-                n -= 1
-                break
-            # the displacement, max(|x1 - x|, |y1 - y|), is below step_tol
-            stalled = abs(x1 - x) < step_tol and abs(y1 - y) < step_tol
-            x, y = x1, y1
-            if x <= radius and y <= radius:  # max() would cost a call per step
-                self.ball_hit = self.done = True
-                break
-            if fp is None:
-                if not extinction and y <= y_cap:
-                    extinction = True
-                    tag = TheoremTag.THM1_II
-            elif not (extinction or growth):
-                region = _region(x, y, fp.x, fp.y)
-                if region is Region.OMEGA1:
-                    extinction = True
-                elif region is Region.OMEGA2:
-                    growth = True
-            if not growth and x > divergence_x:
+            if not extinction and y <= y_cap:
+                extinction = True
+                tag = TheoremTag.THM1_II
+        elif not (extinction or growth):
+            region = _region(x, y, fp.x, fp.y)
+            if region is Region.OMEGA1:
+                extinction = True
+            elif region is Region.OMEGA2:
                 growth = True
+        if not growth and x > divergence_x:
+            growth = True
 
-            if growth and x >= checkpoint_x:
-                # estimator error scales as 1/x^2, so checkpoints are spaced
-                # by x-doubling; accept once one doubling moves the estimate
-                # by less than a tenth of the tolerance
-                est = y * (1.0 + x) / x
-                if est_prev is not None and abs(est - est_prev) <= est_tol:
-                    self.done = True  # the outcome reports est, the inversion at the final state
-                    break
-                est_prev = est
-                checkpoint_x = 2.0 * x
+        if growth and x >= checkpoint_x:
+            # estimator error scales as 1/x^2, so checkpoints are spaced
+            # by x-doubling; accept once one doubling moves the estimate
+            # by less than a tenth of the tolerance
+            est = y * (1.0 + x) / x
+            if abs(est - est_prev) <= est_tol:
+                break  # the outcome reports est, the inversion at the final state
+            est_prev = est
+            checkpoint_x = 2.0 * x
 
-            if stalled:
-                self.stalled = self.done = True
-                break
-        self.last = (n, x, y)
-        self.tag, self.extinction_proved, self.growth_proved = tag, extinction, growth
-        self.est_prev, self.checkpoint_x = est_prev, checkpoint_x
-
-    def outcome(self) -> TrajectoryOutcome:
-        n, x, y = self.last
-        return _outcome(
-            n, x, y, self.ball_hit, self.extinction_proved, self.growth_proved, self.stalled, self.tag
-        )
+        if stalled:
+            return _outcome(n, x, y, False, extinction, growth, True, tag)
+    return _outcome(n, x, y, False, extinction, growth, False, tag)
 
 
 def _outcome(
@@ -534,11 +476,13 @@ def classify_fate(
     certificate or event, for a start at the fixed point, and for orbits
     that go numerically stationary away from the origin (which only
     happens within rounding distance of the fixed point).
+
+    This is ``basin_scan``'s engine, ``_lockstep_fates``, on one start:
+    one cell is below ``LOCKSTEP_CROSSOVER``, so the engine settles the
+    start's certificate and hands the orbit to the scalar fate loop at once.
     """
     th = _checked(params, budget, thresholds)
-    fate = _Fate.start(params, s0, th)
-    fate.run(params, budget)
-    return fate.outcome()
+    return _lockstep_fates(params, np.array([s0.x]), np.array([s0.y]), budget, th)[0]
 
 
 def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, TrajectoryOutcome]:
@@ -752,13 +696,15 @@ def _lockstep_fates(
     budget: int,
     th: FateThresholds,
 ) -> list[TrajectoryOutcome]:
-    """``classify_fate`` of every start ``(x0[i], y0[i])``, bit for bit.
+    """The fate of every start ``(x0[i], y0[i])``; ``classify_fate`` runs it on one.
 
-    The unresolved starts step together as float64 arrays through the
-    same kernel, with the rules of ``_Fate`` applied elementwise.  A
+    The start certificates are settled here, for all starts at once.  The
+    unresolved starts then step together as float64 arrays through the
+    same kernel, with the rules of ``_fate_from`` applied elementwise.  A
     finished cell is compacted out and its outcome built then.  Once
-    ``LOCKSTEP_CROSSOVER`` or fewer remain, each resumes on the scalar
-    loop from the state it has reached.
+    ``LOCKSTEP_CROSSOVER`` or fewer remain, each resumes on
+    ``_fate_from`` from the state it has reached, at once for a single
+    start.
     """
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
     fp = interior_fixed_point(params)
@@ -792,7 +738,7 @@ def _lockstep_fates(
             a[keep] for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x)
         )
 
-    # the start's certificate, as in _Fate.start
+    # the start's certificate
     n = 0
     ball = np.maximum(x, y) <= r
     if fp is None:
@@ -810,7 +756,7 @@ def _lockstep_fates(
         ball &= ~at_fp
         finish(ball | at_fp, ball)
 
-    # the steps, as in _Fate.run; an image or an estimate may
+    # the steps, as in _fate_from; an image or an estimate may
     # overflow, and an orbit stops before a non-finite image
     with np.errstate(over="ignore", invalid="ignore"):
         while len(idx) > LOCKSTEP_CROSSOVER and n < budget:
@@ -858,9 +804,7 @@ def _lockstep_fates(
     for i, xi, yi, t, e, g, ep, cx in zip(
         *(a.tolist() for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x))
     ):
-        fate = _Fate(th, y_cap, fp, (n, xi, yi), _TAGS[t], e, g, None if ep != ep else ep, cx)
-        fate.run(params, budget)
-        outcomes[i] = fate.outcome()
+        outcomes[i] = _fate_from(params, budget, th, y_cap, fp, n, xi, yi, _TAGS[t], e, g, ep, cx)
     return outcomes
 
 

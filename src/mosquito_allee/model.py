@@ -40,8 +40,6 @@ __all__ = [
     "State",
     "StepResult",
     "DerivedConstants",
-    "k_response",
-    "allee_birth_rate",
     "step_general",
     "step_w0",
     "derived_constants",
@@ -163,28 +161,6 @@ class DerivedConstants:
     threshold_beta: float
     y_limit: float
     allee_threshold_gamma: float | None
-
-
-def k_response(x: float) -> float:
-    """Competition response ``x/(1+x)``: fraction of larvae that emerge.
-
-    Strictly increasing on [0, inf), 0 at the origin, bounded by 1.
-    """
-    x = _require_finite("x", x)
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    return x / (1.0 + x)
-
-
-def allee_birth_rate(params: Params, y: float) -> float:
-    """Effective per-adult birth rate ``beta*y/(gamma+y)``.
-
-    Vanishes at ``y = 0`` (mate scarcity) and saturates at ``beta``.
-    """
-    y = _require_finite("y", y)
-    if y < 0.0:
-        raise DomainError(f"y must be >= 0, got {y}")
-    return params.beta * y / (params.gamma + y)
 
 
 def _w0_xy(alpha: float, beta: float, gamma: float, mu: float, x, y):

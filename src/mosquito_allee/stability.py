@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InternalConsistencyError
+from .errors import ConfigurationError, InternalConsistencyError
 from .model import Params, State, derived_constants, step_w0
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "interior_fixed_point",
     "jacobian_at",
     "alpha_thresholds",
-    "classify_generic",
     "classify_interior",
     "find_fixed_points",
 ]
@@ -173,19 +172,6 @@ def _label_from_moduli(moduli, tol: float) -> Stability:
     if all(m > 1.0 for m in moduli):
         return Stability.REPELLING
     return Stability.SADDLE
-
-
-def classify_generic(matrix, tol: float = UNIT_MODULUS_TOL) -> Stability:
-    """Stability label of any 2x2 matrix from its eigenvalue moduli.
-
-    Complex conjugate pairs are handled through the modulus; any modulus
-    within ``tol`` of 1 yields NON_HYPERBOLIC.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (2, 2) or not np.all(np.isfinite(m)):
-        raise DomainError(f"expected a finite 2x2 matrix, got {matrix!r}")
-    moduli = np.abs(np.linalg.eigvals(m))
-    return _label_from_moduli(moduli.tolist(), tol)
 
 
 def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> InteriorClassification:

@@ -165,12 +165,18 @@ class TestClassifyFate:
         assert o2.verdict is Verdict.UNBOUNDED_GROWTH
         assert o2.theorem_tag is TheoremTag.THM2_OMEGA2
         assert abs(o2.y_limit_estimate - 2.0) <= 1e-6
+        # the region boundaries belong to the regions from the start on
+        fp = interior_fixed_point(SHOWCASE)
+        assert classify_fate(SHOWCASE, State(0.5 * fp.x, fp.y)).theorem_tag is TheoremTag.THM2_OMEGA1
+        assert classify_fate(SHOWCASE, State(fp.x, fp.y + 1.0)).theorem_tag is TheoremTag.THM2_OMEGA2
 
     def test_origin_start(self):
-        o = classify_fate(SHOWCASE, State(0.0, 0.0))
-        assert o.verdict is Verdict.EXTINCTION
-        assert o.iterations_used == 0
-        assert o.theorem_tag is TheoremTag.THM2_OMEGA1
+        # the origin, and a start on the edge of the origin ball, are extinct at once
+        for s0 in (State(0.0, 0.0), State(1e-9, 0.0)):
+            o = classify_fate(SHOWCASE, s0)
+            assert o.verdict is Verdict.EXTINCTION
+            assert o.iterations_used == 0
+            assert o.theorem_tag is TheoremTag.THM2_OMEGA1
 
     def test_fixed_point_start_is_undetermined(self):
         fp = interior_fixed_point(SHOWCASE)
@@ -216,6 +222,10 @@ class TestClassifyFate:
         assert high.verdict is Verdict.EXTINCTION
         assert high.theorem_tag is TheoremTag.THM1_II
         assert high.iterations_used > low.iterations_used
+        # y = alpha/mu is certified at the start, here inside the origin ball
+        tiny = Params(alpha=1e-12, beta=1.0, gamma=1.0, mu=1.0)
+        at_cap = classify_fate(tiny, State(0.0, tiny.alpha / tiny.mu))
+        assert (at_cap.iterations_used, at_cap.theorem_tag) == (0, TheoremTag.THM1_II)
 
     def test_argument_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,14 +1,16 @@
 """Differential tests: the orbit engines against the reference oracle.
 
-``classify_fate`` steps orbits on the scalar fate loop, ``iterate`` on
-its own scalar trajectory loop, ``simulate`` is the two calls, and
-``basin_scan`` steps its cells in lockstep as numpy arrays;
-:mod:`reference` keeps the original scalar loops.  Both must agree bit for bit (``repr`` tells
-every double apart, ``-0.0`` included) over both regimes, windows and
-budgets, including starts whose first image overflows or passes
-``divergence_x`` and states exactly at each fate rule's threshold;
-``iterate``, ``classify_fate`` and the lockstep engine also under
-threshold overrides.
+``basin_scan`` steps its cells in lockstep as numpy arrays and hands
+the last few to the scalar fate loop; ``classify_fate`` is that engine
+on one start, which hands over at once.  ``iterate`` steps its own
+scalar trajectory loop, and ``simulate`` is the two calls.
+:mod:`reference` keeps the original scalar loops.  Both must agree bit
+for bit (``repr`` tells every double apart, ``-0.0`` included) over both
+regimes, windows and budgets, including starts whose first image
+overflows or passes ``divergence_x`` and states exactly at each fate
+rule's threshold; ``iterate``, ``classify_fate`` and the lockstep engine
+also under threshold overrides.  The package calls must emit no numpy
+warnings.
 """
 
 from __future__ import annotations
@@ -75,8 +77,10 @@ def test_engine_matches_reference_bit_for_bit(case):
     expected_trajectory = reference.iterate(params, s0, budget, thresholds, window)
     expected_outcome = reference.classify_fate(params, s0, budget, thresholds)
 
-    trajectory = iterate(params, s0, budget, thresholds, window)
-    outcome = classify_fate(params, s0, budget, thresholds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflowing starts print no numpy warnings
+        trajectory = iterate(params, s0, budget, thresholds, window)
+        outcome = classify_fate(params, s0, budget, thresholds)
     assert trajectory == expected_trajectory
     assert repr(trajectory) == repr(expected_trajectory)
     assert outcome == expected_outcome
@@ -122,12 +126,13 @@ TINY_FIXED_POINT = Params(alpha=0.8, beta=1e12, gamma=0.1, mu=0.5)
 )
 def test_simulate_one_pass_matches_separate_calls(params, s0, budget):
     expected_outcome = reference.classify_fate(params, s0, budget)
-    outcome = classify_fate(params, s0, budget)
+    expected = (reference.iterate(params, s0, budget), expected_outcome)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflowing starts print no numpy warnings
+        outcome = classify_fate(params, s0, budget)
+        got = simulate(params, s0, budget)
     assert outcome == expected_outcome
     assert repr(outcome) == repr(expected_outcome)
-
-    expected = (reference.iterate(params, s0, budget), expected_outcome)
-    got = simulate(params, s0, budget)
     assert got == expected
     assert repr(got) == repr(expected)
 

@@ -8,20 +8,19 @@ import pytest
 from helpers import REPELLING, SHOWCASE, identity_params, interior_params, origin_only_params, valid_params
 from mosquito_allee import (
     ConfigurationError,
-    DomainError,
     Params,
     PointKind,
     Regime,
     Stability,
     State,
     alpha_thresholds,
-    classify_generic,
     classify_interior,
     find_fixed_points,
     interior_fixed_point,
     jacobian_at,
     step_w0,
 )
+from mosquito_allee.stability import UNIT_MODULUS_TOL, _label_from_moduli
 
 
 def _fd_jacobian(p: Params, s: State, h: float = 1e-6) -> np.ndarray:
@@ -130,22 +129,17 @@ class TestAlphaThresholds:
             assert abs(roots[0] - alpha2) <= 1e-12 * max(1.0, abs(alpha2))
 
 
-class TestClassifyGeneric:
+class TestLabelFromModuli:
     def test_plain_labels(self):
-        assert classify_generic([[0.5, 0.0], [0.0, 0.3]]) is Stability.ATTRACTING
-        assert classify_generic([[1.5, 0.0], [0.0, 2.0]]) is Stability.REPELLING
-        assert classify_generic([[0.5, 0.0], [0.0, 1.5]]) is Stability.SADDLE
-        assert classify_generic([[1.0, 0.0], [0.0, 0.5]]) is Stability.NON_HYPERBOLIC
-
-    def test_complex_pair_uses_modulus(self):
-        # eigenvalues 0.5 +/- 0.5i, modulus sqrt(0.5) < 1
-        assert classify_generic([[0.5, -0.5], [0.5, 0.5]]) is Stability.ATTRACTING
-
-    def test_rejects_bad_matrices(self):
-        with pytest.raises(DomainError):
-            classify_generic([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        with pytest.raises(DomainError):
-            classify_generic([[float("nan"), 0.0], [0.0, 1.0]])
+        tol = UNIT_MODULUS_TOL
+        assert _label_from_moduli([0.5, 0.3], tol) is Stability.ATTRACTING
+        assert _label_from_moduli([1.5, 2.0], tol) is Stability.REPELLING
+        assert _label_from_moduli([0.5, 1.5], tol) is Stability.SADDLE
+        assert _label_from_moduli([1.0, 0.5], tol) is Stability.NON_HYPERBOLIC
+        # a modulus within tol of 1 is non-hyperbolic, one just outside is not
+        assert _label_from_moduli([0.5, 1.0 + 0.5 * tol], tol) is Stability.NON_HYPERBOLIC
+        assert _label_from_moduli([0.5, 1.0 + 2.0 * tol], tol) is Stability.SADDLE
+        assert _label_from_moduli([0.5, 1.0 - 2.0 * tol], tol) is Stability.ATTRACTING
 
 
 class TestClassifyInterior:
