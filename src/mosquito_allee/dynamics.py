@@ -27,18 +27,21 @@ inversion converges to ``alpha/mu`` quadratically in ``1/x``.  The
 estimate is accepted once consecutive doubling checkpoints agree to a
 tenth of the reporting tolerance.
 
-Single orbits step on scalar loops through one kernel, one loop per
-question, each keeping its state in locals while it steps: the fate
-rules in ``_fate_from``, the recorded orbit in ``iterate``, and the
-monotone tail in ``monotonicity_probe``.  ``simulate`` is ``iterate``
-then ``classify_fate``, so it steps the orbit up to the verdict twice.
+Single orbits step on scalar loops, one loop per question, each keeping
+its state in locals while it steps: the fate rules in ``_fate_from``,
+the recorded orbit in ``iterate``, and the monotone tail in
+``monotonicity_probe``.  The map is the kernel ``model._w0_xy``; the two
+loops a workload runs per step, ``_fate_from`` and ``iterate``, carry a
+copy of its arithmetic in the same operation order, so their images are
+the kernel's, bit for bit.  ``simulate`` is ``iterate`` then
+``classify_fate``, so it steps the orbit up to the verdict twice.
 Fates have one engine, ``_lockstep_fates``.  It settles the certificate
 of every start at once, then steps the unresolved cells together as
-float64 arrays through the same kernel, applying the fate rules
+float64 arrays through the kernel, applying the fate rules
 elementwise; numpy's ``+ - * /`` round exactly as Python's float
 operations do, so every cell's outcome is the scalar loop's, bit for
 bit.  A lockstep step costs about the same whether it carries one cell
-or hundreds, about 60 times a scalar step, so once
+or hundreds, about 85 times a scalar step, so once
 ``LOCKSTEP_CROSSOVER`` cells or fewer remain they resume on the scalar
 loop from the state they have reached.  ``classify_fate`` is the engine
 on one start: one cell is below the crossover, so after the start's
@@ -51,7 +54,6 @@ import enum
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,8 +297,8 @@ def iterate(
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
     # steps stay raw (n, x, y) tuples; a State is built only for the points kept
-    w0_xy, isfinite = _w0_xy, math.isfinite
-    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
+    isfinite = math.isfinite
+    alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
     divergence_x, step_tol = th.divergence_x, th.step_tol
     head: list[tuple] = [(0, s0.x, s0.y)]
     tail: deque[tuple] = deque(maxlen=window)
@@ -304,7 +306,10 @@ def iterate(
     x, y = s0.x, s0.y
     terminated = Termination.BUDGET
     for n in range(1, max_iter + 1):
-        x1, y1 = w0_xy(alpha, beta, gamma, mu, x, y)
+        # _w0_xy inlined, in its operation order
+        k = alpha * x / (1.0 + x)
+        x1 = (x - k) + beta * y * y / (gamma + y)
+        y1 = k + c * y
         # both images are >= 0, so their difference is finite iff both are
         if not isfinite(x1 - y1):
             terminated = Termination.DIVERGED
@@ -387,12 +392,15 @@ def _fate_from(
     before its first non-finite image.  ``_lockstep_fates`` applies the
     same rules elementwise and hands its last cells over to this loop.
     """
-    w0_xy, isfinite = _w0_xy, math.isfinite
-    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
+    isfinite = math.isfinite
+    alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
     radius, divergence_x, step_tol = th.extinction_radius, th.divergence_x, th.step_tol
     est_tol = 0.1 * th.y_limit_tol
     for n in range(n + 1, budget + 1):
-        x1, y1 = w0_xy(alpha, beta, gamma, mu, x, y)
+        # _w0_xy inlined, in its operation order
+        k = alpha * x / (1.0 + x)
+        x1 = (x - k) + beta * y * y / (gamma + y)
+        y1 = k + c * y
         # both images are >= 0, so their difference is finite iff both are
         if not isfinite(x1 - y1):
             n -= 1
@@ -490,7 +498,7 @@ def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, Trajec
 
     The two loops run one after the other, so the steps up to the
     verdict are computed twice: from the showcase growth start
-    ``(0.2, 5)`` at budget 1e5, 64,502 of the 164,502 steps, about 40 ms
+    ``(0.2, 5)`` at budget 1e5, 64,502 of the 164,502 steps, about 20 ms
     on a 2-CPU Xeon.
     """
     return iterate(params, s0, budget), classify_fate(params, s0, budget)
@@ -680,11 +688,11 @@ def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundRepo
     return AdultBoundReport(starts, horizon, y_limit, None)
 
 
-# On a 2-CPU Xeon with numpy 2.4 a lockstep step cost about 30 us whether
-# it carried 1 or 128 growth cells, and a scalar step about 0.5 us per cell;
-# the two meet near 60 cells, so at this many unresolved cells or fewer the
-# scalar loop is the cheaper one.
-LOCKSTEP_CROSSOVER = 56
+# On a 2-CPU Xeon with numpy 2.4 a lockstep step cost 27-36 us whether it
+# carried 1 or 128 growth cells, and a scalar step 0.30-0.44 us per cell;
+# the two meet at 71-93 cells, median 85, so at this many unresolved cells
+# or fewer the scalar loop is the cheaper one.
+LOCKSTEP_CROSSOVER = 85
 
 _TAGS = (None, TheoremTag.THM1_II, TheoremTag.THM2_OMEGA1, TheoremTag.THM2_OMEGA2)
 
@@ -864,6 +872,9 @@ def basin_scan(
     if pool_size == 1:
         outcomes = _lockstep_fates(params, x0, y0, budget, th)
     else:
+        # imported here, so that importing the package does not load the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             blocks = [
                 pool.submit(_lockstep_fates, params, bx, by, budget, th)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -573,9 +576,16 @@ class TestBasinScan:
 
         serial = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 2, 2, budget=10**3, thresholds=FAST)
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(dynamics, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         wide = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 2, 2, budget=10**3, thresholds=FAST, workers=10**6)
         assert wide == serial
+
+    def test_import_leaves_the_pool_unloaded(self):
+        # a fresh interpreter: this one may have loaded the pool already
+        probe = "import sys, mosquito_allee.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_argument_validation(self):
         with pytest.raises(ConfigurationError):
@@ -594,7 +604,7 @@ class TestBasinScan:
             raise AssertionError("a scan was started")
 
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(dynamics, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_work)
         monkeypatch.setattr(dynamics, "_lockstep_fates", no_work)
         with pytest.raises(ConfigurationError, match="budget must be >= 1, got 0"):
             basin_scan(SHOWCASE, (0.0, 1.0), (0.0, 1.0), 2, 2, budget=0, workers=2)
@@ -628,3 +638,44 @@ def test_property_one_step_preserves_regions(x, y):
     image = step_w0(SHOWCASE, State(x, y))
     image_region = membership(SHOWCASE, image)
     assert image_region in (region, Region.IS_FIXED_POINT)
+
+
+# every magnitude from 0 up to past 1.3e154, where y*y overflows, and
+# more draws around that point
+COORDINATES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 20.0),
+    st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-40, 520)),
+    st.floats(1e150, 1e160),
+)
+
+
+@given(
+    alpha=st.floats(1e-3, 1.0),
+    beta=st.floats(1e-3, 1e3),
+    gamma=st.floats(1e-3, 1e3),
+    mu=st.floats(1e-3, 1.0),
+    x=COORDINATES,
+    y=COORDINATES,
+)
+def test_property_inlined_steps_match_the_kernel(alpha, beta, gamma, mu, x, y):
+    # iterate and _fate_from each step an inlined copy of _w0_xy
+    params = Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu)
+    x1, y1 = dynamics._w0_xy(alpha, beta, gamma, mu, x, y)
+    trajectory = iterate(params, State(x, y), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflowing starts print no numpy warnings
+        outcome = classify_fate(params, State(x, y), 1)
+    if math.isfinite(x1) and math.isfinite(y1):
+        image = State(x1, y1)
+        assert trajectory.indices == (0, 1)
+        assert trajectory.final == image
+        assert repr(trajectory.final) == repr(image)
+        if outcome.iterations_used == 1:
+            assert outcome.final_state == image
+            assert repr(outcome.final_state) == repr(image)
+    else:
+        assert trajectory.terminated is Termination.DIVERGED
+        assert trajectory.indices == (0,)
+        assert outcome.iterations_used == 0
+        assert outcome.final_state == State(x, y)

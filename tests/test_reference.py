@@ -272,7 +272,7 @@ def test_basin_scan_matches_reference_across_worker_counts(monkeypatch):
     # two CPUs so that two blocks run in two processes, each of more than
     # LOCKSTEP_CROSSOVER cells, so that both start in lockstep
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
-    grid = dict(x_range=(0.0, 7.0), y_range=(0.0, 5.0), nx=12, ny=10, budget=3000)
+    grid = dict(x_range=(0.0, 7.0), y_range=(0.0, 5.0), nx=18, ny=10, budget=3000)
     assert grid["nx"] * grid["ny"] > 2 * LOCKSTEP_CROSSOVER
     serial = basin_scan(SHOWCASE, **grid, workers=1)
     parallel = basin_scan(SHOWCASE, **grid, workers=2)
