@@ -35,17 +35,20 @@ loops a workload runs per step, ``_fate_from`` and ``iterate``, carry a
 copy of its arithmetic in the same operation order, so their images are
 the kernel's, bit for bit.  ``simulate`` is ``iterate`` then
 ``classify_fate``, so it steps the orbit up to the verdict twice.
-Fates have one engine, ``_lockstep_fates``.  It settles the certificate
-of every start at once, then steps the unresolved cells together as
-float64 arrays through the kernel, applying the fate rules
+
+A start's certificate is written once, in ``_start_certificate``, which
+works on floats and on float64 arrays alike.  ``classify_fate`` settles
+its one start with it and steps on ``_fate_from``, so the single-orbit
+path never loads numpy.  ``basin_scan``'s engine, ``_lockstep_fates``,
+settles every start at once with it, then steps the unresolved cells
+together as float64 arrays through the kernel, applying the fate rules
 elementwise; numpy's ``+ - * /`` round exactly as Python's float
-operations do, so every cell's outcome is the scalar loop's, bit for
+operations do, so every cell's outcome is ``classify_fate``'s, bit for
 bit.  A lockstep step costs about the same whether it carries one cell
 or hundreds, about 85 times a scalar step, so once
-``LOCKSTEP_CROSSOVER`` cells or fewer remain they resume on the scalar
-loop from the state they have reached.  ``classify_fate`` is the engine
-on one start: one cell is below the crossover, so after the start's
-certificate it hands over to the scalar loop at once.
+``LOCKSTEP_CROSSOVER`` cells or fewer remain they resume on
+``_fate_from`` from the state they have reached.  numpy is imported
+inside the functions that use arrays.
 """
 
 from __future__ import annotations
@@ -55,12 +58,14 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
 from .model import Params, State, derived_constants, _w0_xy
 from .stability import interior_fixed_point
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -264,6 +269,8 @@ class BasinGrid:
 
     def iter_rows(self):
         """Yield ``(x0, y0, outcome)`` with y as the outer loop."""
+        import numpy as np
+
         xs = np.linspace(self.x_range[0], self.x_range[1], self.nx)
         ys = np.linspace(self.y_range[0], self.y_range[1], self.ny)
         for iy in range(self.ny):
@@ -485,12 +492,20 @@ def classify_fate(
     that go numerically stationary away from the origin (which only
     happens within rounding distance of the fixed point).
 
-    This is ``basin_scan``'s engine, ``_lockstep_fates``, on one start:
-    one cell is below ``LOCKSTEP_CROSSOVER``, so the engine settles the
-    start's certificate and hands the orbit to the scalar fate loop at once.
+    The start's certificate comes from ``_start_certificate`` and the
+    orbit then steps on the scalar fate loop ``_fate_from``: the two
+    functions ``basin_scan``'s engine settles its starts with and hands
+    its last cells to, so a start's outcome is the same here and in a
+    scan, bit for bit.  No numpy is loaded.
     """
     th = _checked(params, budget, thresholds)
-    return _lockstep_fates(params, np.array([s0.x]), np.array([s0.y]), budget, th)[0]
+    fp = interior_fixed_point(params)
+    y_cap = derived_constants(params).y_limit
+    x, y = s0.x, s0.y
+    done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, th.extinction_radius)
+    if done:
+        return _outcome(0, x, y, ball, extinction, growth, False, _TAGS[tag])
+    return _fate_from(params, budget, th, y_cap, fp, 0, x, y, _TAGS[tag], extinction, growth, math.nan, 100.0)
 
 
 def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, TrajectoryOutcome]:
@@ -499,7 +514,7 @@ def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, Trajec
     The two loops run one after the other, so the steps up to the
     verdict are computed twice: from the showcase growth start
     ``(0.2, 5)`` at budget 1e5, 64,502 of the 164,502 steps, about 20 ms
-    on a 2-CPU Xeon.
+    of a 0.19 s CLI run on a 2-CPU Xeon.  Neither loop loads numpy.
     """
     return iterate(params, s0, budget), classify_fate(params, s0, budget)
 
@@ -539,6 +554,8 @@ def check_invariance(
         span = 10.0 * max(xs, ys)
     if not (math.isfinite(span) and span > 0.0):
         raise ConfigurationError(f"sampling span must be positive and finite, got {span}")
+
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     if region is Region.OMEGA1:
@@ -653,6 +670,9 @@ def check_sum_identity(params: Params, samples: int, seed: int) -> IdentityRepor
     fp = _require_interior(params)
     _require_sampling(samples, seed)
     y_window = max(1.0, min(10.0 * max(derived_constants(params).y_limit, fp.y), 500.0 / params.beta))
+
+    import numpy as np
+
     rng = np.random.default_rng(seed + 2)
     xs = rng.uniform(0.0, 1e4, samples)
     ys = rng.uniform(0.0, y_window, samples)
@@ -673,6 +693,9 @@ def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundRepo
     _require_sampling(samples, seed)
     starts = min(samples, 1000)
     horizon = 256
+
+    import numpy as np
+
     rng = np.random.default_rng(seed + 3)
     x0 = rng.uniform(0.0, 100.0, starts)
     y0 = rng.uniform(0.0, 3.0 * y_limit, starts)
@@ -697,6 +720,31 @@ LOCKSTEP_CROSSOVER = 85
 _TAGS = (None, TheoremTag.THM1_II, TheoremTag.THM2_OMEGA1, TheoremTag.THM2_OMEGA2)
 
 
+def _start_certificate(x, y, fp: State | None, y_cap: float, r: float):
+    """The certificate of a start ``(x, y)``, on floats or float64 arrays.
+
+    Returns ``(done, ball, extinction, growth, tag)``: ``done`` when the
+    verdict is final before any step, ``ball`` when that is because the
+    start lies in the origin ball of radius ``r``, the two certificates,
+    and ``tag``, an index into ``_TAGS``.  Only comparisons, ``&``, ``|``
+    and integer arithmetic are used, so a float start and an array of
+    starts are settled by the same lines.
+    """
+    ball = (x <= r) & (y <= r)
+    if fp is None:
+        extinction = y <= y_cap
+        tag = 1 * extinction
+        # no start has a growth certificate here; tag == 3 is False in the start's shape
+        return ball, ball, extinction, tag == 3, tag
+    at_fp = (x == fp.x) & (y == fp.y)
+    off_fp = (x != fp.x) | (y != fp.y)
+    extinction = off_fp & (x <= fp.x) & (y <= fp.y)
+    growth = off_fp & (x >= fp.x) & (y >= fp.y)
+    # a start at the fixed point is undetermined, even inside the origin ball
+    ball = ball & off_fp
+    return ball | at_fp, ball, extinction, growth, 2 * extinction + 3 * growth
+
+
 def _lockstep_fates(
     params: Params,
     x0: np.ndarray,
@@ -704,16 +752,18 @@ def _lockstep_fates(
     budget: int,
     th: FateThresholds,
 ) -> list[TrajectoryOutcome]:
-    """The fate of every start ``(x0[i], y0[i])``; ``classify_fate`` runs it on one.
+    """The fate of every start ``(x0[i], y0[i])``, as ``classify_fate`` gives it.
 
-    The start certificates are settled here, for all starts at once.  The
-    unresolved starts then step together as float64 arrays through the
-    same kernel, with the rules of ``_fate_from`` applied elementwise.  A
-    finished cell is compacted out and its outcome built then.  Once
+    The start certificates are settled by ``_start_certificate``, for all
+    starts at once.  The unresolved starts then step together as float64
+    arrays through the same kernel, with the rules of ``_fate_from``
+    applied elementwise.  A finished cell is compacted out and its
+    outcome built then.  Once
     ``LOCKSTEP_CROSSOVER`` or fewer remain, each resumes on
-    ``_fate_from`` from the state it has reached, at once for a single
-    start.
+    ``_fate_from`` from the state it has reached.
     """
+    import numpy as np
+
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
     fp = interior_fixed_point(params)
     y_cap = derived_constants(params).y_limit
@@ -722,10 +772,9 @@ def _lockstep_fates(
     outcomes: list = [None] * len(x0)
 
     # the unresolved cells' state, one entry per cell (with the
-    # extinction and growth flags set below); a tag indexes _TAGS
+    # certificates and tags set below); a tag indexes _TAGS
     idx = np.arange(len(x0))
     x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
-    tag = np.zeros(len(x0), dtype=np.int8)
     est_prev = np.full(len(x0), np.nan)  # nan: no checkpoint yet
     # x at which the next estimate checkpoint falls: 100, then twice the last checkpoint's x
     checkpoint_x = np.full(len(x0), 100.0)
@@ -746,23 +795,9 @@ def _lockstep_fates(
             a[keep] for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x)
         )
 
-    # the start's certificate
     n = 0
-    ball = np.maximum(x, y) <= r
-    if fp is None:
-        extinction = y <= y_cap
-        growth = np.zeros(len(x0), dtype=bool)
-        tag[extinction] = 1
-        finish(ball, ball)
-    else:
-        at_fp = (x == fp.x) & (y == fp.y)
-        extinction = ~at_fp & (x <= fp.x) & (y <= fp.y)
-        growth = ~at_fp & (x >= fp.x) & (y >= fp.y)
-        tag[extinction] = 2
-        tag[growth] = 3
-        # a start at the fixed point is undetermined, even inside the origin ball
-        ball &= ~at_fp
-        finish(ball | at_fp, ball)
+    done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, r)
+    finish(done, ball)
 
     # the steps, as in _fate_from; an image or an estimate may
     # overflow, and an orbit stops before a non-finite image
@@ -865,6 +900,8 @@ def basin_scan(
             raise ConfigurationError(f"{name}_range must have positive length, got [{lo}, {hi}]")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+
+    import numpy as np
 
     x0 = np.tile(np.linspace(x_lo, x_hi, nx), ny)
     y0 = np.repeat(np.linspace(y_lo, y_hi, ny), nx)

@@ -26,11 +26,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InternalConsistencyError
 from .model import Params, State, derived_constants, step_w0
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Stability",
@@ -136,6 +138,8 @@ def interior_fixed_point(params: Params) -> State | None:
 
 def jacobian_at(params: Params, s: State) -> np.ndarray:
     """Jacobian matrix of the restricted map at an arbitrary state."""
+    import numpy as np
+
     params.require_analysis_valid()
     x, y = s.x, s.y
     a = params.alpha / ((1.0 + x) * (1.0 + x))
@@ -226,6 +230,8 @@ def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> Interior
                 "alpha1 exceeds 1, outside the analysis regime for alpha; "
                 "saddle label confirmed by eigenvalue moduli"
             )
+
+    import numpy as np
 
     jac = jacobian_at(params, fp)
     raw_moduli = np.abs(np.linalg.eigvals(jac)).tolist()

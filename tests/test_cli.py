@@ -340,7 +340,7 @@ class TestExitCodes:
         def no_rng(seed):
             raise AssertionError("samples were drawn")
 
-        monkeypatch.setattr(dynamics.np.random, "default_rng", no_rng)
+        monkeypatch.setattr("numpy.random.default_rng", no_rng)
         code = main(["check", *SHOWCASE_ARGS, "--samples", str(dynamics.MAX_SAMPLES + 1)])
         assert code == EXIT_CONFIG
         assert "exceed the maximum" in capsys.readouterr().err
@@ -360,3 +360,29 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["regime"] == "two-fixed-points"
+
+
+def test_simulate_leaves_numpy_unloaded(tmp_path):
+    # a fresh interpreter: this one has loaded numpy already. simulate
+    # needs no arrays; fixed-points and basin load numpy when they run
+    probe = f"""
+import sys
+from mosquito_allee.cli import main
+args = {SHOWCASE_ARGS!r}
+out = {str(tmp_path / "out.txt")!r}
+for x0, y0 in (("0.2", "5.0"), ("1.0", "1.0")):  # a growth start, then an extinction start
+    assert main(["simulate", *args, "--x0", x0, "--y0", y0, "--budget", "1000", "--out", out]) == 0
+print("numpy" in sys.modules)
+assert main(["fixed-points", *args, "--out", out]) == 0
+grid = ["--x-min", "0", "--x-max", "7", "--y-min", "0", "--y-max", "5", "--nx", "3", "--ny", "3"]
+assert main(["basin", *args, *grid, "--budget", "1000", "--out", out]) == 0
+print("numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("verdict=unbounded ")
+    assert lines[1].startswith("verdict=extinction ")
+    assert lines[2] == "False"
+    assert lines[3].startswith("cells=9 ")
+    assert lines[4] == "True"

@@ -294,7 +294,7 @@ class TestCheckInvariance:
             def uniform(self, low, high, size):
                 return np.full(size, float(high if bound == "high" else low))
 
-        monkeypatch.setattr(dynamics.np.random, "default_rng", EdgeRng)
+        monkeypatch.setattr("numpy.random.default_rng", EdgeRng)
         report = check_invariance(SHOWCASE, region, samples=4, seed=0)
         assert report.escapes == 0 and report.counterexample is None
 
@@ -459,7 +459,7 @@ class TestSamplingArguments:
         def rng(seed):
             raise Drawn
 
-        monkeypatch.setattr(dynamics.np.random, "default_rng", rng)
+        monkeypatch.setattr("numpy.random.default_rng", rng)
         with pytest.raises(ConfigurationError, match="exceed the maximum"):
             check(dynamics.MAX_SAMPLES + 1, 0)
         with pytest.raises(Drawn):

@@ -1,20 +1,23 @@
 """Differential tests: the orbit engines against the reference oracle.
 
 ``basin_scan`` steps its cells in lockstep as numpy arrays and hands
-the last few to the scalar fate loop; ``classify_fate`` is that engine
-on one start, which hands over at once.  ``iterate`` steps its own
-scalar trajectory loop, and ``simulate`` is the two calls.
+the last few to the scalar fate loop; ``classify_fate`` settles its one
+start with the same start certificate, on floats, and runs that scalar
+loop.  ``iterate`` steps its own scalar trajectory loop, and
+``simulate`` is the two calls.
 :mod:`reference` keeps the original scalar loops.  Both must agree bit
 for bit (``repr`` tells every double apart, ``-0.0`` included) over both
 regimes, windows and budgets, including starts whose first image
 overflows or passes ``divergence_x`` and states exactly at each fate
 rule's threshold; ``iterate``, ``classify_fate`` and the lockstep engine
-also under threshold overrides.  The package calls must emit no numpy
-warnings.
+also under threshold overrides.  ``classify_fate`` and the engine on a
+one-start array must agree too, at the start certificate's boundaries.
+The package calls must emit no numpy warnings.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -31,6 +34,7 @@ from mosquito_allee import (
     State,
     basin_scan,
     classify_fate,
+    derived_constants,
     dynamics,
     interior_fixed_point,
     iterate,
@@ -282,3 +286,45 @@ def test_basin_scan_matches_reference_across_worker_counts(monkeypatch):
         expected = reference.classify_fate(SHOWCASE, State(x0, y0), grid["budget"])
         assert outcome == expected
         assert repr(outcome) == repr(expected)
+
+
+def assert_certificate_shapes_agree(params, starts, budget, thresholds=None):
+    """``classify_fate``, on floats, against the engine on a one-start array."""
+    th = thresholds if thresholds is not None else FateThresholds()
+    for x, y in starts:
+        outcome = classify_fate(params, State(x, y), budget, thresholds)
+        engine = dynamics._lockstep_fates(params, np.array([x]), np.array([y]), budget, th)[0]
+        assert outcome == engine
+        assert repr(outcome) == repr(engine)
+
+
+@settings(max_examples=100)
+@given(case=lockstep_cases())
+def test_start_certificate_agrees_on_floats_and_arrays(case):
+    params, starts, thresholds, budget, _ = case
+    assert_certificate_shapes_agree(params, starts, budget, thresholds)
+
+
+def _ulps(v):
+    """``v`` and its two neighbouring doubles."""
+    return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+
+@pytest.mark.parametrize("thresholds", [None, FateThresholds(extinction_radius=5.0)], ids=["radius-1e-9", "radius-5"])
+@pytest.mark.parametrize(
+    "params",
+    [SHOWCASE, TINY_FIXED_POINT, SLOW_FIXED_POINT, BALL_IN_ONE_STEP, Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.5)],
+    ids=["showcase", "tiny-fixed-point", "slow-fixed-point", "ball-in-one-step", "origin-only"],
+)
+def test_start_certificate_agrees_at_its_boundaries(params, thresholds):
+    r = (thresholds or FateThresholds()).extinction_radius
+    r_up = math.nextafter(r, math.inf)
+    starts = [(r, r), (r_up, r), (r, r_up), (r_up, r_up)]
+    fp = interior_fixed_point(params)
+    if fp is None:  # y == alpha/mu certifies extinction, one ulp above does not
+        y_cap = derived_constants(params).y_limit
+        starts += [(x, y) for x in (0.0, 1.0) for y in (y_cap, math.nextafter(y_cap, math.inf))]
+    else:  # (x*, y*), its eight neighbours, and the regions' corners on the axes
+        starts += [(x, y) for x in _ulps(fp.x) for y in _ulps(fp.y)]
+        starts += [(fp.x, 0.0), (0.0, fp.y)]
+    assert_certificate_shapes_agree(params, starts, 2000, thresholds)
