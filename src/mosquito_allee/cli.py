@@ -12,11 +12,14 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Iterable, Iterator
 
 from .dynamics import (
     DEFAULT_BUDGET,
+    BasinGrid,
     Region,
     Trajectory,
+    Verdict,
     basin_scan,
     check_adult_bound,
     check_invariance,
@@ -134,11 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    _write_chunks(path, (text,))
+
+
+def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def report_to_dict(report: FixedPointReport, params: Params) -> dict:
@@ -224,6 +231,27 @@ def _cmd_fixed_points(params: Params, args) -> int:
     return EXIT_OK
 
 
+# cells per chunk of basin CSV rows: about 0.5 MB of text
+_CSV_CHUNK_CELLS = 8192
+
+
+def _basin_csv(grid: BasinGrid) -> Iterator[str]:
+    """The basin CSV of ``grid``, in chunks of rows, y as the outer loop.
+
+    Each grid value is formatted once; the rows are read from the
+    verdict and iterations columns.
+    """
+    xs, ys = (list(map(_fmt, axis)) for axis in grid.axes())
+    names = [v.value for v in Verdict]
+    yield "x0,y0,verdict,iterations\n"
+    rows_per_chunk = max(1, _CSV_CHUNK_CELLS // grid.nx)
+    for lo in range(0, grid.ny, rows_per_chunk):
+        cells = slice(lo * grid.nx, (lo + rows_per_chunk) * grid.nx)
+        starts = [f"{x},{y}," for y in ys[lo : lo + rows_per_chunk] for x in xs]
+        rows = zip(starts, grid.verdict[cells].tolist(), grid.iterations[cells].tolist())
+        yield "".join([f"{start}{names[v]},{n}\n" for start, v, n in rows])
+
+
 def _cmd_basin(params: Params, args) -> int:
     grid = basin_scan(
         params,
@@ -234,14 +262,13 @@ def _cmd_basin(params: Params, args) -> int:
         budget=args.budget,
         workers=args.workers,
     )
-    lines = ["x0,y0,verdict,iterations\n"]
-    counts: dict[str, int] = {}
-    for x0, y0, outcome in grid.iter_rows():
-        lines.append(f"{_fmt(x0)},{_fmt(y0)},{outcome.verdict.value},{outcome.iterations_used}\n")
-        counts[outcome.verdict.value] = counts.get(outcome.verdict.value, 0) + 1
-    _write_text(args.out, "".join(lines))
+    _write_chunks(args.out, _basin_csv(grid))
     if args.out is not None:
-        tally = " ".join(f"{k}={counts[k]}" for k in sorted(counts))
+        import numpy as np
+
+        counts = np.bincount(grid.verdict, minlength=len(Verdict)).tolist()
+        present = sorted((v.value, c) for v, c in zip(Verdict, counts) if c)
+        tally = " ".join(f"{name}={count}" for name, count in present)
         print(f"cells={grid.nx * grid.ny} {tally}")
     return EXIT_OK
 

@@ -49,6 +49,16 @@ or hundreds, about 85 times a scalar step, so once
 ``LOCKSTEP_CROSSOVER`` cells or fewer remain they resume on
 ``_fate_from`` from the state they have reached.  numpy is imported
 inside the functions that use arrays.
+
+A scan's result is columnar: the engine fills one preallocated array
+per outcome field (``verdict`` and ``tag`` as int8 codes,
+``iterations``, ``final_x``, ``final_y``, and ``estimate`` with nan for
+none), 34 bytes a cell.  Cells that finish in lockstep are written by
+array operations; a cell handed to ``_fate_from`` writes the fields that
+loop returns.  The verdict rules are written once, in ``_verdict``, on
+bools or bool arrays; ``classify_fate`` turns its one start's fields
+into a ``TrajectoryOutcome``.  A ``BasinGrid`` holds the columns, and
+builds outcome objects only when ``cells`` or ``iter_rows`` is read.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
@@ -98,8 +109,9 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**6
 TRAJECTORY_WINDOW = 1024
-# a CLI basin scan holds every cell's outcome and CSV row in memory, about
-# 550 bytes of RSS per cell (measured at 1e4 and 5e4 cells), so about 550 MB here
+# a CLI basin scan peaks at about 160 bytes of RSS per cell, while the
+# engine's working arrays step (its result holds 34 bytes a cell): 32 MB
+# at 1e4 cells, 46 MB at 1e5 and 194 MB at 1e6, budget 1, so about 190 MB here
 MAX_GRID_CELLS = 10**6
 # a sampled check holds a few arrays of this length, about 50 bytes of RSS
 # per sample (measured at 1e5 and 1e6 samples), so about 500 MB here
@@ -251,13 +263,22 @@ class MonotonicityReport:
         return self.n0 is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasinGrid:
     """Fate verdicts over a rectangular grid of initial conditions.
 
-    ``cells[ix][iy]`` is the outcome for the initial point
-    ``(xs[ix], ys[iy])`` where ``xs``/``ys`` are ``nx``/``ny`` evenly
-    spaced values over the closed ranges.
+    The outcomes are held as columns, one entry per cell, y as the outer
+    loop: cell ``i`` starts at ``(xs[i % nx], ys[i // nx])``, where
+    ``xs, ys = axes()`` are ``nx``/``ny`` evenly spaced values over the
+    closed ranges.  ``verdict`` (int8) indexes ``tuple(Verdict)``,
+    ``iterations`` (int64) is the step at which the fate stopped,
+    ``final_x`` and ``final_y`` (float64) the state it stopped at,
+    ``estimate`` (float64) the adult-limit estimate of a growth verdict
+    and nan otherwise, and ``tag`` (int8) indexes
+    ``(None, *TheoremTag)``.  ``cells`` and ``iter_rows`` present the
+    same outcomes as ``TrajectoryOutcome`` objects, built when read.
+    Two grids are equal when their fields are and every column is equal
+    bit for bit, so nan estimates in the same cells compare equal.
     """
 
     params: Params
@@ -265,17 +286,48 @@ class BasinGrid:
     y_range: tuple[float, float]
     nx: int
     ny: int
-    cells: tuple[tuple[TrajectoryOutcome, ...], ...]
+    verdict: np.ndarray
+    iterations: np.ndarray
+    final_x: np.ndarray
+    final_y: np.ndarray
+    estimate: np.ndarray
+    tag: np.ndarray
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The six columns, in field order."""
+        return tuple(getattr(self, name) for name, _ in _COLUMNS)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BasinGrid):
+            return NotImplemented
+        fields = ("params", "x_range", "y_range", "nx", "ny")
+        return all(getattr(self, f) == getattr(other, f) for f in fields) and all(
+            a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(self.columns, other.columns)
+        )
+
+    def axes(self) -> tuple[list[float], list[float]]:
+        """The grid's ``x`` and ``y`` values, as floats."""
+        import numpy as np
+
+        return (
+            np.linspace(self.x_range[0], self.x_range[1], self.nx).tolist(),
+            np.linspace(self.y_range[0], self.y_range[1], self.ny).tolist(),
+        )
+
+    @cached_property
+    def cells(self) -> tuple[tuple[TrajectoryOutcome, ...], ...]:
+        """``cells[ix][iy]`` is the outcome for the start ``(xs[ix], ys[iy])``."""
+        outcomes = _outcomes(self.columns)
+        return tuple(tuple(outcomes[ix :: self.nx]) for ix in range(self.nx))
 
     def iter_rows(self):
         """Yield ``(x0, y0, outcome)`` with y as the outer loop."""
-        import numpy as np
-
-        xs = np.linspace(self.x_range[0], self.x_range[1], self.nx)
-        ys = np.linspace(self.y_range[0], self.y_range[1], self.ny)
-        for iy in range(self.ny):
-            for ix in range(self.nx):
-                yield float(xs[ix]), float(ys[iy]), self.cells[ix][iy]
+        xs, ys = self.axes()
+        outcomes = iter(_outcomes(self.columns))
+        for y0 in ys:
+            for x0 in xs:
+                yield x0, y0, next(outcomes)
 
 
 def _checked(params: Params, budget: int, thresholds: FateThresholds | None) -> FateThresholds:
@@ -383,21 +435,22 @@ def _fate_from(
     n: int,
     x: float,
     y: float,
-    tag: TheoremTag | None,
+    tag: int,
     extinction: bool,
     growth: bool,
     est_prev: float,
     checkpoint_x: float,
-) -> TrajectoryOutcome:
+) -> tuple[int, int, float, float, float, int]:
     """The fate rules of :func:`classify_fate`, in their one scalar form.
 
     Steps a cell on from its state after ``n`` steps at ``(x, y)``, with
-    the certificates and tag reached so far, the last estimate checkpoint
+    the certificates and tag code reached so far, the last estimate checkpoint
     ``est_prev`` (nan before the first, which no estimate is within
     tolerance of) and the ``x`` at which the next one falls, until the
     verdict is final or ``budget`` steps are reached.  The orbit stops
-    before its first non-finite image.  ``_lockstep_fates`` applies the
-    same rules elementwise and hands its last cells over to this loop.
+    before its first non-finite image.  Returns the cell's column fields
+    (see ``_fields``).  ``_lockstep_fates`` applies the same rules
+    elementwise and hands its last cells over to this loop.
     """
     isfinite = math.isfinite
     alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
@@ -416,11 +469,11 @@ def _fate_from(
         stalled = abs(x1 - x) < step_tol and abs(y1 - y) < step_tol
         x, y = x1, y1
         if x <= radius and y <= radius:  # max() would cost a call per step
-            return _outcome(n, x, y, True, extinction, growth, False, tag)
+            return _fields(n, x, y, True, extinction, growth, False, tag)
         if fp is None:
             if not extinction and y <= y_cap:
                 extinction = True
-                tag = TheoremTag.THM1_II
+                tag = 1  # thm1-ii
         elif not (extinction or growth):
             region = _region(x, y, fp.x, fp.y)
             if region is Region.OMEGA1:
@@ -441,35 +494,61 @@ def _fate_from(
             checkpoint_x = 2.0 * x
 
         if stalled:
-            return _outcome(n, x, y, False, extinction, growth, True, tag)
-    return _outcome(n, x, y, False, extinction, growth, False, tag)
+            return _fields(n, x, y, False, extinction, growth, True, tag)
+    return _fields(n, x, y, False, extinction, growth, False, tag)
 
 
-def _outcome(
+def _verdict(ball, extinction, growth, stalled, tag):
+    """The verdict and tag codes of fates that stopped, on bools or bool arrays.
+
+    ``ball``: the origin ball was reached; ``extinction`` and ``growth``:
+    the certificates held; ``stalled``: the orbit went numerically
+    stationary; ``tag``: the certificate's code, 0 for none.  A verdict
+    code indexes ``_VERDICTS`` and a tag code ``_TAGS``.  ``^ True``
+    negates a bool and a bool array alike, where ``not`` and ``~`` do not.
+    """
+    moving = stalled ^ True
+    extinct = ball | (extinction & moving)
+    grows = (extinct ^ True) & growth & moving
+    # no event, or pinned at a numerical fixed point away from the origin
+    # (the float image of (x*, y*)): no asymptotic claim, and no tag
+    undetermined = (extinct | grows) ^ True
+    # a decided fate without a certificate is empirical
+    return grows + 2 * undetermined, (tag + 4 * (tag == 0)) * (undetermined ^ True)
+
+
+def _fields(
     n: int,
     x: float,
     y: float,
-    ball_hit: bool,
-    extinction_proved: bool,
-    growth_proved: bool,
+    ball: bool,
+    extinction: bool,
+    growth: bool,
     stalled: bool,
-    tag: TheoremTag | None,
-) -> TrajectoryOutcome:
-    """The verdict of a fate that stopped at ``(x, y)`` after ``n`` steps.
+    tag: int,
+) -> tuple[int, int, float, float, float, int]:
+    """The column fields of a fate that stopped at ``(x, y)`` after ``n`` steps.
 
-    A growth verdict carries the adult-limit estimate ``y*(1+x)/x`` at
-    ``(x, y)``; for an accepted estimate that is the checkpoint's own value.
+    Returns ``(verdict, iterations, final_x, final_y, estimate, tag)``,
+    the verdict and tag as codes.  A growth verdict carries the
+    adult-limit estimate ``y*(1+x)/x`` at ``(x, y)``; for an accepted
+    estimate that is the checkpoint's own value.  Any other has nan.
     """
-    final = State(x, y)
-    tag = tag or TheoremTag.EMPIRICAL
-    if ball_hit or (extinction_proved and not stalled):
-        return TrajectoryOutcome(Verdict.EXTINCTION, n, final, None, tag)
-    if growth_proved and not stalled:
-        estimate = y * (1.0 + x) / x if x > 0.0 else None
-        return TrajectoryOutcome(Verdict.UNBOUNDED_GROWTH, n, final, estimate, tag)
-    # no event, or pinned at a numerical fixed point away from the
-    # origin (the float image of (x*, y*)): no asymptotic claim
-    return TrajectoryOutcome(Verdict.UNDETERMINED, n, final, None, None)
+    verdict, tag = _verdict(ball, extinction, growth, stalled, tag)
+    estimate = y * (1.0 + x) / x if verdict == 1 and x > 0.0 else math.nan
+    return verdict, n, x, y, estimate, tag
+
+
+def _outcome(verdict: int, n: int, x: float, y: float, estimate: float, tag: int) -> TrajectoryOutcome:
+    """The outcome that the column fields of one cell describe."""
+    return TrajectoryOutcome(
+        _VERDICTS[verdict], n, State(x, y), None if math.isnan(estimate) else estimate, _TAGS[tag]
+    )
+
+
+def _outcomes(columns) -> list[TrajectoryOutcome]:
+    """The outcome of every cell of ``columns``, in cell order."""
+    return [_outcome(*fields) for fields in zip(*(c.tolist() for c in columns))]
 
 
 def classify_fate(
@@ -504,8 +583,8 @@ def classify_fate(
     x, y = s0.x, s0.y
     done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, th.extinction_radius)
     if done:
-        return _outcome(0, x, y, ball, extinction, growth, False, _TAGS[tag])
-    return _fate_from(params, budget, th, y_cap, fp, 0, x, y, _TAGS[tag], extinction, growth, math.nan, 100.0)
+        return _outcome(*_fields(0, x, y, ball, extinction, growth, False, tag))
+    return _outcome(*_fate_from(params, budget, th, y_cap, fp, 0, x, y, tag, extinction, growth, math.nan, 100.0))
 
 
 def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, TrajectoryOutcome]:
@@ -717,7 +796,19 @@ def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundRepo
 # or fewer the scalar loop is the cheaper one.
 LOCKSTEP_CROSSOVER = 85
 
-_TAGS = (None, TheoremTag.THM1_II, TheoremTag.THM2_OMEGA1, TheoremTag.THM2_OMEGA2)
+# a verdict code indexes _VERDICTS and a tag code _TAGS; codes 1-3 name a
+# certificate, and a fate decided without one gets 4, empirical, from _verdict
+_VERDICTS = tuple(Verdict)
+_TAGS = (None, *TheoremTag)
+# the columns of a scan, one entry per cell, in the order of BasinGrid's fields
+_COLUMNS = (
+    ("verdict", "int8"),
+    ("iterations", "int64"),
+    ("final_x", "float64"),
+    ("final_y", "float64"),
+    ("estimate", "float64"),
+    ("tag", "int8"),
+)
 
 
 def _start_certificate(x, y, fp: State | None, y_cap: float, r: float):
@@ -751,16 +842,18 @@ def _lockstep_fates(
     y0: np.ndarray,
     budget: int,
     th: FateThresholds,
-) -> list[TrajectoryOutcome]:
+) -> tuple[np.ndarray, ...]:
     """The fate of every start ``(x0[i], y0[i])``, as ``classify_fate`` gives it.
 
-    The start certificates are settled by ``_start_certificate``, for all
-    starts at once.  The unresolved starts then step together as float64
-    arrays through the same kernel, with the rules of ``_fate_from``
-    applied elementwise.  A finished cell is compacted out and its
-    outcome built then.  Once
+    Returns the ``_COLUMNS``, each with one entry per start.  The start
+    certificates are settled by ``_start_certificate``, for all starts
+    at once.  The unresolved starts then step together as float64 arrays
+    through the same kernel, with the rules of ``_fate_from`` applied
+    elementwise.  A finished cell is compacted out and its fields written
+    into the columns then, by array operations.  Once
     ``LOCKSTEP_CROSSOVER`` or fewer remain, each resumes on
-    ``_fate_from`` from the state it has reached.
+    ``_fate_from`` from the state it has reached, and its fields are
+    written one by one.
     """
     import numpy as np
 
@@ -769,10 +862,12 @@ def _lockstep_fates(
     y_cap = derived_constants(params).y_limit
     r, div_x, step_tol = th.extinction_radius, th.divergence_x, th.step_tol
     est_tol = 0.1 * th.y_limit_tol
-    outcomes: list = [None] * len(x0)
+    columns = tuple(np.empty(len(x0), dtype) for _, dtype in _COLUMNS)
+    verdicts, iterations, final_x, final_y, estimates, tags = columns
+    estimates[:] = np.nan  # only growth verdicts carry an estimate
 
     # the unresolved cells' state, one entry per cell (with the
-    # certificates and tags set below); a tag indexes _TAGS
+    # certificates and tag codes set below)
     idx = np.arange(len(x0))
     x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     est_prev = np.full(len(x0), np.nan)  # nan: no checkpoint yet
@@ -780,28 +875,35 @@ def _lockstep_fates(
     checkpoint_x = np.full(len(x0), 100.0)
 
     def finish(done, ball=None, stalled=None) -> None:
-        """Build the outcomes of the cells in ``done`` at step ``n``, and drop them.
+        """Write the fields of the cells in ``done`` at step ``n``, and drop them.
 
         ``ball`` and ``stalled`` default to all False.
         """
         nonlocal idx, x, y, tag, extinction, growth, est_prev, checkpoint_x
-        count = int(np.count_nonzero(done))
-        flags = ([False] * count if a is None else a[done].tolist() for a in (ball, stalled))
-        rows = zip(*(a[done].tolist() for a in (idx, x, y, extinction, growth, tag)), *flags)
-        for i, xi, yi, e, g, t, b, st in rows:
-            outcomes[i] = _outcome(n, xi, yi, b, e, g, st, _TAGS[t])
+        at, xd, yd = idx[done], x[done], y[done]
+        verdict, tags[at] = _verdict(
+            False if ball is None else ball[done],
+            extinction[done],
+            growth[done],
+            False if stalled is None else stalled[done],
+            tag[done],
+        )
+        verdicts[at], iterations[at], final_x[at], final_y[at] = verdict, n, xd, yd
+        grows = (verdict == 1) & (xd > 0.0)
+        xg = xd[grows]
+        estimates[at[grows]] = yd[grows] * (1.0 + xg) / xg
         keep = ~done
         idx, x, y, tag, extinction, growth, est_prev, checkpoint_x = (
             a[keep] for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x)
         )
 
-    n = 0
-    done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, r)
-    finish(done, ball)
-
     # the steps, as in _fate_from; an image or an estimate may
     # overflow, and an orbit stops before a non-finite image
     with np.errstate(over="ignore", invalid="ignore"):
+        n = 0
+        done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, r)
+        finish(done, ball)
+
         while len(idx) > LOCKSTEP_CROSSOVER and n < budget:
             x1, y1 = _w0_xy(alpha, beta, gamma, mu, x, y)
             # both images are >= 0, so their difference is finite iff both are
@@ -847,8 +949,10 @@ def _lockstep_fates(
     for i, xi, yi, t, e, g, ep, cx in zip(
         *(a.tolist() for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x))
     ):
-        outcomes[i] = _fate_from(params, budget, th, y_cap, fp, n, xi, yi, _TAGS[t], e, g, ep, cx)
-    return outcomes
+        fields = _fate_from(params, budget, th, y_cap, fp, n, xi, yi, t, e, g, ep, cx)
+        for column, value in zip(columns, fields):
+            column[i] = value
+    return columns
 
 
 def _usable_cpus() -> int:
@@ -881,7 +985,8 @@ def basin_scan(
     and never more than there are cells; with one block the scan runs
     in process.  A block steps its unresolved cells together as numpy
     arrays until ``LOCKSTEP_CROSSOVER`` or fewer remain, which finish on
-    the scalar loop.  The result does not depend on the worker count.
+    the scalar loop.  Each block returns its columns, which are joined
+    in block order.  The result does not depend on the worker count.
     A grid holds at most ``MAX_GRID_CELLS`` cells.
     """
     th = _checked(params, budget, thresholds)
@@ -907,7 +1012,7 @@ def basin_scan(
     y0 = np.repeat(np.linspace(y_lo, y_hi, ny), nx)
     pool_size = _pool_size(workers, nx * ny)
     if pool_size == 1:
-        outcomes = _lockstep_fates(params, x0, y0, budget, th)
+        columns = _lockstep_fates(params, x0, y0, budget, th)
     else:
         # imported here, so that importing the package does not load the pool
         from concurrent.futures import ProcessPoolExecutor
@@ -917,13 +1022,6 @@ def basin_scan(
                 pool.submit(_lockstep_fates, params, bx, by, budget, th)
                 for bx, by in zip(np.array_split(x0, pool_size), np.array_split(y0, pool_size))
             ]
-            outcomes = [o for block in blocks for o in block.result()]
+            columns = [np.concatenate(parts) for parts in zip(*(block.result() for block in blocks))]
 
-    return BasinGrid(
-        params=params,
-        x_range=(x_lo, x_hi),
-        y_range=(y_lo, y_hi),
-        nx=nx,
-        ny=ny,
-        cells=tuple(tuple(outcomes[ix::nx]) for ix in range(nx)),
-    )
+    return BasinGrid(params, (x_lo, x_hi), (y_lo, y_hi), nx, ny, *columns)

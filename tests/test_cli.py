@@ -204,6 +204,22 @@ def test_basin_deterministic_across_runs_and_workers(tmp_path, capsys):
     assert all(line.startswith("cells=9 ") for line in tally)
 
 
+@pytest.mark.parametrize("chunk_cells", [1, 5, 7])
+def test_basin_csv_does_not_depend_on_its_chunks(tmp_path, monkeypatch, chunk_cells):
+    # 5 cells per chunk is one y-row of 5 cells, 7 is still one, and 1 cell is less than a row
+    args = [
+        "basin", *SHOWCASE_ARGS,
+        "--x-min", "0", "--x-max", "7", "--y-min", "0", "--y-max", "5",
+        "--nx", "5", "--ny", "4", "--budget", "2000",
+    ]
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    assert main([*args, "--out", str(whole)]) == EXIT_OK
+    monkeypatch.setattr(cli, "_CSV_CHUNK_CELLS", chunk_cells)
+    assert main([*args, "--out", str(chunked)]) == EXIT_OK
+    assert chunked.read_bytes() == whole.read_bytes()
+    assert len(whole.read_text().splitlines()) == 1 + 5 * 4
+
+
 def test_check_passes_on_showcase(capsys):
     code = main(["check", *SHOWCASE_ARGS, "--samples", "2000", "--seed", "7"])
     assert code == EXIT_OK

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -551,6 +553,34 @@ class TestBasinScan:
         assert serial == parallel
         again = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 3, budget=10**4, thresholds=FAST, workers=2)
         assert parallel == again
+
+    def test_views_follow_the_columns(self):
+        grid = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 2, budget=10**4, thresholds=FAST)
+        rows = list(grid.iter_rows())
+        assert [o for _, _, o in rows] == [grid.cells[ix][iy] for iy in range(2) for ix in range(3)]
+        for i, (x0, y0, o) in enumerate(rows):
+            assert (type(x0), type(y0), type(o.iterations_used)) == (float, float, int)
+            assert o.verdict is tuple(Verdict)[grid.verdict[i]]
+            assert o.theorem_tag is (None, *TheoremTag)[grid.tag[i]]
+            assert (o.iterations_used, o.final_state) == (grid.iterations[i], State(grid.final_x[i], grid.final_y[i]))
+            assert (o.y_limit_estimate is None) == bool(np.isnan(grid.estimate[i]))
+
+    def test_grids_that_differ_in_one_cell_compare_unequal(self):
+        grid = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 3, budget=10**4, thresholds=FAST)
+        assert np.isnan(grid.estimate).any()  # nan estimates in the same cells compare equal
+        assert grid == dataclasses.replace(grid, estimate=grid.estimate.copy())
+        iterations = grid.iterations.copy()
+        iterations[4] += 1
+        assert grid != dataclasses.replace(grid, iterations=iterations)
+        assert grid != dataclasses.replace(grid, final_x=-grid.final_x)
+
+    def test_result_holds_about_forty_bytes_per_cell(self):
+        # 34 bytes of columns per cell, and no object per cell until a view is read
+        grid = basin_scan(SHOWCASE, (0.0, 1.0), (0.0, 1.0), 100, 100, budget=1)
+        cells = grid.nx * grid.ny
+        assert sum(c.nbytes for c in grid.columns) <= 40 * cells
+        assert len(pickle.dumps(grid)) <= 40 * cells + 4096
+        assert pickle.loads(pickle.dumps(grid)) == grid
 
     def test_pool_size_is_bounded(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)

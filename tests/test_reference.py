@@ -1,9 +1,10 @@
 """Differential tests: the orbit engines against the reference oracle.
 
 ``basin_scan`` steps its cells in lockstep as numpy arrays and hands
-the last few to the scalar fate loop; ``classify_fate`` settles its one
-start with the same start certificate, on floats, and runs that scalar
-loop.  ``iterate`` steps its own scalar trajectory loop, and
+the last few to the scalar fate loop, filling one column per outcome
+field, from which the outcomes are rebuilt here; ``classify_fate``
+settles its one start with the same start certificate, on floats, and
+runs that scalar loop.  ``iterate`` steps its own scalar trajectory loop, and
 ``simulate`` is the two calls.
 :mod:`reference` keeps the original scalar loops.  Both must agree bit
 for bit (``repr`` tells every double apart, ``-0.0`` included) over both
@@ -200,7 +201,7 @@ def assert_lockstep_matches_reference(params, starts, budget, thresholds=None, c
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(dynamics, "LOCKSTEP_CROSSOVER", crossover)
         warnings.simplefilter("error")  # overflowing starts print no numpy warnings
-        got = dynamics._lockstep_fates(params, x0, y0, budget, th)
+        got = dynamics._outcomes(dynamics._lockstep_fates(params, x0, y0, budget, th))
     assert got == expected
     assert repr(got) == repr(expected)
 
@@ -293,7 +294,7 @@ def assert_certificate_shapes_agree(params, starts, budget, thresholds=None):
     th = thresholds if thresholds is not None else FateThresholds()
     for x, y in starts:
         outcome = classify_fate(params, State(x, y), budget, thresholds)
-        engine = dynamics._lockstep_fates(params, np.array([x]), np.array([y]), budget, th)[0]
+        engine = dynamics._outcomes(dynamics._lockstep_fates(params, np.array([x]), np.array([y]), budget, th))[0]
         assert outcome == engine
         assert repr(outcome) == repr(engine)
 
