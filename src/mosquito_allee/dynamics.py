@@ -592,8 +592,9 @@ def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, Trajec
 
     The two loops run one after the other, so the steps up to the
     verdict are computed twice: from the showcase growth start
-    ``(0.2, 5)`` at budget 1e5, 64,502 of the 164,502 steps, about 20 ms
-    of a 0.19 s CLI run on a 2-CPU Xeon.  Neither loop loads numpy.
+    ``(0.2, 5)`` at budget 1e5, 64,502 of the 164,502 steps: 17-20 ms of
+    a 0.17-0.19 s CLI run (minimum of 20 runs each, pinned to one CPU of
+    a 2-CPU Xeon, Python 3.11).  Neither loop loads numpy.
     """
     return iterate(params, s0, budget), classify_fate(params, s0, budget)
 

@@ -14,11 +14,12 @@ read off the Jacobian
 At the interior point the eigenvalues are ``1 - Lambda`` where Lambda
 solves ``Lambda^2 - (mu + A)*Lambda + A*(mu - B) = 0`` with
 ``A = alpha/(1 + x*)^2`` and ``B = beta*y*(2*gamma + y*)/(gamma + y*)^2``.
-The type can equivalently be decided by comparing ``alpha`` against the
-roots ``alpha_1 >= alpha_2`` of the quadratic whose coefficients come
-from the same discriminant condition; both routes are computed and must
-agree, otherwise an :class:`~mosquito_allee.errors.InternalConsistencyError`
-is raised.
+The type is decided by comparing ``alpha`` against the roots
+``alpha_1 >= alpha_2`` of the quadratic whose coefficients come from the
+same discriminant condition.  It is cross-checked by the trace-determinant
+(Jury) test on the Jacobian's entries, in float arithmetic and without
+numpy; a disagreement away from the tolerance bands raises an
+:class:`~mosquito_allee.errors.InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -35,18 +36,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "Stability",
-    "PointKind",
-    "Regime",
-    "FixedPoint",
-    "JacobianAnalysis",
-    "InteriorClassification",
-    "FixedPointReport",
-    "UNIT_MODULUS_TOL",
-    "interior_fixed_point",
-    "jacobian_at",
-    "alpha_thresholds",
-    "classify_interior",
+    "Stability", "PointKind", "Regime", "FixedPoint", "JacobianAnalysis",
+    "InteriorClassification", "FixedPointReport", "UNIT_MODULUS_TOL",
+    "interior_fixed_point", "jacobian_at", "alpha_thresholds", "classify_interior",
     "find_fixed_points",
 ]
 
@@ -136,16 +128,19 @@ def interior_fixed_point(params: Params) -> State | None:
     return State(gm2 / denom, gamma * mu / (beta - mu))
 
 
+def _jacobian(params: Params, s: State) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The Jacobian ``((1 - a, b), (a, 1 - mu))`` at ``s``, as floats."""
+    a = params.alpha / ((1.0 + s.x) * (1.0 + s.x))
+    gy = params.gamma + s.y
+    return (1.0 - a, params.beta * s.y * (2.0 * params.gamma + s.y) / (gy * gy)), (a, 1.0 - params.mu)
+
+
 def jacobian_at(params: Params, s: State) -> np.ndarray:
     """Jacobian matrix of the restricted map at an arbitrary state."""
     import numpy as np
 
     params.require_analysis_valid()
-    x, y = s.x, s.y
-    a = params.alpha / ((1.0 + x) * (1.0 + x))
-    gy = params.gamma + y
-    birth_slope = params.beta * y * (2.0 * params.gamma + y) / (gy * gy)
-    return np.array([[1.0 - a, birth_slope], [a, 1.0 - params.mu]])
+    return np.array(_jacobian(params, s))
 
 
 def alpha_thresholds(params: Params) -> tuple[float, float] | None:
@@ -178,25 +173,39 @@ def _label_from_moduli(moduli, tol: float) -> Stability:
     return Stability.SADDLE
 
 
+def _jury_test(matrix) -> tuple[Stability, tuple[float, float, float, float]]:
+    """Jury test on a real 2x2 matrix ``J``, ``p(l) = l^2 - tr*l + det``.
+
+    A saddle when ``p(1)*p(-1) < 0``, else attracting when ``|det| < 1``,
+    else repelling.  ``p(1) = 1 - tr + det`` and ``p(-1) = 1 + tr + det``
+    are evaluated as ``det(I - J)`` and ``det(I + J)``, free of cancellation
+    against 1.  Returns the label and ``(tr, det, p(1), p(-1))``.
+    """
+    (m00, m01), (m10, m11) = matrix
+    off = m01 * m10
+    p_plus, p_minus = (1.0 - m00) * (1.0 - m11) - off, (1.0 + m00) * (1.0 + m11) - off
+    det = m00 * m11 - off
+    if p_plus < 0.0 < p_minus or p_minus < 0.0 < p_plus:
+        label = Stability.SADDLE
+    else:
+        label = Stability.ATTRACTING if abs(det) < 1.0 else Stability.REPELLING
+    return label, (m00 + m11, det, p_plus, p_minus)
+
+
 def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> InteriorClassification:
     """Stability type of the interior fixed point, with full diagnostics.
 
     The label is decided by comparing ``alpha`` with the thresholds
-    ``alpha1``/``alpha2`` and cross-checked against the raw eigenvalue
-    moduli of the Jacobian; a disagreement away from the tolerance bands
-    raises an internal consistency error.
+    ``alpha1``/``alpha2`` and cross-checked by the trace-determinant test
+    on the Jacobian; a disagreement away from the tolerance bands raises
+    an internal consistency error.
     """
     fp = interior_fixed_point(params)
     if fp is None:
-        raise ConfigurationError(
-            "no interior fixed point: beta must exceed mu*(1 + gamma*mu/alpha)"
-        )
-    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
-    xs, ys = fp.x, fp.y
-
-    a_quantity = alpha / ((1.0 + xs) * (1.0 + xs))
-    gy = gamma + ys
-    b_quantity = beta * ys * (2.0 * gamma + ys) / (gy * gy)
+        raise ConfigurationError("no interior fixed point: beta must exceed mu*(1 + gamma*mu/alpha)")
+    alpha, mu = params.alpha, params.mu
+    matrix = _jacobian(params, fp)
+    (_, b_quantity), (a_quantity, _) = matrix
 
     # Lambda^2 - (mu + A)*Lambda + A*(mu - B) = 0; the discriminant is
     # rewritten as (mu - A)^2 + 4AB >= 0, so both roots are real.
@@ -228,39 +237,28 @@ def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> Interior
         if alpha1 > 1.0:
             notes.append(
                 "alpha1 exceeds 1, outside the analysis regime for alpha; "
-                "saddle label confirmed by eigenvalue moduli"
+                "saddle label confirmed by the trace-determinant test"
             )
 
-    import numpy as np
-
-    jac = jacobian_at(params, fp)
-    raw_moduli = np.abs(np.linalg.eigvals(jac)).tolist()
-    eigen_label = _label_from_moduli(raw_moduli, tol)
-    near_threshold = min(abs(alpha - alpha1), abs(alpha - alpha2)) <= 10.0 * tol
-    near_unit = any(abs(m - 1.0) <= 10.0 * tol for m in raw_moduli + list(moduli))
-    if near_threshold or near_unit:
-        if eigen_label is not label:
+    jury_label, (tr, det, p_plus, p_minus) = _jury_test(matrix)
+    if jury_label is not label:
+        near_threshold = min(abs(alpha - alpha1), abs(alpha - alpha2)) <= 10.0 * tol
+        if near_threshold or any(abs(m - 1.0) <= 10.0 * tol for m in moduli):
             notes.append(
-                f"threshold label {label.value} vs eigenvalue label {eigen_label.value} "
+                f"threshold label {label.value} vs trace-determinant label {jury_label.value} "
                 "inside the tolerance band; threshold label kept"
             )
-    elif eigen_label is not label:
-        raise InternalConsistencyError(
-            f"stability disagreement at {params}: thresholds give {label.value} "
-            f"(alpha1={alpha1!r}, alpha2={alpha2!r}) but eigenvalue moduli {raw_moduli} "
-            f"give {eigen_label.value}"
-        )
+        else:
+            raise InternalConsistencyError(
+                f"stability disagreement at {params}: thresholds give {label.value} "
+                f"(alpha1={alpha1!r}, alpha2={alpha2!r}) but the trace-determinant test "
+                f"(tr={tr!r}, det={det!r}, p(1)={p_plus!r}, p(-1)={p_minus!r}) "
+                f"gives {jury_label.value}"
+            )
 
     analysis = JacobianAnalysis(
-        matrix=tuple(map(tuple, jac.tolist())),
-        eigenvalues=eigenvalues,
-        moduli=moduli,
-        A=a_quantity,
-        B=b_quantity,
-        Lambda1=lambda1,
-        Lambda2=lambda2,
-        alpha1=alpha1,
-        alpha2=alpha2,
+        matrix=matrix, eigenvalues=eigenvalues, moduli=moduli, A=a_quantity, B=b_quantity,
+        Lambda1=lambda1, Lambda2=lambda2, alpha1=alpha1, alpha2=alpha2,
     )
     return InteriorClassification(stability=label, analysis=analysis, notes=tuple(notes))
 

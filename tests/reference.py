@@ -1,9 +1,15 @@
-"""Reference oracle: the scalar ``iterate`` and ``classify_fate`` loops.
+"""Reference oracles: the scalar ``iterate`` and ``classify_fate`` loops,
+and ``classify_interior`` with its ``eigvals`` cross-check.
 
 These are the package's original hand-written loops, one per function,
 kept verbatim so that tests can require the orbit engine in
-:mod:`mosquito_allee.dynamics` to reproduce them bit for bit.  Do not
-edit them to follow the package; they define the expected outputs.
+:mod:`mosquito_allee.dynamics` to reproduce them bit for bit.
+``classify_interior`` is the version that cross-checked its threshold
+label against ``numpy.linalg.eigvals`` of the Jacobian, kept verbatim so
+that tests can require the trace-determinant cross-check in
+:mod:`mosquito_allee.stability` to give the same labels, analyses and
+errors.  Do not edit them to follow the package; they define the
+expected outputs.
 """
 
 from __future__ import annotations
@@ -22,9 +28,18 @@ from mosquito_allee.dynamics import (
     TrajectoryOutcome,
     Verdict,
 )
-from mosquito_allee.errors import ConfigurationError
+from mosquito_allee.errors import ConfigurationError, InternalConsistencyError
 from mosquito_allee.model import Params, State, _w0_xy, derived_constants
-from mosquito_allee.stability import interior_fixed_point
+from mosquito_allee.stability import (
+    UNIT_MODULUS_TOL,
+    InteriorClassification,
+    JacobianAnalysis,
+    Stability,
+    _label_from_moduli,
+    alpha_thresholds,
+    interior_fixed_point,
+    jacobian_at,
+)
 
 
 def iterate(
@@ -214,3 +229,90 @@ def classify_fate(
     if verdict is Verdict.UNDETERMINED:
         tag = None
     return TrajectoryOutcome(verdict, n, final, estimate, tag)
+
+
+def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> InteriorClassification:
+    """Stability type of the interior fixed point, with full diagnostics.
+
+    The label is decided by comparing ``alpha`` with the thresholds
+    ``alpha1``/``alpha2`` and cross-checked against the raw eigenvalue
+    moduli of the Jacobian; a disagreement away from the tolerance bands
+    raises an internal consistency error.
+    """
+    fp = interior_fixed_point(params)
+    if fp is None:
+        raise ConfigurationError(
+            "no interior fixed point: beta must exceed mu*(1 + gamma*mu/alpha)"
+        )
+    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
+    xs, ys = fp.x, fp.y
+
+    a_quantity = alpha / ((1.0 + xs) * (1.0 + xs))
+    gy = gamma + ys
+    b_quantity = beta * ys * (2.0 * gamma + ys) / (gy * gy)
+
+    # Lambda^2 - (mu + A)*Lambda + A*(mu - B) = 0; the discriminant is
+    # rewritten as (mu - A)^2 + 4AB >= 0, so both roots are real.
+    trace_term = mu + a_quantity
+    product_term = a_quantity * (mu - b_quantity)
+    disc = (mu - a_quantity) * (mu - a_quantity) + 4.0 * a_quantity * b_quantity
+    lambda1 = 0.5 * (trace_term + math.sqrt(disc))
+    lambda2 = product_term / lambda1 if lambda1 != 0.0 else 0.5 * (trace_term - math.sqrt(disc))
+
+    eigenvalues = (1.0 - lambda1, 1.0 - lambda2)
+    moduli = (abs(eigenvalues[0]), abs(eigenvalues[1]))
+
+    thresholds = alpha_thresholds(params)
+    if thresholds is None:  # unreachable: existence implies beta > mu
+        raise InternalConsistencyError("interior point exists but beta <= mu")
+    alpha1, alpha2 = thresholds
+
+    notes: list[str] = []
+    if abs(alpha - alpha1) <= tol or abs(alpha - alpha2) <= tol:
+        label = Stability.NON_HYPERBOLIC
+        notes.append(
+            f"alpha within {tol} of a classification threshold "
+            f"(alpha1={alpha1!r}, alpha2={alpha2!r}); label is tolerance-dependent"
+        )
+    elif alpha > alpha1:
+        label = Stability.REPELLING
+    else:
+        label = Stability.SADDLE
+        if alpha1 > 1.0:
+            notes.append(
+                "alpha1 exceeds 1, outside the analysis regime for alpha; "
+                "saddle label confirmed by eigenvalue moduli"
+            )
+
+    import numpy as np
+
+    jac = jacobian_at(params, fp)
+    raw_moduli = np.abs(np.linalg.eigvals(jac)).tolist()
+    eigen_label = _label_from_moduli(raw_moduli, tol)
+    near_threshold = min(abs(alpha - alpha1), abs(alpha - alpha2)) <= 10.0 * tol
+    near_unit = any(abs(m - 1.0) <= 10.0 * tol for m in raw_moduli + list(moduli))
+    if near_threshold or near_unit:
+        if eigen_label is not label:
+            notes.append(
+                f"threshold label {label.value} vs eigenvalue label {eigen_label.value} "
+                "inside the tolerance band; threshold label kept"
+            )
+    elif eigen_label is not label:
+        raise InternalConsistencyError(
+            f"stability disagreement at {params}: thresholds give {label.value} "
+            f"(alpha1={alpha1!r}, alpha2={alpha2!r}) but eigenvalue moduli {raw_moduli} "
+            f"give {eigen_label.value}"
+        )
+
+    analysis = JacobianAnalysis(
+        matrix=tuple(map(tuple, jac.tolist())),
+        eigenvalues=eigenvalues,
+        moduli=moduli,
+        A=a_quantity,
+        B=b_quantity,
+        Lambda1=lambda1,
+        Lambda2=lambda2,
+        alpha1=alpha1,
+        alpha2=alpha2,
+    )
+    return InteriorClassification(stability=label, analysis=analysis, notes=tuple(notes))

@@ -379,8 +379,8 @@ def test_module_entry_point_runs():
 
 
 def test_simulate_leaves_numpy_unloaded(tmp_path):
-    # a fresh interpreter: this one has loaded numpy already. simulate
-    # needs no arrays; fixed-points and basin load numpy when they run
+    # a fresh interpreter: this one has loaded numpy already. simulate and
+    # fixed-points need no arrays; basin loads numpy when it runs
     probe = f"""
 import sys
 from mosquito_allee.cli import main
@@ -390,6 +390,7 @@ for x0, y0 in (("0.2", "5.0"), ("1.0", "1.0")):  # a growth start, then an extin
     assert main(["simulate", *args, "--x0", x0, "--y0", y0, "--budget", "1000", "--out", out]) == 0
 print("numpy" in sys.modules)
 assert main(["fixed-points", *args, "--out", out]) == 0
+print("numpy" in sys.modules)
 grid = ["--x-min", "0", "--x-max", "7", "--y-min", "0", "--y-max", "5", "--nx", "3", "--ny", "3"]
 assert main(["basin", *args, *grid, "--budget", "1000", "--out", out]) == 0
 print("numpy" in sys.modules)
@@ -400,5 +401,6 @@ print("numpy" in sys.modules)
     assert lines[0].startswith("verdict=unbounded ")
     assert lines[1].startswith("verdict=extinction ")
     assert lines[2] == "False"
-    assert lines[3].startswith("cells=9 ")
-    assert lines[4] == "True"
+    assert lines[3] == "False"
+    assert lines[4].startswith("cells=9 ")
+    assert lines[5] == "True"

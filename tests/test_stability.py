@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import reference
 from helpers import REPELLING, SHOWCASE, identity_params, interior_params, origin_only_params, valid_params
 from mosquito_allee import (
     ConfigurationError,
+    InternalConsistencyError,
     Params,
     PointKind,
     Regime,
@@ -20,7 +27,9 @@ from mosquito_allee import (
     jacobian_at,
     step_w0,
 )
-from mosquito_allee.stability import UNIT_MODULUS_TOL, _label_from_moduli
+from mosquito_allee import stability
+from mosquito_allee.cli import report_to_json
+from mosquito_allee.stability import UNIT_MODULUS_TOL, _jury_test, _label_from_moduli
 
 
 def _fd_jacobian(p: Params, s: State, h: float = 1e-6) -> np.ndarray:
@@ -234,3 +243,94 @@ class TestFindFixedPoints:
     def test_requires_analysis_regime(self):
         with pytest.raises(ConfigurationError):
             find_fixed_points(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
+
+
+def _nudged(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.inf if ulps > 0 else 0.0)
+    return value
+
+
+@st.composite
+def _analysis_params(draw) -> Params:
+    """Both regimes; beta within 8 ulps of the existence threshold; alpha
+    within a relative 1e-8 of alpha1 or alpha2.
+
+    alpha2 lies below ``gamma*mu^2/(beta - mu)``, so next to it there is
+    no interior point.  alpha1 stays at most 1 only for mu above 2/3, so
+    its sets draw mu from [0.7, 1] and a small gamma.
+    """
+    kind = draw(st.sampled_from(["regime", "threshold", "alpha1", "alpha2"]))
+    if kind in ("regime", "threshold"):
+        alpha, mu, gamma = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 10.0))
+        threshold = mu * (1.0 + gamma * mu / alpha)  # derived_constants' threshold_beta
+        if kind == "regime":
+            beta = threshold * draw(st.floats(0.2, 4.0))
+        else:
+            beta = _nudged(threshold, draw(st.integers(-8, 8)))
+        return Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu)
+    if kind == "alpha1":
+        mu, gamma = draw(st.floats(0.7, 1.0)), draw(st.floats(1e-3, 0.5))
+    else:
+        mu, gamma = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 10.0))
+    beta = mu * draw(st.floats(1.01, 100.0))
+    alpha1, alpha2 = alpha_thresholds(Params(alpha=1.0, beta=beta, gamma=gamma, mu=mu))
+    target = alpha1 if kind == "alpha1" else alpha2
+    return Params(alpha=target * (1.0 + draw(st.floats(-1e-8, 1e-8))), beta=beta, gamma=gamma, mu=mu)
+
+
+def _outcome(call, *args):
+    """``call(*args)``, or the type of the exception it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:  # the oracle must raise the same type, whatever it is
+        return type(exc)
+
+
+def _fixed_points_json(params: Params):
+    return _outcome(lambda: report_to_json(find_fixed_points(params), params))
+
+
+class TestTraceDeterminantCrossCheck:
+    """The trace-determinant cross-check against the ``eigvals`` one it replaced."""
+
+    @given(params=_analysis_params())
+    def test_matches_the_eigvals_reference(self, params):
+        new = _outcome(classify_interior, params)
+        old = _outcome(reference.classify_interior, params)
+        if isinstance(old, type):
+            assert new is old
+        else:
+            assert (new.stability, new.analysis) == (old.stability, old.analysis)
+        with mock.patch.object(stability, "classify_interior", reference.classify_interior):
+            old_json = _fixed_points_json(params)
+        assert _fixed_points_json(params) == old_json
+
+    @given(params=_analysis_params(), at_fixed_point=st.booleans(), x=st.floats(0.0, 50.0), y=st.floats(0.0, 50.0))
+    def test_agrees_with_eigvals_outside_the_band(self, params, at_fixed_point, x, y):
+        assume(params.alpha <= 1.0)
+        fp = _outcome(interior_fixed_point, params) if at_fixed_point else None
+        jac = jacobian_at(params, fp if isinstance(fp, State) else State(x, y))
+        moduli = np.abs(np.linalg.eigvals(jac)).tolist()
+        assume(all(abs(m - 1.0) > 10.0 * UNIT_MODULUS_TOL for m in moduli))
+        assert _jury_test(jac.tolist())[0] is _label_from_moduli(moduli, UNIT_MODULUS_TOL)
+
+    def test_labels_each_kind(self):
+        assert _jury_test(((0.5, 0.0), (0.0, -0.3)))[0] is Stability.ATTRACTING
+        assert _jury_test(((0.5, 0.0), (0.0, 1.5)))[0] is Stability.SADDLE
+        assert _jury_test(((0.5, 0.0), (0.0, -1.5)))[0] is Stability.SADDLE
+        assert _jury_test(((2.0, 0.0), (0.0, 3.0)))[0] is Stability.REPELLING
+        assert _jury_test(((-2.0, 0.0), (0.0, 3.0)))[0] is Stability.REPELLING
+
+    def test_disagreement_names_the_trace_determinant_terms(self):
+        # a threshold label that the Jacobian contradicts, away from every band
+        with mock.patch.object(stability, "alpha_thresholds", return_value=(0.5, 0.1)):
+            with pytest.raises(InternalConsistencyError, match=r"tr=.*det=.*p\(1\)=.*p\(-1\)="):
+                classify_interior(SHOWCASE)
+
+    def test_disagreement_inside_the_band_is_a_note(self):
+        # alpha just above a patched alpha1 reads repelling; the Jacobian says saddle
+        with mock.patch.object(stability, "alpha_thresholds", return_value=(SHOWCASE.alpha - 5e-9, 0.1)):
+            result = classify_interior(SHOWCASE)
+        assert result.stability is Stability.REPELLING
+        assert any("trace-determinant label saddle" in note for note in result.notes)
