@@ -336,6 +336,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, DomainError, InternalConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as exc:
+        # e.g. mu*mu or (gamma + y)^2 underflowing to 0 and then divided by
+        print(f"error: a quantity derived from these parameters is outside float64 range ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

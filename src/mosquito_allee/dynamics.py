@@ -36,29 +36,25 @@ copy of its arithmetic in the same operation order, so their images are
 the kernel's, bit for bit.  ``simulate`` is ``iterate`` then
 ``classify_fate``, so it steps the orbit up to the verdict twice.
 
-A start's certificate is written once, in ``_start_certificate``, which
-works on floats and on float64 arrays alike.  ``classify_fate`` settles
-its one start with it and steps on ``_fate_from``, so the single-orbit
-path never loads numpy.  ``basin_scan``'s engine, ``_lockstep_fates``,
-settles every start at once with it, then steps the unresolved cells
-together as float64 arrays through the kernel, applying the fate rules
-elementwise; numpy's ``+ - * /`` round exactly as Python's float
-operations do, so every cell's outcome is ``classify_fate``'s, bit for
-bit.  A lockstep step costs about the same whether it carries one cell
-or hundreds, about 85 times a scalar step, so once
-``LOCKSTEP_CROSSOVER`` cells or fewer remain they resume on
-``_fate_from`` from the state they have reached.  numpy is imported
-inside the functions that use arrays.
+Each fate rule is written once, on floats and float64 arrays alike:
+the Omega1/Omega2 test in ``_regions``, the certificate a reached state
+earns in ``_certify``, the rules of a start alone in
+``_start_certificate``, the adult-limit estimate in ``_estimate`` and
+the verdict in ``_verdict``.  ``membership``, ``check_invariance`` and
+both fate engines call them; the engines write only the stepping.
+``classify_fate`` steps its start on ``_fate_from``, without numpy.
+``basin_scan``'s engine, ``_lockstep_fates``, steps the unresolved
+cells together as float64 arrays through the kernel; numpy's
+``+ - * /`` round as Python's float operations do, so every cell's
+outcome is ``classify_fate``'s, bit for bit.  A lockstep step costs
+about 85 scalar steps whether it carries one cell or hundreds, so the
+last ``LOCKSTEP_CROSSOVER`` cells resume on ``_fate_from``.
 
 A scan's result is columnar: the engine fills one preallocated array
 per outcome field (``verdict`` and ``tag`` as int8 codes,
 ``iterations``, ``final_x``, ``final_y``, and ``estimate`` with nan for
-none), 34 bytes a cell.  Cells that finish in lockstep are written by
-array operations; a cell handed to ``_fate_from`` writes the fields that
-loop returns.  The verdict rules are written once, in ``_verdict``, on
-bools or bool arrays; ``classify_fate`` turns its one start's fields
-into a ``TrajectoryOutcome``.  A ``BasinGrid`` holds the columns, and
-builds outcome objects only when ``cells`` or ``iter_rows`` is read.
+none), 34 bytes a cell.  A ``BasinGrid`` holds the columns, and builds
+outcome objects only when ``cells`` or ``iter_rows`` is read.
 """
 
 from __future__ import annotations
@@ -394,15 +390,16 @@ def iterate(
     )
 
 
-def _region(x: float, y: float, xs: float, ys: float) -> Region:
-    # boundaries belong to the regions; only the fixed point is excluded
-    if x == xs and y == ys:
-        return Region.IS_FIXED_POINT
-    if x <= xs and y <= ys:
-        return Region.OMEGA1
-    if x >= xs and y >= ys:
-        return Region.OMEGA2
-    return Region.OUTSIDE
+def _regions(x, y, fp: State):
+    """``(in_omega1, in_omega2)`` for ``(x, y)``, on floats or float64 arrays.
+
+    Theorem 2's ``[0, x*] x [0, y*]`` and ``[x*, inf) x [y*, inf)``, by
+    exact comparisons with ``fp``: boundaries belong to the regions and
+    ``(x*, y*)`` to neither.  A state is never negative, so the box's
+    lower bounds are not tested.
+    """
+    off_fp = (x != fp.x) | (y != fp.y)
+    return off_fp & (x <= fp.x) & (y <= fp.y), off_fp & (x >= fp.x) & (y >= fp.y)
 
 
 def _require_interior(params: Params) -> State:
@@ -423,7 +420,35 @@ def membership(params: Params, s: State) -> Region:
     separately.
     """
     fp = _require_interior(params)
-    return _region(s.x, s.y, fp.x, fp.y)
+    in_omega1, in_omega2 = _regions(s.x, s.y, fp)
+    if in_omega1:
+        return Region.OMEGA1
+    if in_omega2:
+        return Region.OMEGA2
+    return Region.IS_FIXED_POINT if s == fp else Region.OUTSIDE
+
+
+def _certify(x, y, fp: State | None, y_cap: float, extinction, growth, tag):
+    """The certificates after a state ``(x, y)`` is reached, on floats or float64 arrays.
+
+    Returns ``(extinction, growth, tag)`` updated from their values
+    before it.  With no interior fixed point (``fp`` None), a cell
+    without the extinction certificate gets it at ``y <= y_cap`` with tag
+    code 1 (Theorem 1(ii)).  Otherwise a cell with neither certificate
+    gets the one of the region of ``_regions`` it is in, and keeps its
+    tag.
+    """
+    if fp is None:
+        new = (extinction ^ True) & (y <= y_cap)
+        return extinction | new, growth, tag + new * (1 - tag)
+    open_ = (extinction | growth) ^ True
+    in_omega1, in_omega2 = _regions(x, y, fp)
+    return extinction | (open_ & in_omega1), growth | (open_ & in_omega2), tag
+
+
+def _estimate(x, y):
+    """The adult-limit estimate ``y*(1+x)/x`` at ``(x, y)``, on floats or float64 arrays."""
+    return y * (1.0 + x) / x
 
 
 def _fate_from(
@@ -441,16 +466,16 @@ def _fate_from(
     est_prev: float,
     checkpoint_x: float,
 ) -> tuple[int, int, float, float, float, int]:
-    """The fate rules of :func:`classify_fate`, in their one scalar form.
+    """The scalar fate loop of :func:`classify_fate`.
 
     Steps a cell on from its state after ``n`` steps at ``(x, y)``, with
-    the certificates and tag code reached so far, the last estimate checkpoint
-    ``est_prev`` (nan before the first, which no estimate is within
-    tolerance of) and the ``x`` at which the next one falls, until the
-    verdict is final or ``budget`` steps are reached.  The orbit stops
-    before its first non-finite image.  Returns the cell's column fields
-    (see ``_fields``).  ``_lockstep_fates`` applies the same rules
-    elementwise and hands its last cells over to this loop.
+    the certificates and tag code reached so far, the last estimate
+    checkpoint ``est_prev`` (nan before the first, which no estimate is
+    within tolerance of) and the ``x`` at which the next one falls, until
+    the verdict is final or ``budget`` steps are reached.  The stepping is
+    written here; ``_certify`` is called only while a certificate is
+    missing.  Returns the cell's column fields (see ``_fields``).
+    ``_lockstep_fates`` steps the same way, elementwise.
     """
     isfinite = math.isfinite
     alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
@@ -470,16 +495,9 @@ def _fate_from(
         x, y = x1, y1
         if x <= radius and y <= radius:  # max() would cost a call per step
             return _fields(n, x, y, True, extinction, growth, False, tag)
-        if fp is None:
-            if not extinction and y <= y_cap:
-                extinction = True
-                tag = 1  # thm1-ii
-        elif not (extinction or growth):
-            region = _region(x, y, fp.x, fp.y)
-            if region is Region.OMEGA1:
-                extinction = True
-            elif region is Region.OMEGA2:
-                growth = True
+        # a certified orbit pays no call
+        if not extinction and (fp is None or not growth):
+            extinction, growth, tag = _certify(x, y, fp, y_cap, extinction, growth, tag)
         if not growth and x > divergence_x:
             growth = True
 
@@ -487,7 +505,7 @@ def _fate_from(
             # estimator error scales as 1/x^2, so checkpoints are spaced
             # by x-doubling; accept once one doubling moves the estimate
             # by less than a tenth of the tolerance
-            est = y * (1.0 + x) / x
+            est = _estimate(x, y)
             if abs(est - est_prev) <= est_tol:
                 break  # the outcome reports est, the inversion at the final state
             est_prev = est
@@ -535,7 +553,7 @@ def _fields(
     estimate that is the checkpoint's own value.  Any other has nan.
     """
     verdict, tag = _verdict(ball, extinction, growth, stalled, tag)
-    estimate = y * (1.0 + x) / x if verdict == 1 and x > 0.0 else math.nan
+    estimate = _estimate(x, y) if verdict == 1 and x > 0.0 else math.nan
     return verdict, n, x, y, estimate, tag
 
 
@@ -571,11 +589,10 @@ def classify_fate(
     that go numerically stationary away from the origin (which only
     happens within rounding distance of the fixed point).
 
-    The start's certificate comes from ``_start_certificate`` and the
-    orbit then steps on the scalar fate loop ``_fate_from``: the two
-    functions ``basin_scan``'s engine settles its starts with and hands
-    its last cells to, so a start's outcome is the same here and in a
-    scan, bit for bit.  No numpy is loaded.
+    The start is settled by ``_start_certificate`` and steps on
+    ``_fate_from``, as a cell of ``basin_scan`` is and does, so a start's
+    outcome is the same here and in a scan, bit for bit.  No numpy is
+    loaded.
     """
     th = _checked(params, budget, thresholds)
     fp = interior_fixed_point(params)
@@ -655,11 +672,9 @@ def check_invariance(
     if not (np.isfinite(x1).all() and np.isfinite(y1).all()):
         # a float64 limit, not a counterexample: a State cannot hold inf
         raise ConfigurationError(f"sampling span {span} overflows the map's float64 images; use a smaller span")
-    if region is Region.OMEGA1:
-        inside = (x1 >= 0.0) & (x1 <= xs) & (y1 >= 0.0) & (y1 <= ys)
-    else:
-        inside = (x1 >= xs) & (y1 >= ys)
-    inside &= ~((x1 == xs) & (y1 == ys))
+    in_omega1, in_omega2 = _regions(x1, y1, fp)
+    # an image is not a State, so Omega1's quadrant bounds are tested too
+    inside = in_omega1 & (x1 >= 0.0) & (y1 >= 0.0) if region is Region.OMEGA1 else in_omega2
 
     escapes = int(np.count_nonzero(~inside))
     counterexample = None
@@ -818,22 +833,18 @@ def _start_certificate(x, y, fp: State | None, y_cap: float, r: float):
     Returns ``(done, ball, extinction, growth, tag)``: ``done`` when the
     verdict is final before any step, ``ball`` when that is because the
     start lies in the origin ball of radius ``r``, the two certificates,
-    and ``tag``, an index into ``_TAGS``.  Only comparisons, ``&``, ``|``
-    and integer arithmetic are used, so a float start and an array of
-    starts are settled by the same lines.
+    and ``tag``, an index into ``_TAGS``.  The certificates are
+    ``_certify``'s from none; the rules that hold only at a start (the
+    ball, the fixed point, tags 2 and 3) are written here.
     """
     ball = (x <= r) & (y <= r)
+    uncertified = ball & False  # False in the start's shape
+    extinction, growth, tag = _certify(x, y, fp, y_cap, uncertified, uncertified, 0 * ball)
     if fp is None:
-        extinction = y <= y_cap
-        tag = 1 * extinction
-        # no start has a growth certificate here; tag == 3 is False in the start's shape
-        return ball, ball, extinction, tag == 3, tag
+        return ball, ball, extinction, growth, tag
     at_fp = (x == fp.x) & (y == fp.y)
-    off_fp = (x != fp.x) | (y != fp.y)
-    extinction = off_fp & (x <= fp.x) & (y <= fp.y)
-    growth = off_fp & (x >= fp.x) & (y >= fp.y)
     # a start at the fixed point is undetermined, even inside the origin ball
-    ball = ball & off_fp
+    ball = ball & (at_fp ^ True)
     return ball | at_fp, ball, extinction, growth, 2 * extinction + 3 * growth
 
 
@@ -846,15 +857,13 @@ def _lockstep_fates(
 ) -> tuple[np.ndarray, ...]:
     """The fate of every start ``(x0[i], y0[i])``, as ``classify_fate`` gives it.
 
-    Returns the ``_COLUMNS``, each with one entry per start.  The start
-    certificates are settled by ``_start_certificate``, for all starts
-    at once.  The unresolved starts then step together as float64 arrays
-    through the same kernel, with the rules of ``_fate_from`` applied
-    elementwise.  A finished cell is compacted out and its fields written
-    into the columns then, by array operations.  Once
-    ``LOCKSTEP_CROSSOVER`` or fewer remain, each resumes on
-    ``_fate_from`` from the state it has reached, and its fields are
-    written one by one.
+    Returns the ``_COLUMNS``, each with one entry per start.  Every start
+    is settled at once by ``_start_certificate``.  The unresolved ones
+    then step together as float64 arrays, ``_fate_from``'s stepping
+    written elementwise around the same ``_certify`` and ``_estimate``.
+    A finished cell is compacted out and its fields written into the
+    columns then.  Once ``LOCKSTEP_CROSSOVER`` or fewer remain, each
+    resumes on ``_fate_from`` from the state it has reached.
     """
     import numpy as np
 
@@ -891,8 +900,7 @@ def _lockstep_fates(
         )
         verdicts[at], iterations[at], final_x[at], final_y[at] = verdict, n, xd, yd
         grows = (verdict == 1) & (xd > 0.0)
-        xg = xd[grows]
-        estimates[at[grows]] = yd[grows] * (1.0 + xg) / xg
+        estimates[at[grows]] = _estimate(xd[grows], yd[grows])
         keep = ~done
         idx, x, y, tag, extinction, growth, est_prev, checkpoint_x = (
             a[keep] for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x)
@@ -917,17 +925,9 @@ def _lockstep_fates(
             x, y = x1, y1
 
             ball = np.maximum(x, y) <= r
-            if fp is None:
-                if not extinction.all():
-                    new = ~ball & ~extinction & (y <= y_cap)
-                    tag[new] = 1
-                    extinction |= new
-            else:
-                open_ = ~(extinction | growth)
-                if open_.any():
-                    open_ &= (x != fp.x) | (y != fp.y)
-                    extinction |= open_ & (x <= fp.x) & (y <= fp.y)
-                    growth |= open_ & (x >= fp.x) & (y >= fp.y)
+            # only while a cell lacks a certificate; a cell in the ball keeps its tag
+            if not (extinction if fp is None else extinction | growth).all():
+                extinction, growth, tag = _certify(x, y, fp, y_cap, extinction | ball, growth, tag)
             growth |= x > div_x
 
             stalled = displacement < step_tol
@@ -935,7 +935,7 @@ def _lockstep_fates(
             checkpoint = growth & (x >= checkpoint_x)
             if checkpoint.any():
                 xc = x[checkpoint]
-                est = y[checkpoint] * (1.0 + xc) / xc
+                est = _estimate(xc, y[checkpoint])
                 accepted = np.zeros(len(x), dtype=bool)
                 accepted[checkpoint] = np.abs(est - est_prev[checkpoint]) <= est_tol
                 est_prev[checkpoint] = est

@@ -1,9 +1,15 @@
 """Reference oracles: the scalar ``iterate`` and ``classify_fate`` loops,
-and ``classify_interior`` with its ``eigvals`` cross-check.
+``check_invariance`` with its own region test, and ``classify_interior``
+with its ``eigvals`` cross-check.
 
 These are the package's original hand-written loops, one per function,
 kept verbatim so that tests can require the orbit engine in
 :mod:`mosquito_allee.dynamics` to reproduce them bit for bit.
+``certify_step`` is ``classify_fate``'s per-step certificate rules,
+lifted out of its loop unchanged, for tests of the package's one shared
+form of them.  ``check_invariance`` is the version that wrote its own
+Omega1/Omega2 inside-test, kept verbatim so that tests can require the
+package's, which uses the shared region test, to give the same reports.
 ``classify_interior`` is the version that cross-checked its threshold
 label against ``numpy.linalg.eigvals`` of the Jacobian, kept verbatim so
 that tests can require the trace-determinant cross-check in
@@ -21,12 +27,15 @@ from mosquito_allee.dynamics import (
     DEFAULT_BUDGET,
     TRAJECTORY_WINDOW,
     FateThresholds,
+    InvarianceReport,
     Region,
     Termination,
     TheoremTag,
     Trajectory,
     TrajectoryOutcome,
     Verdict,
+    _require_interior,
+    _require_sampling,
 )
 from mosquito_allee.errors import ConfigurationError, InternalConsistencyError
 from mosquito_allee.model import Params, State, _w0_xy, derived_constants
@@ -229,6 +238,81 @@ def classify_fate(
     if verdict is Verdict.UNDETERMINED:
         tag = None
     return TrajectoryOutcome(verdict, n, final, estimate, tag)
+
+
+def certify_step(x, y, fp, y_cap, extinction_proved, growth_proved, tag):
+    """The certificate rules of one step of :func:`classify_fate`, as written in its loop."""
+    if fp is None:
+        if not extinction_proved and y <= y_cap:
+            extinction_proved = True
+            tag = TheoremTag.THM1_II
+    elif not (extinction_proved or growth_proved):
+        region = _region(x, y, fp.x, fp.y)
+        if region is Region.OMEGA1:
+            extinction_proved = True
+        elif region is Region.OMEGA2:
+            growth_proved = True
+    return extinction_proved, growth_proved, tag
+
+
+def check_invariance(
+    params: Params,
+    region: Region,
+    samples: int,
+    seed: int,
+    span: float | None = None,
+) -> InvarianceReport:
+    """Sample a region uniformly and verify one step stays inside.
+
+    ``Omega2`` is unbounded, so it is sampled on the window
+    ``[x*, x*+span] x [y*, y*+span]`` (default span ``10*max(x*, y*)``);
+    invariance of the map does not depend on the window.  Returns the
+    escape count and the first counterexample, if any.  At most
+    ``MAX_SAMPLES`` samples; the seed must be nonnegative.  A span so
+    large that an image overflows float64 is a ``ConfigurationError``.
+    """
+    fp = _require_interior(params)
+    if region not in (Region.OMEGA1, Region.OMEGA2):
+        raise ConfigurationError(f"invariance is defined for omega1/omega2, got {region}")
+    _require_sampling(samples, seed)
+    xs, ys = fp.x, fp.y
+    if span is None:
+        span = 10.0 * max(xs, ys)
+    if not (math.isfinite(span) and span > 0.0):
+        raise ConfigurationError(f"sampling span must be positive and finite, got {span}")
+
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    if region is Region.OMEGA1:
+        x0 = rng.uniform(0.0, xs, samples)
+        y0 = rng.uniform(0.0, ys, samples)
+    else:
+        x0 = xs + rng.uniform(0.0, span, samples)
+        y0 = ys + rng.uniform(0.0, span, samples)
+    at_fp = (x0 == xs) & (y0 == ys)
+    if at_fp.any():  # measure-zero draw; the fixed point is not in the region
+        # move it along x into the region sampled: down into Omega1, up into Omega2
+        moved = 0.5 * xs if region is Region.OMEGA1 else np.nextafter(xs, np.inf)
+        x0 = np.where(at_fp, moved, x0)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x0, y0)
+    if not (np.isfinite(x1).all() and np.isfinite(y1).all()):
+        # a float64 limit, not a counterexample: a State cannot hold inf
+        raise ConfigurationError(f"sampling span {span} overflows the map's float64 images; use a smaller span")
+    if region is Region.OMEGA1:
+        inside = (x1 >= 0.0) & (x1 <= xs) & (y1 >= 0.0) & (y1 <= ys)
+    else:
+        inside = (x1 >= xs) & (y1 >= ys)
+    inside &= ~((x1 == xs) & (y1 == ys))
+
+    escapes = int(np.count_nonzero(~inside))
+    counterexample = None
+    if escapes:
+        i = int(np.argmax(~inside))
+        counterexample = (State(float(x0[i]), float(y0[i])), State(float(x1[i]), float(y1[i])))
+    return InvarianceReport(region=region, samples=samples, escapes=escapes, counterexample=counterexample)
 
 
 def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> InteriorClassification:

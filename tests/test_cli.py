@@ -361,6 +361,31 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "exceed the maximum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # mu*mu underflows to 0 in derived_constants, which every command reaches
+            ["fixed-points", "--alpha", "0.5", "--beta", "0.9", "--gamma", "1", "--mu", "1e-200"],
+            ["simulate", "--alpha", "0.5", "--beta", "0.9", "--gamma", "1", "--mu", "1e-200", "--x0", "1", "--y0", "1"],
+            ["check", "--alpha", "0.5", "--beta", "0.9", "--gamma", "1", "--mu", "1e-200", "--samples", "10"],
+            [
+                "basin", "--alpha", "0.5", "--beta", "0.9", "--gamma", "1", "--mu", "1e-200",
+                "--x-min", "0", "--x-max", "1", "--y-min", "0", "--y-max", "1", "--nx", "2", "--ny", "2",
+            ],
+            # (gamma + y*)^2 underflows to 0 in the Jacobian
+            ["fixed-points", "--alpha", "0.5", "--beta", "0.9", "--gamma", "1e-170", "--mu", "0.4"],
+            # alpha1 comes out as 0, and alpha2 divides by it
+            ["fixed-points", "--alpha", "0.5", "--beta", "1.7e308", "--gamma", "1e-20", "--mu", "1"],
+        ],
+        ids=["fixed-points-mu", "simulate-mu", "check-mu", "basin-mu", "fixed-points-gamma", "fixed-points-beta"],
+    )
+    def test_float64_range_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "outside float64 range" in line
+
     def test_unwritable_output_path(self, capsys):
         code = main(["fixed-points", *SHOWCASE_ARGS, "--out", "/nonexistent-dir/report.json"])
         assert code == EXIT_IO

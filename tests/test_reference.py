@@ -14,10 +14,21 @@ rule's threshold; ``iterate``, ``classify_fate`` and the lockstep engine
 also under threshold overrides.  ``classify_fate`` and the engine on a
 one-start array must agree too, at the start certificate's boundaries.
 The package calls must emit no numpy warnings.
+
+Each fate rule is one function that both engines call, on floats and
+on arrays: the region test ``_regions``, the certificate update
+``_certify`` and the estimate ``_estimate``.  ``_regions`` and
+``_certify`` must give the same answers on a float and on a one-element
+array, from every prior certificate state, at the states where their
+comparisons turn, and the answers of the oracle's ``_region`` and
+per-step rules.  ``check_invariance``, which tests its images with
+``_regions``, must give the oracle's reports, under kernels that make
+images leave each region across each of its boundaries.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -30,15 +41,19 @@ import reference
 from helpers import SHOWCASE, interior_params, origin_only_params
 from mosquito_allee import (
     ConfigurationError,
+    DomainError,
     FateThresholds,
     Params,
+    Region,
     State,
     basin_scan,
+    check_invariance,
     classify_fate,
     derived_constants,
     dynamics,
     interior_fixed_point,
     iterate,
+    model,
     simulate,
 )
 from mosquito_allee.dynamics import LOCKSTEP_CROSSOVER
@@ -254,6 +269,10 @@ SLOW_FIXED_POINT = Params(
         # from x = 0, y1 = (1 - mu)*y0 = 1.6 = alpha/mu exactly
         pytest.param(Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.5), (0.0, 3.2), 1, None, id="thm1-ii-at-cap"),
         pytest.param(SLOW_FIXED_POINT, (166.0, 0.0), 100, FateThresholds(divergence_x=100.0), id="omega1-after-growth"),
+        # no interior point: x passes divergence_x at step 1, and y <= alpha/mu still certifies extinction later
+        pytest.param(
+            Params(alpha=0.8, beta=0.7, gamma=2.0, mu=0.4), (1.0, 1e10), 100, None, id="thm1-ii-after-growth"
+        ),
         # x1 equals divergence_x; (x1, y1) lies outside both regions
         pytest.param(SHOWCASE, (200.0, 0.0), 1, FateThresholds(divergence_x=199.20398009950247), id="x-at-divergence"),
         # x1 = 100.0 exactly, the first estimate checkpoint
@@ -311,6 +330,16 @@ def _ulps(v):
     return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
 
 
+def _rule_points(params):
+    """The states at which the comparisons of the certificate rules turn."""
+    fp = interior_fixed_point(params)
+    if fp is None:  # y == alpha/mu certifies extinction, one ulp above does not
+        y_cap = derived_constants(params).y_limit
+        return [(x, y) for x in (0.0, 1.0) for y in (y_cap, math.nextafter(y_cap, math.inf))]
+    # (x*, y*), its eight neighbours, and the regions' corners on the axes
+    return [(x, y) for x in _ulps(fp.x) for y in _ulps(fp.y)] + [(fp.x, 0.0), (0.0, fp.y)]
+
+
 @pytest.mark.parametrize("thresholds", [None, FateThresholds(extinction_radius=5.0)], ids=["radius-1e-9", "radius-5"])
 @pytest.mark.parametrize(
     "params",
@@ -321,11 +350,85 @@ def test_start_certificate_agrees_at_its_boundaries(params, thresholds):
     r = (thresholds or FateThresholds()).extinction_radius
     r_up = math.nextafter(r, math.inf)
     starts = [(r, r), (r_up, r), (r, r_up), (r_up, r_up)]
+    assert_certificate_shapes_agree(params, starts + _rule_points(params), 2000, thresholds)
+
+
+RULE_PARAMS = [SHOWCASE, TINY_FIXED_POINT, SLOW_FIXED_POINT, Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.5)]
+RULE_IDS = ["showcase", "tiny-fixed-point", "slow-fixed-point", "origin-only"]
+
+
+@pytest.mark.parametrize("params", RULE_PARAMS, ids=RULE_IDS)
+def test_shared_rules_agree_on_floats_arrays_and_the_oracle(params):
+    # every prior (extinction, growth, tag code), reachable or not
+    priors = list(itertools.product((False, True), (False, True), range(4)))
     fp = interior_fixed_point(params)
-    if fp is None:  # y == alpha/mu certifies extinction, one ulp above does not
-        y_cap = derived_constants(params).y_limit
-        starts += [(x, y) for x in (0.0, 1.0) for y in (y_cap, math.nextafter(y_cap, math.inf))]
-    else:  # (x*, y*), its eight neighbours, and the regions' corners on the axes
-        starts += [(x, y) for x in _ulps(fp.x) for y in _ulps(fp.y)]
-        starts += [(fp.x, 0.0), (0.0, fp.y)]
-    assert_certificate_shapes_agree(params, starts, 2000, thresholds)
+    y_cap = derived_constants(params).y_limit
+    for x, y in _rule_points(params):
+        xa, ya = np.array([x]), np.array([y])
+        if fp is not None:
+            regions = dynamics._regions(x, y, fp)
+            region = reference._region(x, y, fp.x, fp.y)
+            assert regions == (region is Region.OMEGA1, region is Region.OMEGA2)
+            assert [type(v) for v in regions] == [bool, bool]
+            assert [a.tolist() for a in dynamics._regions(xa, ya, fp)] == [[v] for v in regions]
+        for extinction, growth, tag in priors:
+            got = dynamics._certify(x, y, fp, y_cap, extinction, growth, tag)
+            assert [type(v) for v in got] == [bool, bool, int]
+            arrays = dynamics._certify(xa, ya, fp, y_cap, np.array([extinction]), np.array([growth]), np.array([tag]))
+            assert [a.tolist() for a in arrays] == [[v] for v in got]
+            expected = reference.certify_step(x, y, fp, y_cap, extinction, growth, dynamics._TAGS[tag])
+            assert (got[0], got[1], dynamics._TAGS[got[2]]) == expected
+
+
+def _scaled(sx, sy):
+    """The restricted map with its images scaled by ``sx`` and ``sy``."""
+
+    def kernel(alpha, beta, gamma, mu, x, y):
+        x1, y1 = model._w0_xy(alpha, beta, gamma, mu, x, y)
+        return sx * x1, sy * y1
+
+    return kernel
+
+
+def _onto_fixed_point(alpha, beta, gamma, mu, x, y):
+    fp = interior_fixed_point(Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu))
+    return np.full_like(x, fp.x), np.full_like(y, fp.y)
+
+
+# kernels patched in for the map; all but "map" and "identity" move images out of a region
+KERNELS = {
+    "map": model._w0_xy,
+    "x-up": _scaled(2.0, 1.0),
+    "y-up": _scaled(1.0, 2.0),
+    "x-down": _scaled(0.5, 1.0),
+    "y-down": _scaled(1.0, 0.5),
+    "identity": lambda alpha, beta, gamma, mu, x, y: (x, y),
+    "onto-fixed-point": _onto_fixed_point,
+    "below-the-quadrant": lambda alpha, beta, gamma, mu, x, y: (x - 1.0, y - 1.0),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+@pytest.mark.parametrize("params", RULE_PARAMS[:3], ids=RULE_IDS[:3])  # those with an interior point
+def test_check_invariance_matches_reference(params, kernel, monkeypatch):
+    monkeypatch.setattr(dynamics, "_w0_xy", kernel)
+    monkeypatch.setattr(reference, "_w0_xy", kernel)
+    for seed in range(3):
+        for region, span in ((Region.OMEGA1, None), (Region.OMEGA2, None), (Region.OMEGA2, 1.0)):
+            got, expected = (
+                _report_or_error(check, params, region, 500, seed, span)
+                for check in (check_invariance, reference.check_invariance)
+            )
+            assert got == expected
+
+
+def _report_or_error(check, *args):
+    """``repr`` of the report, or the type and message of the error raised.
+
+    A counterexample with a negative image cannot be held in a ``State``,
+    so it ends the check with a ``DomainError``.
+    """
+    try:
+        return repr(check(*args))
+    except DomainError as exc:
+        return type(exc), str(exc)
