@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -188,15 +187,20 @@ def report_from_dict(payload: dict) -> FixedPointReport:
 
 
 def report_to_json(report: FixedPointReport, params: Params) -> str:
+    import json
+
     return json.dumps(report_to_dict(report, params), indent=2) + "\n"
 
 
 def report_from_json(text: str) -> FixedPointReport:
+    import json
+
     return report_from_dict(json.loads(text))
 
 
 def trajectory_to_csv(trajectory: Trajectory) -> str:
-    rows = (f"{i},{_fmt(s.x)},{_fmt(s.y)}\n" for i, s in zip(trajectory.indices, trajectory.points))
+    # a State holds floats, so this is _fmt's text without its two calls a row
+    rows = (f"{i},{s.x:.17g},{s.y:.17g}\n" for i, s in zip(trajectory.indices, trajectory.points))
     return "n,x,y\n" + "".join(rows)
 
 
@@ -206,6 +210,8 @@ def _cmd_simulate(params: Params, args) -> int:
     if args.format == "csv":
         _write_text(args.out, trajectory_to_csv(trajectory))
     else:
+        import json
+
         rows = [
             {"n": i, "x": s.x, "y": s.y}
             for i, s in zip(trajectory.indices, trajectory.points)

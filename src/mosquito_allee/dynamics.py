@@ -27,21 +27,25 @@ inversion converges to ``alpha/mu`` quadratically in ``1/x``.  The
 estimate is accepted once consecutive doubling checkpoints agree to a
 tenth of the reporting tolerance.
 
-Single orbits step on scalar loops, one loop per question, each keeping
-its state in locals while it steps: the fate rules in ``_fate_from``,
-the recorded orbit in ``iterate``, and the monotone tail in
-``monotonicity_probe``.  The map is the kernel ``model._w0_xy``; the two
-loops a workload runs per step, ``_fate_from`` and ``iterate``, carry a
-copy of its arithmetic in the same operation order, so their images are
-the kernel's, bit for bit.  ``simulate`` is ``iterate`` then
-``classify_fate``, so it steps the orbit up to the verdict twice.
+Single orbits step on scalar loops that keep their state in locals:
+the fate of ``classify_fate`` in ``_fate_from``, the orbit of
+``iterate`` and ``simulate`` in ``_orbit``, and the monotone tail in
+``monotonicity_probe``.  The map is the kernel ``model._w0_xy``; the
+loops a workload runs per step (``_fate_from``, ``_orbit``'s two loops
+and ``_replay``) carry a copy of its arithmetic in the same operation
+order, so their images are the kernel's, bit for bit.  ``_orbit`` steps
+an orbit once: while ``simulate``'s verdict is open, on ``_fate_from``'s
+rules together with the trajectory's own stops, then on a plain loop.
+It records nothing per step; the states a trajectory keeps are
+re-stepped at the end.
 
 Each fate rule is written once, on floats and float64 arrays alike:
 the Omega1/Omega2 test in ``_regions``, the certificate a reached state
 earns in ``_certify``, the rules of a start alone in
 ``_start_certificate``, the adult-limit estimate in ``_estimate`` and
-the verdict in ``_verdict``.  ``membership``, ``check_invariance`` and
-both fate engines call them; the engines write only the stepping.
+the verdict in ``_verdict``.  ``membership``, ``check_invariance``, both
+fate engines and ``_orbit``'s fate loop call them; those three loops
+write only the stepping.
 ``classify_fate`` steps its start on ``_fate_from``, without numpy.
 ``basin_scan``'s engine, ``_lockstep_fates``, steps the unresolved
 cells together as float64 arrays through the kernel; numpy's
@@ -62,7 +66,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -351,43 +354,137 @@ def iterate(
     th = _checked(params, max_iter, thresholds)
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
-    # steps stay raw (n, x, y) tuples; a State is built only for the points kept
+    return _orbit(params, s0, max_iter, th, window, False)[0]
+
+
+def _orbit(
+    params: Params,
+    s0: State,
+    budget: int,
+    th: FateThresholds,
+    window: int,
+    fate: bool,
+) -> tuple[Trajectory, tuple | None]:
+    """The engine of :func:`iterate` and, with ``fate``, of :func:`simulate`.
+
+    Returns the trajectory of ``iterate`` and, with ``fate``, the column
+    fields of ``classify_fate`` (see ``_fields``), else None.  The orbit
+    is stepped once, in blocks that end at each multiple of ``window``.
+    While the fate is open, a block steps on a copy of ``_fate_from``'s
+    loop that also stops where the trajectory does; after that, on a
+    plain loop with only the trajectory's stops.  A trajectory that
+    stops at ``divergence_x`` before the verdict hands the fate to
+    ``_fate_from`` at the state it stopped at.  Nothing is recorded
+    while stepping: the state at each block's start is kept, and the
+    points of the first ``window`` steps and of the last ``window`` are
+    re-stepped at the end (``_replay``), from the start and from the
+    latest kept state before the last ``window``.
+    """
     isfinite = math.isfinite
     alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
     divergence_x, step_tol = th.divergence_x, th.step_tol
-    head: list[tuple] = [(0, s0.x, s0.y)]
-    tail: deque[tuple] = deque(maxlen=window)
-    head_append, tail_append = head.append, tail.append
-    x, y = s0.x, s0.y
-    terminated = Termination.BUDGET
-    for n in range(1, max_iter + 1):
+    n, x, y = 0, s0.x, s0.y
+    stalled = False
+    terminated = fields = None
+    if fate:
+        radius = th.extinction_radius
+        est_tol = 0.1 * th.y_limit_tol
+        fp = interior_fixed_point(params)
+        y_cap = derived_constants(params).y_limit
+        done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, radius)
+        if done:
+            fields = _fields(0, x, y, ball, extinction, growth, False, tag)
+        est_prev, checkpoint_x = math.nan, 100.0
+    # the states at the latest two block starts, each a multiple of window
+    mark = last_mark = None
+    while terminated is None and n < budget:
+        if n % window == 0:
+            last_mark, mark = mark, (n, x, y)
+        stop = min(n - n % window + window, budget)
+        if fate and fields is None:
+            # _fate_from's step, in its order, then the trajectory's own stop
+            for n in range(n + 1, stop + 1):
+                # _w0_xy inlined, in its operation order
+                k = alpha * x / (1.0 + x)
+                x1 = (x - k) + beta * y * y / (gamma + y)
+                y1 = k + c * y
+                # both images are >= 0, so their difference is finite iff both are
+                if not isfinite(x1 - y1):
+                    n -= 1
+                    fields = _fields(n, x, y, False, extinction, growth, False, tag)
+                    terminated = Termination.DIVERGED
+                    break
+                # the displacement, max(|x1 - x|, |y1 - y|), is below step_tol
+                stalled = abs(x1 - x) < step_tol and abs(y1 - y) < step_tol
+                x, y = x1, y1
+                if x <= radius and y <= radius:  # max() would cost a call per step
+                    fields = _fields(n, x, y, True, extinction, growth, False, tag)
+                    break
+                # a certified orbit pays no call
+                if not extinction and (fp is None or not growth):
+                    extinction, growth, tag = _certify(x, y, fp, y_cap, extinction, growth, tag)
+                if not growth and x > divergence_x:
+                    growth = True
+                if growth and x >= checkpoint_x:
+                    est = _estimate(x, y)
+                    if abs(est - est_prev) <= est_tol:
+                        fields = _fields(n, x, y, False, extinction, growth, False, tag)
+                        break
+                    est_prev = est
+                    checkpoint_x = 2.0 * x
+                if stalled:
+                    fields = _fields(n, x, y, False, extinction, growth, True, tag)
+                    break
+                if x > divergence_x:
+                    break  # the trajectory stops; the fate resumes below
+        else:
+            for n in range(n + 1, stop + 1):
+                # _w0_xy inlined, in its operation order
+                k = alpha * x / (1.0 + x)
+                x1 = (x - k) + beta * y * y / (gamma + y)
+                y1 = k + c * y
+                if not isfinite(x1 - y1):
+                    n -= 1
+                    terminated = Termination.DIVERGED
+                    break
+                stalled = abs(x1 - x) < step_tol and abs(y1 - y) < step_tol
+                x, y = x1, y1
+                if stalled or x > divergence_x:
+                    break
+        # the trajectory's stops at step n, also where the fate stopped first
+        if terminated is None and (stalled or x > divergence_x):
+            terminated = Termination.DIVERGED if x > divergence_x else Termination.CONVERGED
+    if fate and fields is None:
+        # the budget ran out, or the trajectory stopped first at divergence_x
+        fields = _fate_from(params, budget, th, y_cap, fp, n, x, y, tag, extinction, growth, est_prev, checkpoint_x)
+
+    head = min(n, window)
+    points = [s0, *_replay(params, 0, s0.x, s0.y, 1, head)]
+    indices = list(range(head + 1))
+    if n > window:
+        first = max(window + 1, n - window + 1)
+        start = mark if mark[0] < first else last_mark
+        points += _replay(params, *start, first, n)
+        indices += range(first, n + 1)
+    trajectory = Trajectory(params, tuple(points), tuple(indices), terminated or Termination.BUDGET)
+    return trajectory, fields
+
+
+def _replay(params: Params, n: int, x: float, y: float, first: int, last: int) -> list[State]:
+    """The states after steps ``first`` to ``last`` of the orbit at ``(x, y)`` after ``n`` steps.
+
+    The steps are taken again on the kernel's arithmetic, which is
+    deterministic, so they are the states the orbit reached, bit for bit.
+    """
+    alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
+    points = []
+    for n in range(n + 1, last + 1):
         # _w0_xy inlined, in its operation order
         k = alpha * x / (1.0 + x)
-        x1 = (x - k) + beta * y * y / (gamma + y)
-        y1 = k + c * y
-        # both images are >= 0, so their difference is finite iff both are
-        if not isfinite(x1 - y1):
-            terminated = Termination.DIVERGED
-            break
-        if n <= window:
-            head_append((n, x1, y1))
-        else:
-            tail_append((n, x1, y1))
-        if x1 > divergence_x:
-            terminated = Termination.DIVERGED
-            break
-        # the displacement, max(|x1 - x|, |y1 - y|), is below step_tol
-        if abs(x1 - x) < step_tol and abs(y1 - y) < step_tol:
-            terminated = Termination.CONVERGED
-            break
-        x, y = x1, y1
-    entries = head + list(tail)
-    return Trajectory(
-        params=params,
-        points=tuple(State(e[1], e[2]) for e in entries),
-        indices=tuple(e[0] for e in entries),
-        terminated=terminated,
-    )
+        x, y = (x - k) + beta * y * y / (gamma + y), k + c * y
+        if n >= first:
+            points.append(State(x, y))
+    return points
 
 
 def _regions(x, y, fp: State):
@@ -475,7 +572,8 @@ def _fate_from(
     the verdict is final or ``budget`` steps are reached.  The stepping is
     written here; ``_certify`` is called only while a certificate is
     missing.  Returns the cell's column fields (see ``_fields``).
-    ``_lockstep_fates`` steps the same way, elementwise.
+    ``_lockstep_fates`` steps the same way, elementwise, and ``_orbit``'s
+    fate loop does too, with the trajectory's stops added.
     """
     isfinite = math.isfinite
     alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
@@ -605,15 +703,18 @@ def classify_fate(
 
 
 def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, TrajectoryOutcome]:
-    """``(iterate(params, s0, budget), classify_fate(params, s0, budget))``.
+    """``(iterate(params, s0, budget), classify_fate(params, s0, budget))``, in one pass.
 
-    The two loops run one after the other, so the steps up to the
-    verdict are computed twice: from the showcase growth start
-    ``(0.2, 5)`` at budget 1e5, 64,502 of the 164,502 steps: 17-20 ms of
-    a 0.17-0.19 s CLI run (minimum of 20 runs each, pinned to one CPU of
-    a 2-CPU Xeon, Python 3.11).  Neither loop loads numpy.
+    The orbit is stepped once, by the engine ``iterate`` runs on, with
+    ``classify_fate``'s rules applied while the verdict is open; when
+    the trajectory stops at ``divergence_x`` first, the fate steps on
+    alone.  No step is taken twice, apart from re-stepping the kept
+    points, at most about ``3*TRAJECTORY_WINDOW`` steps.  No numpy is
+    loaded.
     """
-    return iterate(params, s0, budget), classify_fate(params, s0, budget)
+    th = _checked(params, budget, None)
+    trajectory, fields = _orbit(params, s0, budget, th, TRAJECTORY_WINDOW, True)
+    return trajectory, _outcome(*fields)
 
 
 def _require_sampling(samples: int, seed: int) -> None:

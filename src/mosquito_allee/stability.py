@@ -129,14 +129,25 @@ def interior_fixed_point(params: Params) -> State | None:
 
 
 def _jacobian(params: Params, s: State) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The Jacobian ``((1 - a, b), (a, 1 - mu))`` at ``s``, as floats."""
+    """The Jacobian ``((1 - a, b), (a, 1 - mu))`` at ``s``, as floats.
+
+    ``a`` lies in ``[0, alpha]``.  ``b``'s numerator and ``(gamma + y)^2``
+    can overflow, making ``b`` inf or nan (at ``beta = gamma = 1e300``,
+    say): an ``OverflowError`` then names it.
+    """
     a = params.alpha / ((1.0 + s.x) * (1.0 + s.x))
     gy = params.gamma + s.y
-    return (1.0 - a, params.beta * s.y * (2.0 * params.gamma + s.y) / (gy * gy)), (a, 1.0 - params.mu)
+    b = params.beta * s.y * (2.0 * params.gamma + s.y) / (gy * gy)
+    if not math.isfinite(b):
+        raise OverflowError(f"the Jacobian entry beta*y*(2*gamma + y)/(gamma + y)^2 at {s} is {b}")
+    return (1.0 - a, b), (a, 1.0 - params.mu)
 
 
 def jacobian_at(params: Params, s: State) -> np.ndarray:
-    """Jacobian matrix of the restricted map at an arbitrary state."""
+    """Jacobian matrix of the restricted map at an arbitrary state.
+
+    An entry outside float64 range raises ``OverflowError``.
+    """
     import numpy as np
 
     params.require_analysis_valid()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -99,6 +100,17 @@ def test_simulate_writes_file(tmp_path, capsys):
     assert len(text.strip().splitlines()) == 301  # header + 300 recorded states
     # summary still goes to stdout
     assert "verdict=extinction" in capsys.readouterr().out
+
+
+def test_simulate_matches_golden_summary_and_csv(tmp_path, capsys):
+    # the showcase growth start at budget 1e5: the arguments CI runs
+    out_file = tmp_path / "simulate_showcase.csv"
+    argv = ["simulate", "--alpha", "0.8", "--beta", "0.9", "--gamma", "2", "--mu", "0.4"]
+    assert main([*argv, "--x0", "0.2", "--y0", "5", "--budget", "100000", "--out", str(out_file)]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / "simulate_showcase.txt").read_bytes()
+    digest, name = (GOLDEN / "simulate_showcase.sha256").read_text().split()
+    assert name == out_file.name
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def test_fixed_points_schema_and_round_trip(capsys):
@@ -376,8 +388,13 @@ class TestExitCodes:
             ["fixed-points", "--alpha", "0.5", "--beta", "0.9", "--gamma", "1e-170", "--mu", "0.4"],
             # alpha1 comes out as 0, and alpha2 divides by it
             ["fixed-points", "--alpha", "0.5", "--beta", "1.7e308", "--gamma", "1e-20", "--mu", "1"],
+            # beta*y*(2*gamma + y) and (gamma + y)^2 overflow in the Jacobian, which is then nan
+            ["fixed-points", "--alpha", "0.5", "--beta", "1e300", "--gamma", "1e300", "--mu", "0.5"],
         ],
-        ids=["fixed-points-mu", "simulate-mu", "check-mu", "basin-mu", "fixed-points-gamma", "fixed-points-beta"],
+        ids=[
+            "fixed-points-mu", "simulate-mu", "check-mu", "basin-mu",
+            "fixed-points-gamma", "fixed-points-beta", "fixed-points-jacobian-overflow",
+        ],
     )
     def test_float64_range_is_a_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG

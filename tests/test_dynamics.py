@@ -36,6 +36,7 @@ from mosquito_allee import (
     iterate,
     membership,
     monotonicity_probe,
+    simulate,
     step_w0,
     sum_identity_residual,
 )
@@ -689,13 +690,15 @@ COORDINATES = st.one_of(
     y=COORDINATES,
 )
 def test_property_inlined_steps_match_the_kernel(alpha, beta, gamma, mu, x, y):
-    # iterate and _fate_from each step an inlined copy of _w0_xy
+    # iterate, _fate_from, simulate's fate loop and the re-stepping of the
+    # recorded points each step an inlined copy of _w0_xy
     params = Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu)
     x1, y1 = dynamics._w0_xy(alpha, beta, gamma, mu, x, y)
     trajectory = iterate(params, State(x, y), 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflowing starts print no numpy warnings
         outcome = classify_fate(params, State(x, y), 1)
+    assert repr(simulate(params, State(x, y), 1)) == repr((trajectory, outcome))
     if math.isfinite(x1) and math.isfinite(y1):
         image = State(x1, y1)
         assert trajectory.indices == (0, 1)

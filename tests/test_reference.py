@@ -4,8 +4,15 @@
 the last few to the scalar fate loop, filling one column per outcome
 field, from which the outcomes are rebuilt here; ``classify_fate``
 settles its one start with the same start certificate, on floats, and
-runs that scalar loop.  ``iterate`` steps its own scalar trajectory loop, and
-``simulate`` is the two calls.
+runs that scalar loop.  ``iterate`` and ``simulate`` share one orbit
+engine: it steps ``simulate``'s fate on a copy of that loop while the
+verdict is open, records nothing while stepping and re-steps the first
+and last ``window`` states at the end.  ``simulate`` must give the
+oracle's ``iterate`` and ``classify_fate``, at budgets on either side
+of each of the first block ends, with the verdict on a block end, with
+the last ``window`` states reaching back before the verdict, and with
+the trajectory stopping at ``divergence_x`` on a block end while the
+fate runs on.
 :mod:`reference` keeps the original scalar loops.  Both must agree bit
 for bit (``repr`` tells every double apart, ``-0.0`` included) over both
 regimes, windows and budgets, including starts whose first image
@@ -46,6 +53,7 @@ from mosquito_allee import (
     Params,
     Region,
     State,
+    Termination,
     basin_scan,
     check_invariance,
     classify_fate,
@@ -162,6 +170,75 @@ def test_simulate_argument_validation():
         simulate(SHOWCASE, State(1.0, 1.0), 0)
     with pytest.raises(ConfigurationError):
         simulate(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0), 10)
+
+
+def assert_simulate_matches_reference(monkeypatch, params, s0, budget, window):
+    """``simulate`` and ``iterate`` at ``window`` against the oracle's calls; returns ``simulate``'s.
+
+    ``simulate`` reads ``TRAJECTORY_WINDOW`` when called, so patching it sets its window.
+    """
+    monkeypatch.setattr(dynamics, "TRAJECTORY_WINDOW", window)
+    expected = (reference.iterate(params, s0, budget, None, window), reference.classify_fate(params, s0, budget))
+    got = simulate(params, s0, budget)
+    assert got == expected
+    assert repr(got) == repr(expected)
+    trajectory = iterate(params, s0, budget, None, window)
+    assert repr(trajectory) == repr(expected[0])
+    return got
+
+
+# the fate is open through every budget below, decided at step 57, and at step 2 by the ball
+WINDOW_STARTS = {"growth": State(0.2, 5.0), "omega1": State(1.0, 1.0), "ball-at-2": State(0.0, 2e-9)}
+
+
+@pytest.mark.parametrize("window", [1, 2, 7, 8, 1024])
+@pytest.mark.parametrize("s0", WINDOW_STARTS.values(), ids=WINDOW_STARTS.keys())
+def test_simulate_window_edges_match_reference(monkeypatch, s0, window):
+    # a budget one below, at and one past each of the first three block ends
+    for budget in sorted({max(1, k * window + d) for k in (1, 2, 3) for d in (-1, 0, 1)}):
+        assert_simulate_matches_reference(monkeypatch, SHOWCASE, s0, budget, window)
+
+
+@pytest.mark.parametrize(
+    "s0, window",
+    [
+        (State(1.0, 1.0), 3),  # verdict at step 57
+        (State(1.0, 1.0), 19),
+        (State(1.0, 1.0), 57),
+        (State(0.0, 2e-9), 1),  # verdict at step 2
+        (State(0.0, 2e-9), 2),
+        (State(1000.0, 2.0), 15_041),  # the estimate accepted at step 30,082
+    ],
+)
+def test_simulate_verdict_on_a_block_end_matches_reference(monkeypatch, s0, window):
+    _, outcome = assert_simulate_matches_reference(monkeypatch, SHOWCASE, s0, 30_100, window)
+    assert outcome.iterations_used % window == 0
+
+
+@pytest.mark.parametrize(
+    "s0, window",
+    [
+        (State(1.0, 1.0), 32),  # verdict at step 57, stall at 78
+        (State(1.0, 1.0), 64),
+        (State(0.2, 4.0), 64),  # verdict at step 277, stall at 299
+        (State(0.2, 4.0), 256),
+    ],
+)
+def test_simulate_tail_overlapping_the_fate_matches_reference(monkeypatch, s0, window):
+    # the last window states begin before the verdict, so they are re-stepped
+    # from a state that the fate's loop reached
+    trajectory, outcome = assert_simulate_matches_reference(monkeypatch, SHOWCASE, s0, 10**5, window)
+    assert trajectory.n_steps > window > trajectory.n_steps - outcome.iterations_used
+
+
+@pytest.mark.parametrize("x0, window", [(1e9 - 0.35, 4), (1e9 - 102.35, 1024)])
+def test_simulate_divergence_stop_on_a_block_end_matches_reference(monkeypatch, x0, window):
+    # x grows by about 0.1 a step, so it passes divergence_x at step window;
+    # the fate, open with its Omega2 certificate, resumes from there
+    trajectory, outcome = assert_simulate_matches_reference(monkeypatch, SHOWCASE, State(x0, 2.0), 5000, window)
+    assert trajectory.n_steps == window
+    assert trajectory.terminated is Termination.DIVERGED
+    assert outcome.iterations_used > window
 
 
 @st.composite

@@ -198,6 +198,13 @@ class TestClassifyInterior:
         with pytest.raises(ConfigurationError):
             classify_interior(Params(alpha=0.8, beta=0.8, gamma=2.0, mu=0.4))
 
+    def test_overflowing_jacobian_entry_is_an_overflow_error(self):
+        # (x*, y*) = (1, 0.5), but beta*y*(2*gamma + y) and (gamma + y)^2 overflow
+        params = Params(alpha=0.5, beta=1e300, gamma=1e300, mu=0.5)
+        assert interior_fixed_point(params) == State(1.0, 0.5)
+        with pytest.raises(OverflowError, match=r"Jacobian entry beta\*y\*.* is nan"):
+            classify_interior(params)
+
     def test_requires_analysis_regime(self):
         with pytest.raises(ConfigurationError):
             classify_interior(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
