@@ -66,8 +66,9 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
@@ -727,6 +728,18 @@ def _require_sampling(samples: int, seed: int) -> None:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
 
+@lru_cache(maxsize=8)
+def _seed_sequence(seed: int):
+    """``numpy.random.SeedSequence(seed)``, built once per seed.
+
+    Drawing never changes a ``SeedSequence``, and ``default_rng`` of it
+    draws exactly what ``default_rng(seed)`` does.
+    """
+    import numpy as np
+
+    return np.random.SeedSequence(seed)
+
+
 def check_invariance(
     params: Params,
     region: Region,
@@ -741,13 +754,23 @@ def check_invariance(
     invariance of the map does not depend on the window.  Returns the
     escape count and the first counterexample, if any.  At most
     ``MAX_SAMPLES`` samples; the seed must be nonnegative.  A span so
-    large that an image overflows float64 is a ``ConfigurationError``.
+    large that an image overflows float64 is a ``ConfigurationError``,
+    and so is a fixed point so small that the map's ``beta*y*y`` there
+    underflows float64's normal range: its images would lose the bits
+    that decide an escape.
     """
     fp = _require_interior(params)
     if region not in (Region.OMEGA1, Region.OMEGA2):
         raise ConfigurationError(f"invariance is defined for omega1/omega2, got {region}")
     _require_sampling(samples, seed)
     xs, ys = fp.x, fp.y
+    # the kernel's product, in its operation order; every Omega2 sample's is at least this
+    g = params.beta * ys * ys
+    if g < sys.float_info.min:
+        raise ConfigurationError(
+            f"beta*y*^2 = {g!r} at the interior fixed point ({xs!r}, {ys!r}) underflows "
+            "float64's normal range, where the map's images cannot test invariance"
+        )
     if span is None:
         span = 10.0 * max(xs, ys)
     if not (math.isfinite(span) and span > 0.0):
@@ -755,7 +778,7 @@ def check_invariance(
 
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     if region is Region.OMEGA1:
         x0 = rng.uniform(0.0, xs, samples)
         y0 = rng.uniform(0.0, ys, samples)
@@ -770,17 +793,19 @@ def check_invariance(
 
     with np.errstate(over="ignore", invalid="ignore"):
         x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x0, y0)
-    if not (np.isfinite(x1).all() and np.isfinite(y1).all()):
+        # images are nonnegative, so x1 - y1 is finite exactly when both are
+        finite = np.isfinite(x1 - y1).all()
+    if not finite:
         # a float64 limit, not a counterexample: a State cannot hold inf
         raise ConfigurationError(f"sampling span {span} overflows the map's float64 images; use a smaller span")
     in_omega1, in_omega2 = _regions(x1, y1, fp)
     # an image is not a State, so Omega1's quadrant bounds are tested too
     inside = in_omega1 & (x1 >= 0.0) & (y1 >= 0.0) if region is Region.OMEGA1 else in_omega2
 
-    escapes = int(np.count_nonzero(~inside))
+    escapes = samples - int(np.count_nonzero(inside))
     counterexample = None
     if escapes:
-        i = int(np.argmax(~inside))
+        i = int(np.argmin(inside))
         counterexample = (State(float(x0[i]), float(y0[i])), State(float(x1[i]), float(y1[i])))
     return InvarianceReport(region=region, samples=samples, escapes=escapes, counterexample=counterexample)
 

@@ -25,13 +25,19 @@ Two operators are exposed:
 
 All arithmetic is plain 64-bit floating point, and every public type is
 an immutable value object, so everything here is safe to share across
-threads or send to worker processes.
+threads or send to worker processes.  ``Params`` and ``State`` convert
+and validate each field once, in their own ``__init__``.
+:func:`derived_constants` is memoized per ``Params`` in a
+``functools.lru_cache`` of at most 64 entries, which is thread-safe;
+an exception is never cached, so a set that raises raises on every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isfinite
 
 from .errors import ConfigurationError, DomainError, InternalConsistencyError
 
@@ -48,12 +54,12 @@ __all__ = [
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Params:
     """Model constants.
 
@@ -68,6 +74,9 @@ class Params:
     Construction accepts any positive rates and nonnegative death terms
     so the general operator can be explored freely; routines that depend
     on quadrant preservation additionally require :attr:`analysis_valid`.
+    Each field is converted with ``float`` and checked for finiteness in
+    field order, then the rates for positivity, then ``d0`` and ``d1``
+    for sign; the first failure raises.
     """
 
     alpha: float
@@ -77,15 +86,23 @@ class Params:
     d0: float = 0.0
     d1: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "mu", "d0", "d1"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        for name in ("alpha", "beta", "gamma", "mu"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("d0", "d1"):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+    def __init__(
+        self, alpha: float, beta: float, gamma: float, mu: float, d0: float = 0.0, d1: float = 0.0
+    ) -> None:
+        alpha = _require_finite("alpha", alpha)
+        beta = _require_finite("beta", beta)
+        gamma = _require_finite("gamma", gamma)
+        mu = _require_finite("mu", mu)
+        d0 = _require_finite("d0", d0)
+        d1 = _require_finite("d1", d1)
+        for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("mu", mu)):
+            if value <= 0.0:
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
+        for name, value in (("d0", d0), ("d1", d1)):
+            if value < 0.0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
+        # frozen: the fields are written once, past the dataclass __setattr__
+        self.__dict__.update(alpha=alpha, beta=beta, gamma=gamma, mu=mu, d0=d0, d1=d1)
 
     @property
     def analysis_valid(self) -> bool:
@@ -104,7 +121,7 @@ class Params:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class State:
     """A population point (larvae ``x``, adults ``y``) in the closed quadrant.
 
@@ -116,11 +133,19 @@ class State:
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _require_finite("x", self.x))
-        object.__setattr__(self, "y", _require_finite("y", self.y))
-        if self.x < 0.0 or self.y < 0.0:
-            raise DomainError(f"state must lie in the nonnegative quadrant, got ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float) -> None:
+        # _require_finite inlined: a State is built per kept orbit point
+        x = float(x)
+        if not isfinite(x):
+            raise DomainError(f"x must be finite, got {x!r}")
+        y = float(y)
+        if not isfinite(y):
+            raise DomainError(f"y must be finite, got {y!r}")
+        if x < 0.0 or y < 0.0:
+            raise DomainError(f"state must lie in the nonnegative quadrant, got ({x}, {y})")
+        fields = self.__dict__
+        fields["x"] = x
+        fields["y"] = y
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
@@ -208,13 +233,15 @@ def step_general(params: Params, s: State) -> StepResult:
     return StepResult(x1, y1, in_quadrant=(x1 >= 0.0 and y1 >= 0.0))
 
 
+@lru_cache(maxsize=64)
 def derived_constants(params: Params) -> DerivedConstants:
     """Existence threshold, growth limit, and the equivalent Allee threshold.
 
     The two forms of the existence condition, ``beta > threshold_beta``
     and ``gamma < allee_threshold_gamma``, are algebraically equivalent;
     both are evaluated and cross-checked, tolerating disagreement only
-    within a few ulps of the boundary itself.
+    within a few ulps of the boundary itself.  Memoized per ``Params``
+    (at most 64 sets); errors are raised afresh on every call.
     """
     params.require_analysis_valid()
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu

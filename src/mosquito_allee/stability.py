@@ -20,6 +20,12 @@ same discriminant condition.  It is cross-checked by the trace-determinant
 (Jury) test on the Jacobian's entries, in float arithmetic and without
 numpy; a disagreement away from the tolerance bands raises an
 :class:`~mosquito_allee.errors.InternalConsistencyError`.
+
+:func:`interior_fixed_point` is memoized per ``Params`` in a
+thread-safe ``functools.lru_cache`` of at most 64 entries, as is
+:func:`~mosquito_allee.model.derived_constants`, so a parameter set's
+closed forms are computed once however many routines ask for them.  An
+exception is never cached: a set that raises raises on every call.
 """
 
 from __future__ import annotations
@@ -27,10 +33,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InternalConsistencyError
-from .model import Params, State, derived_constants, step_w0
+from .model import Params, State, _w0_xy, derived_constants
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,8 +117,12 @@ class FixedPointReport:
     origin_eigenvalues: tuple[float, float]
 
 
+@lru_cache(maxsize=64)
 def interior_fixed_point(params: Params) -> State | None:
-    """Closed-form interior fixed point, or None when it does not exist."""
+    """Closed-form interior fixed point, or None when it does not exist.
+
+    Memoized per ``Params`` (at most 64 sets); errors are not cached.
+    """
     params.require_analysis_valid()
     constants = derived_constants(params)
     if not params.beta > constants.threshold_beta:
@@ -275,8 +286,10 @@ def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> Interior
 
 
 def _verify_fixed_point(params: Params, location: State) -> None:
-    image = step_w0(params, location)
-    residual = max(abs(image.x - location.x), abs(image.y - location.y))
+    # the kernel's image of a state is finite and nonnegative, so it is
+    # compared as floats, without a State of its own
+    x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, location.x, location.y)
+    residual = max(abs(x1 - location.x), abs(y1 - location.y))
     scale = max(1.0, abs(location.x), abs(location.y))
     # 1e-12 absolute, relaxed only when the point itself is so large that
     # double rounding of its coordinates exceeds that (x* blows up as beta

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 from mosquito_allee import Params, model
+from mosquito_allee.stability import alpha_thresholds
 
 # used throughout the docs and regression fixtures: interior fixed point
 # (4, 1.6), existence threshold 0.8, adult growth limit 2
@@ -69,3 +73,37 @@ def pumped_kernel(alpha, beta, gamma, mu, x, y):
     """
     x1, y1 = model._w0_xy(alpha, beta, gamma, mu, x, y)
     return x1, 1.01 * y1
+
+
+def nudged(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.inf if ulps > 0 else 0.0)
+    return value
+
+
+@st.composite
+def analysis_params(draw) -> Params:
+    """Both regimes; beta within 8 ulps of the existence threshold; alpha
+    within a relative 1e-8 of alpha1 or alpha2.
+
+    alpha2 lies below ``gamma*mu^2/(beta - mu)``, so next to it there is
+    no interior point.  alpha1 stays at most 1 only for mu above 2/3, so
+    its sets draw mu from [0.7, 1] and a small gamma.
+    """
+    kind = draw(st.sampled_from(["regime", "threshold", "alpha1", "alpha2"]))
+    if kind in ("regime", "threshold"):
+        alpha, mu, gamma = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 10.0))
+        threshold = mu * (1.0 + gamma * mu / alpha)  # derived_constants' threshold_beta
+        if kind == "regime":
+            beta = threshold * draw(st.floats(0.2, 4.0))
+        else:
+            beta = nudged(threshold, draw(st.integers(-8, 8)))
+        return Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu)
+    if kind == "alpha1":
+        mu, gamma = draw(st.floats(0.7, 1.0)), draw(st.floats(1e-3, 0.5))
+    else:
+        mu, gamma = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 10.0))
+    beta = mu * draw(st.floats(1.01, 100.0))
+    alpha1, alpha2 = alpha_thresholds(Params(alpha=1.0, beta=beta, gamma=gamma, mu=mu))
+    target = alpha1 if kind == "alpha1" else alpha2
+    return Params(alpha=target * (1.0 + draw(st.floats(-1e-8, 1e-8))), beta=beta, gamma=gamma, mu=mu)

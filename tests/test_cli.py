@@ -364,6 +364,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert "sampling span 1e+300 overflows" in captured.err
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["--alpha", "0.8", "--beta", "0.9", "--gamma", "1e-300", "--mu", "0.4"],
+            ["--alpha", "1", "--beta", "1e300", "--gamma", "1e-300", "--mu", "1"],
+        ],
+        ids=["beta-y-y-underflows", "fixed-point-at-zero"],
+    )
+    def test_check_underflowing_fixed_point_prints_no_report(self, params, capsys):
+        # float64 underflow, not a counterexample to the invariance theorem
+        assert main(["check", *params, "--samples", "10"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: beta*y*^2 = ") and "underflows float64's normal range" in line
+
     def test_check_sample_count_bounded(self, monkeypatch, capsys):
         def no_rng(seed):
             raise AssertionError("samples were drawn")

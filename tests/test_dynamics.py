@@ -276,6 +276,33 @@ class TestCheckInvariance:
                 check_invariance(SHOWCASE, Region.OMEGA2, samples=1000, seed=1, span=1e300)
             assert check_invariance(SHOWCASE, Region.OMEGA2, samples=1000, seed=1, span=1e150).passed
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # beta*y*y underflows to 0 at y* = 8e-301: Omega2's images read as escapes
+            Params(alpha=0.8, beta=0.9, gamma=1e-300, mu=0.4),
+            # y* = 0.0 and x* = 0.0: the default span would be 0
+            Params(alpha=1.0, beta=1e300, gamma=1e-300, mu=1.0),
+            # beta*y*y = 5.8e-321 is subnormal
+            Params(alpha=0.8, beta=0.9, gamma=1e-160, mu=0.4),
+        ],
+        ids=["underflow-to-zero", "fixed-point-at-zero", "subnormal"],
+    )
+    def test_underflowing_fixed_point_is_a_usage_error(self, params, monkeypatch):
+        def no_rng(seed):
+            raise AssertionError("samples were drawn")
+
+        monkeypatch.setattr("numpy.random.default_rng", no_rng)
+        for region, span in ((Region.OMEGA1, None), (Region.OMEGA2, None), (Region.OMEGA2, 1.0)):
+            with pytest.raises(ConfigurationError, match=r"underflows float64's normal range"):
+                check_invariance(params, region, samples=10, seed=0, span=span)
+
+    def test_normal_products_near_the_underflow_are_sampled(self):
+        # beta*y*y = 5.8e-301 stays normal: the sets are checked, and hold
+        p = Params(alpha=0.8, beta=0.9, gamma=1e-150, mu=0.4)
+        for region in (Region.OMEGA1, Region.OMEGA2):
+            assert check_invariance(p, region, samples=10_000, seed=0).passed
+
     def test_argument_validation(self):
         with pytest.raises(ConfigurationError):
             check_invariance(SHOWCASE, Region.OUTSIDE, samples=10, seed=0)

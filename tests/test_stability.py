@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,15 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import reference
-from helpers import REPELLING, SHOWCASE, identity_params, interior_params, origin_only_params, valid_params
+from helpers import (
+    REPELLING,
+    SHOWCASE,
+    analysis_params,
+    identity_params,
+    interior_params,
+    origin_only_params,
+    valid_params,
+)
 from mosquito_allee import (
     ConfigurationError,
     InternalConsistencyError,
@@ -252,40 +259,6 @@ class TestFindFixedPoints:
             find_fixed_points(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
 
 
-def _nudged(value: float, ulps: int) -> float:
-    for _ in range(abs(ulps)):
-        value = math.nextafter(value, math.inf if ulps > 0 else 0.0)
-    return value
-
-
-@st.composite
-def _analysis_params(draw) -> Params:
-    """Both regimes; beta within 8 ulps of the existence threshold; alpha
-    within a relative 1e-8 of alpha1 or alpha2.
-
-    alpha2 lies below ``gamma*mu^2/(beta - mu)``, so next to it there is
-    no interior point.  alpha1 stays at most 1 only for mu above 2/3, so
-    its sets draw mu from [0.7, 1] and a small gamma.
-    """
-    kind = draw(st.sampled_from(["regime", "threshold", "alpha1", "alpha2"]))
-    if kind in ("regime", "threshold"):
-        alpha, mu, gamma = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 10.0))
-        threshold = mu * (1.0 + gamma * mu / alpha)  # derived_constants' threshold_beta
-        if kind == "regime":
-            beta = threshold * draw(st.floats(0.2, 4.0))
-        else:
-            beta = _nudged(threshold, draw(st.integers(-8, 8)))
-        return Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu)
-    if kind == "alpha1":
-        mu, gamma = draw(st.floats(0.7, 1.0)), draw(st.floats(1e-3, 0.5))
-    else:
-        mu, gamma = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 10.0))
-    beta = mu * draw(st.floats(1.01, 100.0))
-    alpha1, alpha2 = alpha_thresholds(Params(alpha=1.0, beta=beta, gamma=gamma, mu=mu))
-    target = alpha1 if kind == "alpha1" else alpha2
-    return Params(alpha=target * (1.0 + draw(st.floats(-1e-8, 1e-8))), beta=beta, gamma=gamma, mu=mu)
-
-
 def _outcome(call, *args):
     """``call(*args)``, or the type of the exception it raises."""
     try:
@@ -301,7 +274,7 @@ def _fixed_points_json(params: Params):
 class TestTraceDeterminantCrossCheck:
     """The trace-determinant cross-check against the ``eigvals`` one it replaced."""
 
-    @given(params=_analysis_params())
+    @given(params=analysis_params())
     def test_matches_the_eigvals_reference(self, params):
         new = _outcome(classify_interior, params)
         old = _outcome(reference.classify_interior, params)
@@ -313,7 +286,7 @@ class TestTraceDeterminantCrossCheck:
             old_json = _fixed_points_json(params)
         assert _fixed_points_json(params) == old_json
 
-    @given(params=_analysis_params(), at_fixed_point=st.booleans(), x=st.floats(0.0, 50.0), y=st.floats(0.0, 50.0))
+    @given(params=analysis_params(), at_fixed_point=st.booleans(), x=st.floats(0.0, 50.0), y=st.floats(0.0, 50.0))
     def test_agrees_with_eigvals_outside_the_band(self, params, at_fixed_point, x, y):
         assume(params.alpha <= 1.0)
         fp = _outcome(interior_fixed_point, params) if at_fixed_point else None
