@@ -25,18 +25,14 @@ Two operators are exposed:
 
 All arithmetic is plain 64-bit floating point, and every public type is
 an immutable value object, so everything here is safe to share across
-threads or send to worker processes.  ``Params`` and ``State`` convert
-and validate each field once, in their own ``__init__``.
-:func:`derived_constants` is memoized per ``Params`` in a
-``functools.lru_cache`` of at most 64 entries, which is thread-safe;
-an exception is never cached, so a set that raises raises on every call.
+threads or send to worker processes.  ``State``, built per kept orbit
+point, converts and validates each field once, in its own ``__init__``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isfinite
 
 from .errors import ConfigurationError, DomainError, InternalConsistencyError
@@ -54,12 +50,12 @@ __all__ = [
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
-    if not isfinite(value):
+    if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Params:
     """Model constants.
 
@@ -74,9 +70,6 @@ class Params:
     Construction accepts any positive rates and nonnegative death terms
     so the general operator can be explored freely; routines that depend
     on quadrant preservation additionally require :attr:`analysis_valid`.
-    Each field is converted with ``float`` and checked for finiteness in
-    field order, then the rates for positivity, then ``d0`` and ``d1``
-    for sign; the first failure raises.
     """
 
     alpha: float
@@ -86,23 +79,15 @@ class Params:
     d0: float = 0.0
     d1: float = 0.0
 
-    def __init__(
-        self, alpha: float, beta: float, gamma: float, mu: float, d0: float = 0.0, d1: float = 0.0
-    ) -> None:
-        alpha = _require_finite("alpha", alpha)
-        beta = _require_finite("beta", beta)
-        gamma = _require_finite("gamma", gamma)
-        mu = _require_finite("mu", mu)
-        d0 = _require_finite("d0", d0)
-        d1 = _require_finite("d1", d1)
-        for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("mu", mu)):
-            if value <= 0.0:
-                raise ConfigurationError(f"{name} must be > 0, got {value}")
-        for name, value in (("d0", d0), ("d1", d1)):
-            if value < 0.0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value}")
-        # frozen: the fields are written once, past the dataclass __setattr__
-        self.__dict__.update(alpha=alpha, beta=beta, gamma=gamma, mu=mu, d0=d0, d1=d1)
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "mu", "d0", "d1"):
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        for name in ("alpha", "beta", "gamma", "mu"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("d0", "d1"):
+            if getattr(self, name) < 0.0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def analysis_valid(self) -> bool:
@@ -233,15 +218,13 @@ def step_general(params: Params, s: State) -> StepResult:
     return StepResult(x1, y1, in_quadrant=(x1 >= 0.0 and y1 >= 0.0))
 
 
-@lru_cache(maxsize=64)
 def derived_constants(params: Params) -> DerivedConstants:
     """Existence threshold, growth limit, and the equivalent Allee threshold.
 
     The two forms of the existence condition, ``beta > threshold_beta``
     and ``gamma < allee_threshold_gamma``, are algebraically equivalent;
     both are evaluated and cross-checked, tolerating disagreement only
-    within a few ulps of the boundary itself.  Memoized per ``Params``
-    (at most 64 sets); errors are raised afresh on every call.
+    within a few ulps of the boundary itself.
     """
     params.require_analysis_valid()
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu

@@ -22,10 +22,10 @@ numpy; a disagreement away from the tolerance bands raises an
 :class:`~mosquito_allee.errors.InternalConsistencyError`.
 
 :func:`interior_fixed_point` is memoized per ``Params`` in a
-thread-safe ``functools.lru_cache`` of at most 64 entries, as is
-:func:`~mosquito_allee.model.derived_constants`, so a parameter set's
-closed forms are computed once however many routines ask for them.  An
-exception is never cached: a set that raises raises on every call.
+thread-safe ``functools.lru_cache`` of at most 64 entries, so a
+parameter set's interior point is computed once however many routines
+ask for it.  An exception is never cached: a set that raises raises on
+every call.
 """
 
 from __future__ import annotations

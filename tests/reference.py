@@ -14,13 +14,12 @@ package's, which uses the shared region test, to give the same reports.
 label against ``numpy.linalg.eigvals`` of the Jacobian, kept verbatim so
 that tests can require the trace-determinant cross-check in
 :mod:`mosquito_allee.stability` to give the same labels, analyses and
-errors.  ``derived_constants`` and ``interior_fixed_point`` are the
-closed forms as they were before they were memoized, and
-``OriginalParams`` and ``OriginalState`` the value objects as they were
-when ``__post_init__`` validated and set each field after the generated
-``__init__`` had set it (only the class names differ), kept verbatim so
-that tests can require the memoized closed forms and the one-pass
-constructors to give the same values, errors and dataclass behaviour.
+errors.  ``interior_fixed_point`` is the closed form as it was before
+it was memoized, and ``OriginalState`` the value object as it was when
+``__post_init__`` validated and set each field after the generated
+``__init__`` had set it (only the class name differs), kept verbatim so
+that tests can require the memoized closed form and the one-pass
+constructor to give the same values, errors and dataclass behaviour.
 Do not edit them to follow the package; they define the expected
 outputs.
 """
@@ -46,7 +45,7 @@ from mosquito_allee.dynamics import (
     _require_sampling,
 )
 from mosquito_allee.errors import ConfigurationError, DomainError, InternalConsistencyError
-from mosquito_allee.model import DerivedConstants, Params, State, _w0_xy
+from mosquito_allee.model import Params, State, _w0_xy, derived_constants
 from mosquito_allee.stability import (
     UNIT_MODULUS_TOL,
     InteriorClassification,
@@ -63,57 +62,6 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class OriginalParams:
-    """Model constants.
-
-    ``alpha``: larvae-to-adult emergence rate (per step).
-    ``beta``: saturated adult birth rate (per step).
-    ``gamma``: Allee constant (population units); larger values depress
-    the birth rate over a wider range of low adult densities.
-    ``mu``: adult death rate (per step).
-    ``d0``, ``d1``: larval death rates, density-independent and
-    density-dependent respectively.
-
-    Construction accepts any positive rates and nonnegative death terms
-    so the general operator can be explored freely; routines that depend
-    on quadrant preservation additionally require :attr:`analysis_valid`.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    mu: float
-    d0: float = 0.0
-    d1: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "mu", "d0", "d1"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        for name in ("alpha", "beta", "gamma", "mu"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("d0", "d1"):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-    @property
-    def analysis_valid(self) -> bool:
-        """True iff the restricted operator's quadrant-preserving regime holds.
-
-        Requires ``0 < alpha <= 1``, ``0 < mu <= 1`` and zero larval
-        death rates.
-        """
-        return self.alpha <= 1.0 and self.mu <= 1.0 and self.d0 == 0.0 and self.d1 == 0.0
-
-    def require_analysis_valid(self) -> None:
-        if not self.analysis_valid:
-            raise ConfigurationError(
-                "operation requires 0 < alpha <= 1, 0 < mu <= 1 and d0 = d1 = 0; "
-                f"got alpha={self.alpha}, mu={self.mu}, d0={self.d0}, d1={self.d1}"
-            )
 
 
 @dataclass(frozen=True)
@@ -136,37 +84,6 @@ class OriginalState:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
-
-
-def derived_constants(params: Params) -> DerivedConstants:
-    """Existence threshold, growth limit, and the equivalent Allee threshold.
-
-    The two forms of the existence condition, ``beta > threshold_beta``
-    and ``gamma < allee_threshold_gamma``, are algebraically equivalent;
-    both are evaluated and cross-checked, tolerating disagreement only
-    within a few ulps of the boundary itself.
-    """
-    params.require_analysis_valid()
-    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
-    threshold_beta = mu * (1.0 + gamma * mu / alpha)
-    y_limit = alpha / mu
-    if beta > mu:
-        allee_threshold_gamma = alpha * (beta - mu) / (mu * mu)
-    else:
-        allee_threshold_gamma = None
-
-    if allee_threshold_gamma is not None:
-        by_beta = beta > threshold_beta
-        by_gamma = gamma < allee_threshold_gamma
-        on_boundary = math.isclose(beta, threshold_beta, rel_tol=1e-12) or math.isclose(
-            gamma, allee_threshold_gamma, rel_tol=1e-12
-        )
-        if by_beta != by_gamma and not on_boundary:
-            raise InternalConsistencyError(
-                "existence-condition forms disagree: "
-                f"beta > {threshold_beta} is {by_beta} but gamma < {allee_threshold_gamma} is {by_gamma}"
-            )
-    return DerivedConstants(threshold_beta, y_limit, allee_threshold_gamma)
 
 
 def interior_fixed_point(params: Params) -> State | None:

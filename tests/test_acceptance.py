@@ -38,8 +38,9 @@ def _report(number: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_interior_fixed_point_reproduction():
     fp = interior_fixed_point(SHOWCASE)
     err = max(abs(fp.x - 4.0), abs(fp.y - 1.6))
+    # the memo's unwrapped function: a cache hit would time a lookup
     elapsed = min(
-        _timed(lambda: interior_fixed_point(SHOWCASE)) for _ in range(5)
+        _timed(lambda: interior_fixed_point.__wrapped__(SHOWCASE)) for _ in range(5)
     )
     ok = err <= 1e-12 and elapsed < 1e-3
     _report(1, "interior fixed-point reproduction", ok, f"max err {err:.3g}, runtime {elapsed * 1e3:.3f} ms")
