@@ -31,27 +31,27 @@ Single orbits step on scalar loops that keep their state in locals:
 the fate of ``classify_fate`` in ``_fate_from``, the orbit of
 ``iterate`` and ``simulate`` in ``_orbit``, and the monotone tail in
 ``monotonicity_probe``.  The map is the kernel ``model._w0_xy``; the
-loops a workload runs per step (``_fate_from``, ``_orbit``'s two loops
+loops a workload runs per step (``_fate_from``, ``_orbit``'s plain loop
 and ``_replay``) carry a copy of its arithmetic in the same operation
-order, so their images are the kernel's, bit for bit.  ``_orbit`` steps
-an orbit once: while ``simulate``'s verdict is open, on ``_fate_from``'s
-rules together with the trajectory's own stops, then on a plain loop.
-It records nothing per step; the states a trajectory keeps are
-re-stepped at the end.
+order, so their images are the kernel's, bit for bit; in the first two
+a step that fires no rule pays one test on top of them.  ``_orbit``
+steps an orbit once: while ``simulate``'s verdict is open, on one
+``_fate_from`` call per block, then on a plain loop.  It records
+nothing per step; the states a trajectory keeps are re-stepped at the
+end.
 
 Each fate rule is written once, on floats and float64 arrays alike:
 the Omega1/Omega2 test in ``_regions``, the certificate a reached state
 earns in ``_certify``, the rules of a start alone in
 ``_start_certificate``, the adult-limit estimate in ``_estimate`` and
-the verdict in ``_verdict``.  ``membership``, ``check_invariance``, both
-fate engines and ``_orbit``'s fate loop call them; those three loops
-write only the stepping.
+the verdict in ``_verdict``.  ``membership``, ``check_invariance`` and
+both fate engines call them; the engines write only the stepping.
 ``classify_fate`` steps its start on ``_fate_from``, without numpy.
 ``basin_scan``'s engine, ``_lockstep_fates``, steps the unresolved
 cells together as float64 arrays through the kernel; numpy's
 ``+ - * /`` round as Python's float operations do, so every cell's
 outcome is ``classify_fate``'s, bit for bit.  A lockstep step costs
-about 85 scalar steps whether it carries one cell or hundreds, so the
+about 110 scalar steps whether it carries one cell or hundreds, so the
 last ``LOCKSTEP_CROSSOVER`` cells resume on ``_fate_from``.
 
 A scan's result is columnar: the engine fills one preallocated array
@@ -371,10 +371,10 @@ def _orbit(
     Returns the trajectory of ``iterate`` and, with ``fate``, the column
     fields of ``classify_fate`` (see ``_fields``), else None.  The orbit
     is stepped once, in blocks that end at each multiple of ``window``.
-    While the fate is open, a block steps on a copy of ``_fate_from``'s
-    loop that also stops where the trajectory does; after that, on a
-    plain loop with only the trajectory's stops.  A trajectory that
-    stops at ``divergence_x`` before the verdict hands the fate to
+    While the fate is open, a block is one call of ``_fate_from`` that
+    also stops where the trajectory does; after that, a plain loop steps
+    with only the trajectory's stops.  A trajectory that stops at
+    ``divergence_x`` before the verdict hands the fate to
     ``_fate_from`` at the state it stopped at.  Nothing is recorded
     while stepping: the state at each block's start is kept, and the
     points of the first ``window`` steps and of the last ``window`` are
@@ -388,14 +388,13 @@ def _orbit(
     stalled = False
     terminated = fields = None
     if fate:
-        radius = th.extinction_radius
-        est_tol = 0.1 * th.y_limit_tol
         fp = interior_fixed_point(params)
         y_cap = derived_constants(params).y_limit
-        done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, radius)
+        done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, th.extinction_radius)
         if done:
             fields = _fields(0, x, y, ball, extinction, growth, False, tag)
-        est_prev, checkpoint_x = math.nan, 100.0
+        # the fate's state after (n, x, y), from which _fate_from resumes
+        state = (tag, extinction, growth, math.nan, 100.0)
     # the states at the latest two block starts, each a multiple of window
     mark = last_mark = None
     while terminated is None and n < budget:
@@ -403,47 +402,21 @@ def _orbit(
             last_mark, mark = mark, (n, x, y)
         stop = min(n - n % window + window, budget)
         if fate and fields is None:
-            # _fate_from's step, in its order, then the trajectory's own stop
-            for n in range(n + 1, stop + 1):
-                # _w0_xy inlined, in its operation order
-                k = alpha * x / (1.0 + x)
-                x1 = (x - k) + beta * y * y / (gamma + y)
-                y1 = k + c * y
-                # both images are >= 0, so their difference is finite iff both are
-                if not isfinite(x1 - y1):
-                    n -= 1
-                    fields = _fields(n, x, y, False, extinction, growth, False, tag)
-                    terminated = Termination.DIVERGED
-                    break
-                # the displacement, max(|x1 - x|, |y1 - y|), is below step_tol
-                stalled = abs(x1 - x) < step_tol and abs(y1 - y) < step_tol
-                x, y = x1, y1
-                if x <= radius and y <= radius:  # max() would cost a call per step
-                    fields = _fields(n, x, y, True, extinction, growth, False, tag)
-                    break
-                # a certified orbit pays no call
-                if not extinction and (fp is None or not growth):
-                    extinction, growth, tag = _certify(x, y, fp, y_cap, extinction, growth, tag)
-                if not growth and x > divergence_x:
-                    growth = True
-                if growth and x >= checkpoint_x:
-                    est = _estimate(x, y)
-                    if abs(est - est_prev) <= est_tol:
-                        fields = _fields(n, x, y, False, extinction, growth, False, tag)
-                        break
-                    est_prev = est
-                    checkpoint_x = 2.0 * x
-                if stalled:
-                    fields = _fields(n, x, y, False, extinction, growth, True, tag)
-                    break
-                if x > divergence_x:
-                    break  # the trajectory stops; the fate resumes below
+            # a fate that stops before a non-finite image leaves that image
+            # to the plain loop, which meets it at once and stops there too
+            block = _fate_from(params, budget, th, y_cap, fp, n, x, y, *state, stop, divergence_x)
+            fields, stalled, (n, x, y, *state) = block
         else:
             for n in range(n + 1, stop + 1):
                 # _w0_xy inlined, in its operation order
                 k = alpha * x / (1.0 + x)
                 x1 = (x - k) + beta * y * y / (gamma + y)
                 y1 = k + c * y
+                # neither stop: x1 moves by step_tol and is at most
+                # divergence_x, so finite, and so is y1 (see _fate_from)
+                if x1 <= divergence_x and (x1 - x >= step_tol or x - x1 >= step_tol):
+                    x, y = x1, y1
+                    continue
                 if not isfinite(x1 - y1):
                     n -= 1
                     terminated = Termination.DIVERGED
@@ -457,7 +430,7 @@ def _orbit(
             terminated = Termination.DIVERGED if x > divergence_x else Termination.CONVERGED
     if fate and fields is None:
         # the budget ran out, or the trajectory stopped first at divergence_x
-        fields = _fate_from(params, budget, th, y_cap, fp, n, x, y, tag, extinction, growth, est_prev, checkpoint_x)
+        fields = _fate_from(params, budget, th, y_cap, fp, n, x, y, *state)[0]
 
     head = min(n, window)
     points = [s0, *_replay(params, 0, s0.x, s0.y, 1, head)]
@@ -563,37 +536,51 @@ def _fate_from(
     growth: bool,
     est_prev: float,
     checkpoint_x: float,
-) -> tuple[int, int, float, float, float, int]:
-    """The scalar fate loop of :func:`classify_fate`.
+    block_end: int = sys.maxsize,
+    stop_x: float = math.inf,
+) -> tuple[tuple | None, bool, tuple]:
+    """The scalar fate loop of :func:`classify_fate`, ``_orbit`` and ``_lockstep_fates``.
 
     Steps a cell on from its state after ``n`` steps at ``(x, y)``, with
     the certificates and tag code reached so far, the last estimate
     checkpoint ``est_prev`` (nan before the first, which no estimate is
-    within tolerance of) and the ``x`` at which the next one falls, until
-    the verdict is final or ``budget`` steps are reached.  The stepping is
-    written here; ``_certify`` is called only while a certificate is
-    missing.  Returns the cell's column fields (see ``_fields``).
-    ``_lockstep_fates`` steps the same way, elementwise, and ``_orbit``'s
-    fate loop does too, with the trajectory's stops added.
+    within tolerance of) and the ``x`` at which the next one falls.
+    Returns ``(fields, stalled, state)``: once the verdict is final, the
+    column fields (see ``_fields``), whether the last step's displacement
+    was below ``step_tol``, and ``(n, x, y)``.  At ``block_end``, or once ``x``
+    passes ``stop_x``, before the verdict, ``fields`` is None and
+    ``state`` is ``(n, x, y, tag, extinction, growth, est_prev,
+    checkpoint_x)``, from which a call resumes.  ``_certify`` is called
+    only while a certificate is missing.  ``_lockstep_fates`` steps the
+    same way, elementwise.  A step that fires no rule pays one test on
+    top of the kernel, and the rules run, in order, when it fails.
     """
     isfinite = math.isfinite
     alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
     radius, divergence_x, step_tol = th.extinction_radius, th.divergence_x, th.step_tol
     est_tol = 0.1 * th.y_limit_tol
-    for n in range(n + 1, budget + 1):
+    gate = -math.inf  # each step that runs the rules sets it, the first included
+    for n in range(n + 1, min(budget, block_end) + 1):
         # _w0_xy inlined, in its operation order
         k = alpha * x / (1.0 + x)
         x1 = (x - k) + beta * y * y / (gamma + y)
         y1 = k + c * y
+        # no rule fires: x1 lies outside the ball and below the gate, and
+        # |x1 - x| >= step_tol, so the step is no stall.  x1 < gate <= inf
+        # makes x1 finite, and testing x1 alone is enough: y1 = k + (1-mu)*y
+        # with k = alpha*x/(1+x) <= alpha is finite whenever x and y are.
+        # Plain comparisons, without abs(), cost the least per step.
+        if x1 > radius and x1 < gate and (x1 - x >= step_tol or x - x1 >= step_tol):
+            x, y = x1, y1
+            continue
         # both images are >= 0, so their difference is finite iff both are
         if not isfinite(x1 - y1):
-            n -= 1
-            break
+            return _fields(n - 1, x, y, False, extinction, growth, False, tag), False, (n - 1, x, y)
         # the displacement, max(|x1 - x|, |y1 - y|), is below step_tol
         stalled = abs(x1 - x) < step_tol and abs(y1 - y) < step_tol
         x, y = x1, y1
         if x <= radius and y <= radius:  # max() would cost a call per step
-            return _fields(n, x, y, True, extinction, growth, False, tag)
+            return _fields(n, x, y, True, extinction, growth, False, tag), stalled, (n, x, y)
         # a certified orbit pays no call
         if not extinction and (fp is None or not growth):
             extinction, growth, tag = _certify(x, y, fp, y_cap, extinction, growth, tag)
@@ -606,13 +593,22 @@ def _fate_from(
             # by less than a tenth of the tolerance
             est = _estimate(x, y)
             if abs(est - est_prev) <= est_tol:
-                break  # the outcome reports est, the inversion at the final state
+                # the outcome reports est, the inversion at the final state
+                return _fields(n, x, y, False, extinction, growth, False, tag), stalled, (n, x, y)
             est_prev = est
             checkpoint_x = 2.0 * x
 
         if stalled:
-            return _fields(n, x, y, False, extinction, growth, True, tag)
-    return _fields(n, x, y, False, extinction, growth, False, tag)
+            return _fields(n, x, y, False, extinction, growth, True, tag), True, (n, x, y)
+        if x > stop_x:
+            break
+        # the least x at which a rule can fire: any x while a certificate
+        # may come, else the next checkpoint (growth) or divergence_x, or stop_x
+        gate = min(checkpoint_x if growth else divergence_x, stop_x)
+        if not extinction and (fp is None or not growth):
+            gate = -math.inf
+    fields = _fields(n, x, y, False, extinction, growth, False, tag) if n == budget else None
+    return fields, False, (n, x, y, tag, extinction, growth, est_prev, checkpoint_x)
 
 
 def _verdict(ball, extinction, growth, stalled, tag):
@@ -700,7 +696,7 @@ def classify_fate(
     done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, th.extinction_radius)
     if done:
         return _outcome(*_fields(0, x, y, ball, extinction, growth, False, tag))
-    return _outcome(*_fate_from(params, budget, th, y_cap, fp, 0, x, y, tag, extinction, growth, math.nan, 100.0))
+    return _outcome(*_fate_from(params, budget, th, y_cap, fp, 0, x, y, tag, extinction, growth, math.nan, 100.0)[0])
 
 
 def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, TrajectoryOutcome]:
@@ -932,11 +928,11 @@ def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundRepo
     return AdultBoundReport(starts, horizon, y_limit, None)
 
 
-# On a 2-CPU Xeon with numpy 2.4 a lockstep step cost 27-36 us whether it
-# carried 1 or 128 growth cells, and a scalar step 0.30-0.44 us per cell;
-# the two meet at 71-93 cells, median 85, so at this many unresolved cells
-# or fewer the scalar loop is the cheaper one.
-LOCKSTEP_CROSSOVER = 85
+# On a 2-CPU Xeon with numpy 2.4 a lockstep step cost 18-25 us whether it
+# carried 1 or 128 growth cells, and a scalar step 0.15-0.25 us per cell;
+# the two meet at 100-140 cells, median 110, so at this many unresolved
+# cells or fewer the scalar loop is the cheaper one.
+LOCKSTEP_CROSSOVER = 110
 
 # a verdict code indexes _VERDICTS and a tag code _TAGS; codes 1-3 name a
 # certificate, and a fate decided without one gets 4, empirical, from _verdict
@@ -1076,7 +1072,7 @@ def _lockstep_fates(
     for i, xi, yi, t, e, g, ep, cx in zip(
         *(a.tolist() for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x))
     ):
-        fields = _fate_from(params, budget, th, y_cap, fp, n, xi, yi, t, e, g, ep, cx)
+        fields = _fate_from(params, budget, th, y_cap, fp, n, xi, yi, t, e, g, ep, cx)[0]
         for column, value in zip(columns, fields):
             column[i] = value
     return columns

@@ -5,19 +5,20 @@ the last few to the scalar fate loop, filling one column per outcome
 field, from which the outcomes are rebuilt here; ``classify_fate``
 settles its one start with the same start certificate, on floats, and
 runs that scalar loop.  ``iterate`` and ``simulate`` share one orbit
-engine: it steps ``simulate``'s fate on a copy of that loop while the
-verdict is open, records nothing while stepping and re-steps the first
-and last ``window`` states at the end.  ``simulate`` must give the
-oracle's ``iterate`` and ``classify_fate``, at budgets on either side
-of each of the first block ends, with the verdict on a block end, with
-the last ``window`` states reaching back before the verdict, and with
-the trajectory stopping at ``divergence_x`` on a block end while the
-fate runs on.
+engine: it steps ``simulate``'s fate on that loop, one call per block,
+while the verdict is open, records nothing while stepping and re-steps
+the first and last ``window`` states at the end.  ``simulate`` must
+give the oracle's ``iterate`` and ``classify_fate``, at budgets on
+either side of each of the first block ends, with the verdict on a
+block end, with the last ``window`` states reaching back before the
+verdict, and with the trajectory stopping at ``divergence_x`` on a
+block end and inside one while the fate runs on.
 :mod:`reference` keeps the original scalar loops.  Both must agree bit
 for bit (``repr`` tells every double apart, ``-0.0`` included) over both
 regimes, windows and budgets, including starts whose first image
 overflows or passes ``divergence_x`` and states exactly at each fate
-rule's threshold; ``iterate``, ``classify_fate`` and the lockstep engine
+rule's threshold and at each bound of the test a step that fires no
+rule passes; ``iterate``, ``classify_fate`` and the lockstep engine
 also under threshold overrides.  ``classify_fate`` and the engine on a
 one-start array must agree too, at the start certificate's boundaries.
 The package calls must emit no numpy warnings.
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -241,6 +243,17 @@ def test_simulate_divergence_stop_on_a_block_end_matches_reference(monkeypatch, 
     assert outcome.iterations_used > window
 
 
+@pytest.mark.parametrize("x0, window", [(1e9 - 0.35, 8), (1e9 - 102.35, 2048)])
+def test_simulate_divergence_stop_inside_a_block_matches_reference(monkeypatch, x0, window):
+    # x passes divergence_x at step 4 or 1024, inside a block, so the step that
+    # stops the trajectory must fail the one test of a step that fires no rule:
+    # in simulate's fate loop, below its gate, and in iterate's plain loop
+    trajectory, outcome = assert_simulate_matches_reference(monkeypatch, SHOWCASE, State(x0, 2.0), 5000, window)
+    assert trajectory.n_steps < window
+    assert trajectory.terminated is Termination.DIVERGED
+    assert outcome.iterations_used > trajectory.n_steps
+
+
 @st.composite
 def lockstep_cases(draw):
     """Batches of starts on both sides of the crossover, mixed kinds."""
@@ -358,6 +371,45 @@ SLOW_FIXED_POINT = Params(
         pytest.param(
             SHOWCASE, (6.0, 3.0), 10**4, FateThresholds(y_limit_tol=0.0003483250847446939), id="estimate-at-tolerance"
         ),
+        # the one-test steps' exits, on certified orbits past their first step:
+        # |x1 - x| equals step_tol at step 12, the least x-step of this growth
+        # orbit, so no step stalls and the estimate is accepted at step 2228
+        pytest.param(
+            SHOWCASE,
+            (5.0, 2.0),
+            3000,
+            FateThresholds(step_tol=0.022407000273341637, y_limit_tol=1e-3),
+            id="dx-at-step-tol",
+        ),
+        # one ulp more: at step 12 both |x1 - x| and |y1 - y| are below step_tol
+        pytest.param(
+            SHOWCASE,
+            (5.0, 2.0),
+            3000,
+            FateThresholds(step_tol=0.02240700027334164, y_limit_tol=1e-3),
+            id="dx-below-step-tol",
+        ),
+        # at step 20 |x1 - x| is below step_tol but |y1 - y| = 0.03 is not: no stall until step 25
+        pytest.param(
+            SHOWCASE, (1.0, 1.0), 1000, FateThresholds(step_tol=0.005899604640286388), id="dx-below-step-tol-y-moving"
+        ),
+        # x after step 20 equals the radius while y = 0.071 does not: the ball is reached at step 26
+        pytest.param(
+            SHOWCASE, (1.0, 1.0), 1000, FateThresholds(extinction_radius=0.007092257374053066), id="x-at-radius"
+        ),
+        # x after step 30 equals the radius and y = 0.092 is inside: the ball is reached at step 30
+        pytest.param(
+            Params(alpha=0.1, beta=5.0, gamma=2.0, mu=0.4),
+            (1.0, 0.1),
+            1000,
+            FateThresholds(extinction_radius=0.5488705190896546),
+            id="x-at-radius-y-inside",
+        ),
+        # gamma + y overflows, so x1 = inf/inf is nan; the start is in Omega2, (x*, y*) = (1, 0.5).
+        # Only a first step can meet it: after one, y <= alpha + (1 - mu)*y0, about y0/2 here
+        pytest.param(
+            Params(alpha=0.5, beta=1e300, gamma=1e300, mu=0.5), (2.0, sys.float_info.max), 100, None, id="nan-image"
+        ),
     ],
 )
 def test_fate_rules_at_their_boundaries(params, start, budget, thresholds):
@@ -373,7 +425,7 @@ def test_basin_scan_matches_reference_across_worker_counts(monkeypatch):
     # two CPUs so that two blocks run in two processes, each of more than
     # LOCKSTEP_CROSSOVER cells, so that both start in lockstep
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
-    grid = dict(x_range=(0.0, 7.0), y_range=(0.0, 5.0), nx=18, ny=10, budget=3000)
+    grid = dict(x_range=(0.0, 7.0), y_range=(0.0, 5.0), nx=24, ny=10, budget=3000)
     assert grid["nx"] * grid["ny"] > 2 * LOCKSTEP_CROSSOVER
     serial = basin_scan(SHOWCASE, **grid, workers=1)
     parallel = basin_scan(SHOWCASE, **grid, workers=2)
