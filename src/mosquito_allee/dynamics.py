@@ -395,10 +395,12 @@ def _orbit(
             fields = _fields(0, x, y, ball, extinction, growth, False, tag)
         # the fate's state after (n, x, y), from which _fate_from resumes
         state = (tag, extinction, growth, math.nan, 100.0)
-    # the states at the latest two block starts, each a multiple of window
-    mark = last_mark = None
+    # the states at the latest two block starts, each a multiple of window;
+    # a fate that stops before a non-finite image may return to its block's
+    # start, which is kept once
+    last_mark, mark = None, (n, x, y)
     while terminated is None and n < budget:
-        if n % window == 0:
+        if n % window == 0 and n > mark[0]:
             last_mark, mark = mark, (n, x, y)
         stop = min(n - n % window + window, budget)
         if fate and fields is None:

@@ -739,8 +739,13 @@ def test_property_inlined_steps_match_the_kernel(alpha, beta, gamma, mu, x, y):
     n = trajectory.n_steps
     assert trajectory.indices == tuple(range(n + 1))
     assert repr(trajectory.points) == repr(tuple(images[: n + 1]))
-    assert n == 3 or trajectory.terminated is not Termination.BUDGET
-    if len(images) == 1:
-        assert trajectory.terminated is Termination.DIVERGED
+    if n < 3:
+        th = FateThresholds()
+        if trajectory.terminated is Termination.CONVERGED:
+            a, b = images[n - 1], images[n]
+            assert n > 0 and abs(b.x - a.x) < th.step_tol and abs(b.y - a.y) < th.step_tol
+        else:
+            assert trajectory.terminated is Termination.DIVERGED
+            assert n == len(images) - 1 or images[n].x > th.divergence_x
     assert outcome.iterations_used < len(images)
     assert repr(outcome.final_state) == repr(images[outcome.iterations_used])

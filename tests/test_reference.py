@@ -254,6 +254,19 @@ def test_simulate_divergence_stop_inside_a_block_matches_reference(monkeypatch, 
     assert outcome.iterations_used > trajectory.n_steps
 
 
+@pytest.mark.parametrize("y0, window", [(13395.0, 8), (11375.0, 1024)])
+def test_simulate_overflow_on_a_block_start_matches_reference(monkeypatch, y0, window):
+    # (1-mu) rounds to 1, so y rises by about 1 a step while x stays far below
+    # divergence_x; beta*y*y overflows on step 2*window + 1, the first of a
+    # block, with the growth estimate still open, so the fate stops at that
+    # block's start and the trajectory there, keeping its last window points
+    params = Params(alpha=1.0, beta=1e300, gamma=1e308, mu=1e-20)
+    trajectory, outcome = assert_simulate_matches_reference(monkeypatch, params, State(1.0, y0), 5000, window)
+    assert trajectory.n_steps == outcome.iterations_used == 2 * window
+    assert trajectory.terminated is Termination.DIVERGED
+    assert len(trajectory.points) == len(trajectory.indices) == 2 * window + 1
+
+
 @st.composite
 def lockstep_cases(draw):
     """Batches of starts on both sides of the crossover, mixed kinds."""
