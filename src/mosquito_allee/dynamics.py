@@ -27,18 +27,18 @@ inversion converges to ``alpha/mu`` quadratically in ``1/x``.  The
 estimate is accepted once consecutive doubling checkpoints agree to a
 tenth of the reporting tolerance.
 
-Single orbits step on scalar loops that keep their state in locals:
-the fate of ``classify_fate`` in ``_fate_from``, the orbit of
-``iterate`` and ``simulate`` in ``_orbit``, and the monotone tail in
-``monotonicity_probe``.  The map is the kernel ``model._w0_xy``; the
-loops a workload runs per step (``_fate_from``, ``_orbit``'s plain loop
-and ``_replay``) carry a copy of its arithmetic in the same operation
-order, so their images are the kernel's, bit for bit; in the first two
-a step that fires no rule pays one test on top of them.  ``_orbit``
-steps an orbit once: while ``simulate``'s verdict is open, on one
-``_fate_from`` call per block, then on a plain loop.  It records
-nothing per step; the states a trajectory keeps are re-stepped at the
-end.
+Single orbits step on one scalar loop, ``_fate_from``, that keeps its
+state in locals: the fate of ``classify_fate``, and the orbit of
+``iterate`` and ``simulate``, which ``_orbit`` steps once, one
+``_fate_from`` call per block.  While ``simulate``'s verdict is open a
+block carries the fate; after it, and for ``iterate``, a block carries
+a closed fate, on which only the trajectory's stops fire.  The map is
+the kernel ``model._w0_xy``.  ``_fate_from`` carries the one copy of
+its arithmetic, in the same operation order, so its images are the
+kernel's, bit for bit, and a step that fires no rule pays one test on
+top of them.  ``_orbit`` records nothing per step; the states a
+trajectory keeps are re-stepped on the kernel at the end
+(``_replay``).  ``monotonicity_probe`` steps its tail on the kernel.
 
 Each fate rule is written once, on floats and float64 arrays alike:
 the Omega1/Omega2 test in ``_regions``, the certificate a reached state
@@ -223,9 +223,9 @@ class InvarianceReport:
 @dataclass(frozen=True)
 class IdentityReport:
     samples: int
-    worst_residual: float
-    witness: State  # the first state drawn with the worst |residual|
-    tolerance: float = 1e-12
+    worst_residual: float  # the witness's |residual|
+    witness: State  # the first state drawn over its allowance, else the first with the worst |residual|
+    tolerance: float  # the witness's allowance, 1e-12*max(1, beta*y, mu*y)
 
     @property
     def passed(self) -> bool:
@@ -370,31 +370,22 @@ def _orbit(
 
     Returns the trajectory of ``iterate`` and, with ``fate``, the column
     fields of ``classify_fate`` (see ``_fields``), else None.  The orbit
-    is stepped once, in blocks that end at each multiple of ``window``.
-    While the fate is open, a block is one call of ``_fate_from`` that
-    also stops where the trajectory does; after that, a plain loop steps
-    with only the trajectory's stops.  A trajectory that stops at
-    ``divergence_x`` before the verdict hands the fate to
-    ``_fate_from`` at the state it stopped at.  Nothing is recorded
-    while stepping: the state at each block's start is kept, and the
-    points of the first ``window`` steps and of the last ``window`` are
-    re-stepped at the end (``_replay``), from the start and from the
-    latest kept state before the last ``window``.
+    is stepped once, in blocks that end at each multiple of ``window``,
+    each one call of ``_fate_from`` that also stops where the trajectory
+    does, carrying the fate while it is open and else ``_CLOSED_FATE``,
+    on which only the trajectory's stops fire.  A trajectory that stops at
+    ``divergence_x`` before the verdict hands the fate to ``_fate_from``
+    at the state it stopped at.  Nothing is recorded while stepping: the
+    state at each block's start is kept, and the points of the first
+    ``window`` steps and of the last ``window`` are re-stepped at the end
+    (``_replay``), from the start and from the latest kept state before
+    the last ``window``.
     """
-    isfinite = math.isfinite
-    alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
-    divergence_x, step_tol = th.divergence_x, th.step_tol
+    divergence_x = th.divergence_x
     n, x, y = 0, s0.x, s0.y
-    stalled = False
     terminated = fields = None
     if fate:
-        fp = interior_fixed_point(params)
-        y_cap = derived_constants(params).y_limit
-        done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, th.extinction_radius)
-        if done:
-            fields = _fields(0, x, y, ball, extinction, growth, False, tag)
-        # the fate's state after (n, x, y), from which _fate_from resumes
-        state = (tag, extinction, growth, math.nan, 100.0)
+        fields, context, state = _fate_start(params, th, x, y)
     # the states at the latest two block starts, each a multiple of window;
     # a fate that stops before a non-finite image may return to its block's
     # start, which is kept once
@@ -405,34 +396,21 @@ def _orbit(
         stop = min(n - n % window + window, budget)
         if fate and fields is None:
             # a fate that stops before a non-finite image leaves that image
-            # to the plain loop, which meets it at once and stops there too
-            block = _fate_from(params, budget, th, y_cap, fp, n, x, y, *state, stop, divergence_x)
+            # to the closed fate, which meets it at once and stops there too
+            block = _fate_from(params, budget, th, n, x, y, *context, *state, stop, divergence_x)
             fields, stalled, (n, x, y, *state) = block
         else:
-            for n in range(n + 1, stop + 1):
-                # _w0_xy inlined, in its operation order
-                k = alpha * x / (1.0 + x)
-                x1 = (x - k) + beta * y * y / (gamma + y)
-                y1 = k + c * y
-                # neither stop: x1 moves by step_tol and is at most
-                # divergence_x, so finite, and so is y1 (see _fate_from)
-                if x1 <= divergence_x and (x1 - x >= step_tol or x - x1 >= step_tol):
-                    x, y = x1, y1
-                    continue
-                if not isfinite(x1 - y1):
-                    n -= 1
-                    terminated = Termination.DIVERGED
-                    break
-                stalled = abs(x1 - x) < step_tol and abs(y1 - y) < step_tol
-                x, y = x1, y1
-                if stalled or x > divergence_x:
-                    break
+            end, stalled, (n, x, y, *_) = _fate_from(params, budget, th, n, x, y, *_CLOSED_FATE, stop, divergence_x)
+            # a closed fate ends before the budget without a stall only
+            # before a non-finite image
+            if end is not None and not stalled and n < budget:
+                terminated = Termination.DIVERGED
         # the trajectory's stops at step n, also where the fate stopped first
         if terminated is None and (stalled or x > divergence_x):
             terminated = Termination.DIVERGED if x > divergence_x else Termination.CONVERGED
     if fate and fields is None:
         # the budget ran out, or the trajectory stopped first at divergence_x
-        fields = _fate_from(params, budget, th, y_cap, fp, n, x, y, *state)[0]
+        fields = _fate_from(params, budget, th, n, x, y, *context, *state)[0]
 
     head = min(n, window)
     points = [s0, *_replay(params, 0, s0.x, s0.y, 1, head)]
@@ -449,15 +427,13 @@ def _orbit(
 def _replay(params: Params, n: int, x: float, y: float, first: int, last: int) -> list[State]:
     """The states after steps ``first`` to ``last`` of the orbit at ``(x, y)`` after ``n`` steps.
 
-    The steps are taken again on the kernel's arithmetic, which is
-    deterministic, so they are the states the orbit reached, bit for bit.
+    The steps are taken again on the kernel, which is deterministic, so
+    they are the states the orbit reached, bit for bit.
     """
-    alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
+    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
     points = []
     for n in range(n + 1, last + 1):
-        # _w0_xy inlined, in its operation order
-        k = alpha * x / (1.0 + x)
-        x, y = (x - k) + beta * y * y / (gamma + y), k + c * y
+        x, y = _w0_xy(alpha, beta, gamma, mu, x, y)
         if n >= first:
             points.append(State(x, y))
     return points
@@ -528,11 +504,12 @@ def _fate_from(
     params: Params,
     budget: int,
     th: FateThresholds,
-    y_cap: float,
-    fp: State | None,
     n: int,
     x: float,
     y: float,
+    y_cap: float,
+    fp: State | None,
+    radius: float,
     tag: int,
     extinction: bool,
     growth: bool,
@@ -544,6 +521,7 @@ def _fate_from(
     """The scalar fate loop of :func:`classify_fate`, ``_orbit`` and ``_lockstep_fates``.
 
     Steps a cell on from its state after ``n`` steps at ``(x, y)``, with
+    ``y_cap`` and ``fp`` for ``_certify``, the origin ball's ``radius``,
     the certificates and tag code reached so far, the last estimate
     checkpoint ``est_prev`` (nan before the first, which no estimate is
     within tolerance of) and the ``x`` at which the next one falls.
@@ -553,13 +531,15 @@ def _fate_from(
     passes ``stop_x``, before the verdict, ``fields`` is None and
     ``state`` is ``(n, x, y, tag, extinction, growth, est_prev,
     checkpoint_x)``, from which a call resumes.  ``_certify`` is called
-    only while a certificate is missing.  ``_lockstep_fates`` steps the
-    same way, elementwise.  A step that fires no rule pays one test on
-    top of the kernel, and the rules run, in order, when it fails.
+    only while a certificate is missing.  On ``_CLOSED_FATE`` only the
+    stops that are not rules end a call.  ``_lockstep_fates`` steps the
+    same way, elementwise.  The kernel's one inlined copy is here; a step
+    that fires no rule pays one test on top of it, and the rules run, in
+    order, when it fails.
     """
     isfinite = math.isfinite
     alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
-    radius, divergence_x, step_tol = th.extinction_radius, th.divergence_x, th.step_tol
+    divergence_x, step_tol = th.divergence_x, th.step_tol
     est_tol = 0.1 * th.y_limit_tol
     gate = -math.inf  # each step that runs the rules sets it, the first included
     for n in range(n + 1, min(budget, block_end) + 1):
@@ -692,13 +672,10 @@ def classify_fate(
     loaded.
     """
     th = _checked(params, budget, thresholds)
-    fp = interior_fixed_point(params)
-    y_cap = derived_constants(params).y_limit
-    x, y = s0.x, s0.y
-    done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, th.extinction_radius)
-    if done:
-        return _outcome(*_fields(0, x, y, ball, extinction, growth, False, tag))
-    return _outcome(*_fate_from(params, budget, th, y_cap, fp, 0, x, y, tag, extinction, growth, math.nan, 100.0)[0])
+    fields, context, state = _fate_start(params, th, s0.x, s0.y)
+    if fields is None:
+        fields = _fate_from(params, budget, th, 0, s0.x, s0.y, *context, *state)[0]
+    return _outcome(*fields)
 
 
 def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, TrajectoryOutcome]:
@@ -882,9 +859,11 @@ def check_sum_identity(params: Params, samples: int, seed: int) -> IdentityRepor
     """Sample states and report the worst defect of the total-population identity.
 
     ``x`` is drawn from ``[0, 1e4]`` and ``y`` from a window that keeps
-    ``beta*y`` small enough for the absolute tolerance to be meaningful
-    in double precision.  The draws come from ``seed + 2``, apart from
-    the invariance draws a ``check`` seed makes at ``seed`` and ``seed + 1``.
+    ``beta*y`` moderate where ``beta`` is small.  The draws come from
+    ``seed + 2``, apart from the invariance draws a ``check`` seed makes
+    at ``seed`` and ``seed + 1``.  The terms the defect adds up are of
+    the size of ``beta*y`` and ``mu*y``, so each state is allowed
+    ``1e-12*max(1, beta*y, mu*y)`` of rounding.
     """
     fp = _require_interior(params)
     _require_sampling(samples, seed)
@@ -896,8 +875,10 @@ def check_sum_identity(params: Params, samples: int, seed: int) -> IdentityRepor
     xs = rng.uniform(0.0, 1e4, samples)
     ys = rng.uniform(0.0, y_window, samples)
     residuals = np.abs(_identity_defect(params.beta, params.gamma, params.mu, ys))
-    i = int(np.argmax(residuals))
-    return IdentityReport(samples, float(residuals[i]), State(float(xs[i]), float(ys[i])))
+    allowances = 1e-12 * np.maximum(1.0, np.maximum(params.beta * ys, params.mu * ys))
+    exceeds = ~(residuals <= allowances)  # a nan residual exceeds too
+    i = int(np.argmax(exceeds)) if exceeds.any() else int(np.argmax(residuals))
+    return IdentityReport(samples, float(residuals[i]), State(float(xs[i]), float(ys[i])), float(allowances[i]))
 
 
 def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundReport:
@@ -936,6 +917,11 @@ def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundRepo
 # cells or fewer the scalar loop is the cheaper one.
 LOCKSTEP_CROSSOVER = 110
 
+# the x of a growth fate's first estimate checkpoint
+_FIRST_CHECKPOINT_X = 100.0
+# the context and state of a fate on which no rule fires: no origin ball,
+# both certificates held (so y_cap and fp go unread), and no checkpoint
+_CLOSED_FATE = (math.nan, None, -math.inf, 0, True, True, math.nan, math.inf)
 # a verdict code indexes _VERDICTS and a tag code _TAGS; codes 1-3 name a
 # certificate, and a fate decided without one gets 4, empirical, from _verdict
 _VERDICTS = tuple(Verdict)
@@ -972,6 +958,20 @@ def _start_certificate(x, y, fp: State | None, y_cap: float, r: float):
     return ball | at_fp, ball, extinction, growth, 2 * extinction + 3 * growth
 
 
+def _fate_start(params: Params, th: FateThresholds, x: float, y: float) -> tuple[tuple | None, tuple, tuple]:
+    """The scalar fate of a start ``(x, y)`` before any step: ``(fields, context, state)``.
+
+    ``fields`` are the column fields when the start settles the verdict,
+    else None; ``_fate_from`` then steps on with ``context``, ``(y_cap,
+    fp, radius)``, from ``state``, ``(tag, extinction, growth, est_prev,
+    checkpoint_x)``.
+    """
+    fp, y_cap = interior_fixed_point(params), derived_constants(params).y_limit
+    done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, th.extinction_radius)
+    fields = _fields(0, x, y, ball, extinction, growth, False, tag) if done else None
+    return fields, (y_cap, fp, th.extinction_radius), (tag, extinction, growth, math.nan, _FIRST_CHECKPOINT_X)
+
+
 def _lockstep_fates(
     params: Params,
     x0: np.ndarray,
@@ -992,8 +992,7 @@ def _lockstep_fates(
     import numpy as np
 
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
-    fp = interior_fixed_point(params)
-    y_cap = derived_constants(params).y_limit
+    fp, y_cap = interior_fixed_point(params), derived_constants(params).y_limit
     r, div_x, step_tol = th.extinction_radius, th.divergence_x, th.step_tol
     est_tol = 0.1 * th.y_limit_tol
     columns = tuple(np.empty(len(x0), dtype) for _, dtype in _COLUMNS)
@@ -1005,8 +1004,8 @@ def _lockstep_fates(
     idx = np.arange(len(x0))
     x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     est_prev = np.full(len(x0), np.nan)  # nan: no checkpoint yet
-    # x at which the next estimate checkpoint falls: 100, then twice the last checkpoint's x
-    checkpoint_x = np.full(len(x0), 100.0)
+    # x at which the next estimate checkpoint falls: the first, then twice the last checkpoint's x
+    checkpoint_x = np.full(len(x0), _FIRST_CHECKPOINT_X)
 
     def finish(done, ball=None, stalled=None) -> None:
         """Write the fields of the cells in ``done`` at step ``n``, and drop them.
@@ -1074,7 +1073,7 @@ def _lockstep_fates(
     for i, xi, yi, t, e, g, ep, cx in zip(
         *(a.tolist() for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x))
     ):
-        fields = _fate_from(params, budget, th, y_cap, fp, n, xi, yi, t, e, g, ep, cx)[0]
+        fields = _fate_from(params, budget, th, n, xi, yi, y_cap, fp, r, t, e, g, ep, cx)[0]
         for column, value in zip(columns, fields):
             column[i] = value
     return columns

@@ -181,12 +181,11 @@ def _w0_xy(alpha: float, beta: float, gamma: float, mu: float, x, y):
     ``alpha <= 1`` even after rounding, each partial result is
     nonnegative and the float image cannot dip below zero.
 
-    The scalar loops of ``dynamics`` (``_fate_from``, the two loops of
-    ``_orbit`` and ``_replay``) carry inlined copies of these three
-    lines, in the same operation order, because the call and its tuple
-    were about a third of a scalar step.
+    ``dynamics._fate_from``, the one scalar stepping loop, carries an
+    inlined copy of these three lines, in the same operation order,
+    because the call and its tuple were about a third of a scalar step.
     ``test_property_inlined_steps_match_the_kernel`` in
-    ``tests/test_dynamics.py`` pins every copy to this kernel, bit for bit.
+    ``tests/test_dynamics.py`` pins that copy to this kernel, bit for bit.
     """
     k = alpha * x / (1.0 + x)
     g = beta * y * y / (gamma + y)

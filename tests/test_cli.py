@@ -267,10 +267,19 @@ def test_check_reports_identity_failure(monkeypatch, capsys):
     assert code == EXIT_FALSIFIED
     report = check_sum_identity(SHOWCASE, 300, 5)
     w = report.witness
+    # the first state drawn over its allowance, and that allowance
     assert capsys.readouterr().out.splitlines()[2] == (
-        f"sum identity: FAIL (|residual| {report.worst_residual:.3g} > 1e-12 at "
+        f"sum identity: FAIL (|residual| {report.worst_residual:.3g} > {report.tolerance:g} at "
         f"({w.x:.17g}, {w.y:.17g}))"
     )
+
+
+def test_check_passes_rounding_at_large_beta(capsys):
+    # the identity's terms are about 3e5 here, so its defect of about 1e-10 is rounding
+    code = main(["check", "--alpha", "0.5", "--beta", "1e6", "--gamma", "1", "--mu", "0.5", "--samples", "1000"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "FAIL" not in out
 
 
 def test_check_reports_adult_bound_failure(monkeypatch, capsys):

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import SHOWCASE, interior_params, origin_only_params, pumped_kernel
@@ -390,19 +390,47 @@ class TestSumIdentityResidual:
 
 
 def identity_by_loop(params, samples, seed):
-    """The worst identity defect and its first state, one ``State`` at a time."""
+    """The identity's worst defect and first state with it, and the first
+    state over its allowance with its defect and allowance (None if no
+    state is), one ``State`` at a time."""
     rng = np.random.default_rng(seed + 2)
     y_window = max(1.0, min(10.0 * max(derived_constants(params).y_limit, interior_fixed_point(params).y),
                             500.0 / params.beta))
     xs = rng.uniform(0.0, 1e4, samples)
     ys = rng.uniform(0.0, y_window, samples)
-    worst, witness = -1.0, None
+    worst, witness, violation = -1.0, None, None
     for xv, yv in zip(xs, ys):
         state = State(float(xv), float(yv))
         residual = abs(sum_identity_residual(params, state))
+        allowance = 1e-12 * max(1.0, params.beta * state.y, params.mu * state.y)
         if residual > worst:
             worst, witness = residual, state
-    return worst, witness
+        if violation is None and residual > allowance:
+            violation = (state, residual, allowance)
+    return worst, witness, violation
+
+
+def defect_without_mortality(beta, gamma, mu, y):
+    """``_identity_defect`` with the increment's ``- mu*y`` term dropped."""
+    ystar = gamma * mu / (beta - mu)
+    gy = gamma + y
+    return beta * y * y / gy + (beta - mu) * y * (ystar - y) / gy
+
+
+@st.composite
+def fuzz_interior_params(draw):
+    """Log-uniform over alpha, mu in [1e-8, 1], gamma in [1e-12, 1e12] and
+    beta up to 1e12, with beta at least 1.001 times the existence threshold,
+    so that the interior point exists and is not on the threshold."""
+    def log_uniform(lo, hi):
+        return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+
+    alpha, mu, gamma = log_uniform(1e-8, 1.0), log_uniform(1e-8, 1.0), log_uniform(1e-12, 1e12)
+    threshold = 1.001 * mu * (1.0 + gamma * mu / alpha)
+    assume(threshold < 1e12)
+    beta = log_uniform(threshold, 1e12)
+    assume(beta > threshold)
+    return Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu)
 
 
 def adult_bound_by_loop(params, samples, seed):
@@ -426,17 +454,29 @@ class TestCheckSumIdentity:
         rng = np.random.default_rng(37)
         for seed, p in enumerate([SHOWCASE] * 10 + [interior_params(rng) for _ in range(10)]):
             report = check_sum_identity(p, 500, seed)
-            worst, witness = identity_by_loop(p, 500, seed)
-            assert report.worst_residual == worst and report.witness == witness
+            worst, witness, violation = identity_by_loop(p, 500, seed)
+            assert report.worst_residual == worst and report.witness == witness and violation is None
+            assert report.tolerance == 1e-12 * max(1.0, p.beta * witness.y, p.mu * witness.y)
             assert report.samples == 500 and report.passed
 
-    def test_failure_names_the_worst_state(self, monkeypatch):
+    def test_failure_names_the_first_state_over_its_allowance(self, monkeypatch):
+        # 1e-9*y exceeds 1e-12*max(1, 0.9*y, 0.4*y) wherever y > 1e-3
         monkeypatch.setattr(dynamics, "_identity_defect", lambda beta, gamma, mu, y: 1e-9 * y)
         report = check_sum_identity(SHOWCASE, 300, 5)
-        worst, witness = identity_by_loop(SHOWCASE, 300, 5)
+        _, _, violation = identity_by_loop(SHOWCASE, 300, 5)
         assert not report.passed
-        assert report.worst_residual == worst > report.tolerance == 1e-12
-        assert report.witness == witness
+        assert (report.witness, report.worst_residual, report.tolerance) == violation
+        assert report.worst_residual > report.tolerance
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=fuzz_interior_params(), seed=st.integers(0, 2**16))
+    def test_property_rounding_never_fails(self, params, seed):
+        assert check_sum_identity(params, 200, seed).passed
+
+    def test_dropped_term_fails(self, monkeypatch):
+        # an allowance loose enough to pass a wrong identity would pass everything
+        monkeypatch.setattr(dynamics, "_identity_defect", defect_without_mortality)
+        assert not check_sum_identity(SHOWCASE, 1000, 0).passed
 
     def test_requires_interior_point(self):
         with pytest.raises(ConfigurationError):
@@ -717,8 +757,8 @@ COORDINATES = st.one_of(
     y=COORDINATES,
 )
 def test_property_inlined_steps_match_the_kernel(alpha, beta, gamma, mu, x, y):
-    # iterate, _fate_from (simulate's fate loop too) and the re-stepping of
-    # the kept points each step an inlined copy of _w0_xy.  Three steps, as
+    # _fate_from holds the one inlined copy of _w0_xy, and iterate,
+    # classify_fate and simulate all step on it.  Three steps, as
     # _fate_from runs its first step on the rules and may pass the next ones
     # on the one test of a step that fires none
     params = Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu)

@@ -247,7 +247,7 @@ def test_simulate_divergence_stop_on_a_block_end_matches_reference(monkeypatch, 
 def test_simulate_divergence_stop_inside_a_block_matches_reference(monkeypatch, x0, window):
     # x passes divergence_x at step 4 or 1024, inside a block, so the step that
     # stops the trajectory must fail the one test of a step that fires no rule:
-    # in simulate's fate loop, below its gate, and in iterate's plain loop
+    # in simulate's fate loop, below its gate, and on iterate's closed fate
     trajectory, outcome = assert_simulate_matches_reference(monkeypatch, SHOWCASE, State(x0, 2.0), 5000, window)
     assert trajectory.n_steps < window
     assert trajectory.terminated is Termination.DIVERGED
@@ -265,6 +265,15 @@ def test_simulate_overflow_on_a_block_start_matches_reference(monkeypatch, y0, w
     assert trajectory.n_steps == outcome.iterations_used == 2 * window
     assert trajectory.terminated is Termination.DIVERGED
     assert len(trajectory.points) == len(trajectory.indices) == 2 * window + 1
+    # iterate steps on the closed fate from step 0; step 2*window + 1 is the
+    # first of a block at window 8, and at 1024 too, or inside one
+    for iterate_window in (8, 1024):
+        expected = reference.iterate(params, State(1.0, y0), 5000, None, iterate_window)
+        got = iterate(params, State(1.0, y0), 5000, None, iterate_window)
+        assert repr(got) == repr(expected)
+        assert got.n_steps == 2 * window
+        assert got.terminated is Termination.DIVERGED
+        assert len(got.points) == len(got.indices)
 
 
 @st.composite
