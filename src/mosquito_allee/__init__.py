@@ -45,7 +45,6 @@ from .dynamics import (
     FateThresholds,
     IdentityReport,
     InvarianceReport,
-    MonotonicityReport,
     Region,
     Termination,
     TheoremTag,
@@ -59,7 +58,6 @@ from .dynamics import (
     classify_fate,
     iterate,
     membership,
-    monotonicity_probe,
     simulate,
     sum_identity_residual,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "InvarianceReport",
     "IdentityReport",
     "AdultBoundReport",
-    "MonotonicityReport",
     "BasinGrid",
     "iterate",
     "membership",
@@ -110,7 +107,6 @@ __all__ = [
     "check_invariance",
     "check_sum_identity",
     "check_adult_bound",
-    "monotonicity_probe",
     "sum_identity_residual",
     "basin_scan",
     "__version__",

@@ -38,14 +38,16 @@ its arithmetic, in the same operation order, so its images are the
 kernel's, bit for bit, and a step that fires no rule pays one test on
 top of them.  ``_orbit`` records nothing per step; the states a
 trajectory keeps are re-stepped on the kernel at the end
-(``_replay``).  ``monotonicity_probe`` steps its tail on the kernel.
+(``_replay``).
 
 Each fate rule is written once, on floats and float64 arrays alike:
 the Omega1/Omega2 test in ``_regions``, the certificate a reached state
 earns in ``_certify``, the rules of a start alone in
 ``_start_certificate``, the adult-limit estimate in ``_estimate`` and
-the verdict in ``_verdict``.  ``membership``, ``check_invariance`` and
-both fate engines call them; the engines write only the stepping.
+the verdict in ``_verdict``.  ``membership`` and both fate engines
+call them; the engines write only the stepping.  ``check_invariance``
+tests its images against the regions' bounds widened by a rounding
+allowance.
 ``classify_fate`` steps its start on ``_fate_from``, without numpy.
 ``basin_scan``'s engine, ``_lockstep_fates``, steps the unresolved
 cells together as float64 arrays through the kernel; numpy's
@@ -93,7 +95,6 @@ __all__ = [
     "InvarianceReport",
     "IdentityReport",
     "AdultBoundReport",
-    "MonotonicityReport",
     "BasinGrid",
     "iterate",
     "membership",
@@ -102,7 +103,6 @@ __all__ = [
     "check_invariance",
     "check_sum_identity",
     "check_adult_bound",
-    "monotonicity_probe",
     "sum_identity_residual",
     "basin_scan",
 ]
@@ -116,6 +116,12 @@ MAX_GRID_CELLS = 10**6
 # a sampled check holds a few arrays of this length, about 50 bytes of RSS
 # per sample (measured at 1e5 and 1e6 samples), so about 500 MB here
 MAX_SAMPLES = 10**7
+# check_invariance's rounding allowance, in ulps of the bound crossed: to
+# first order the roundings of an image and of (x*, y*) stay below 20u of
+# that bound (u = 2**-53, less than an ulp).  The map's images crossed a
+# bound by at most 3 ulps over 8000 sets, many with mu = 1 or beta within
+# 8 ulps of the threshold, sampled on the edges of the regions too
+_ESCAPE_ULPS = 32
 
 
 @dataclass(frozen=True)
@@ -242,25 +248,6 @@ class AdultBoundReport:
     @property
     def passed(self) -> bool:
         return self.violation is None
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Earliest index after which both coordinates are monotone.
-
-    ``n0`` is None when no monotone tail was found within the horizon.
-    In ``Omega1`` the tail must be non-increasing, in ``Omega2``
-    non-decreasing; a start at the fixed point is constant with
-    ``n0 = 0``.
-    """
-
-    region: Region
-    n0: int | None
-    horizon: int
-
-    @property
-    def found(self) -> bool:
-        return self.n0 is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -733,6 +720,13 @@ def check_invariance(
     and so is a fixed point so small that the map's ``beta*y*y`` there
     underflows float64's normal range: its images would lose the bits
     that decide an escape.
+
+    An image escapes when it lands on ``(x*, y*)`` or lies beyond a
+    bound of the region by more than ``_ESCAPE_ULPS`` ulps of that
+    bound.  Less is rounding, not a counterexample: the float image and
+    the float ``(x*, y*)`` each carry a few roundings, and a state
+    sampled at the corner of the float box maps past it by the error of
+    ``x*``, whose denominator cancels next to the existence threshold.
     """
     fp = _require_interior(params)
     if region not in (Region.OMEGA1, Region.OMEGA2):
@@ -773,9 +767,14 @@ def check_invariance(
     if not finite:
         # a float64 limit, not a counterexample: a State cannot hold inf
         raise ConfigurationError(f"sampling span {span} overflows the map's float64 images; use a smaller span")
-    in_omega1, in_omega2 = _regions(x1, y1, fp)
-    # an image is not a State, so Omega1's quadrant bounds are tested too
-    inside = in_omega1 & (x1 >= 0.0) & (y1 >= 0.0) if region is Region.OMEGA1 else in_omega2
+    # the regions' bounds, each widened by the rounding allowance
+    ax, ay = _ESCAPE_ULPS * math.ulp(xs), _ESCAPE_ULPS * math.ulp(ys)
+    off_fp = (x1 != xs) | (y1 != ys)
+    if region is Region.OMEGA1:
+        # an image is not a State, so Omega1's quadrant bounds are tested too
+        inside = off_fp & (x1 <= xs + ax) & (y1 <= ys + ay) & (x1 >= 0.0) & (y1 >= 0.0)
+    else:
+        inside = off_fp & (x1 >= xs - ax) & (y1 >= ys - ay)
 
     escapes = samples - int(np.count_nonzero(inside))
     counterexample = None
@@ -783,50 +782,6 @@ def check_invariance(
         i = int(np.argmin(inside))
         counterexample = (State(float(x0[i]), float(y0[i])), State(float(x1[i]), float(y1[i])))
     return InvarianceReport(region=region, samples=samples, escapes=escapes, counterexample=counterexample)
-
-
-def monotonicity_probe(params: Params, s0: State, horizon: int) -> MonotonicityReport:
-    """Locate the earliest step after which both coordinates are monotone.
-
-    Inside ``Omega1`` trajectories eventually decrease in both
-    coordinates, inside ``Omega2`` they eventually increase; this scans
-    ``horizon`` steps and reports the first index ``n0`` whose tail is
-    monotone through the horizon, or None if the final transition still
-    violates monotonicity.
-    """
-    if horizon < 1:
-        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-    region = membership(params, s0)
-    if region is Region.OUTSIDE:
-        raise ConfigurationError(
-            "monotonicity is only established inside the invariant regions; "
-            f"start {s0} is outside both"
-        )
-    decreasing = region in (Region.OMEGA1, Region.IS_FIXED_POINT)
-
-    # a streaming loop: unlike iterate it keeps no states, and it runs on past divergence_x
-    alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
-    step_tol = FateThresholds().step_tol
-    x, y = s0.x, s0.y
-    n0 = 0  # the step after the latest violating transition
-    for n in range(1, horizon + 1):
-        x1, y1 = _w0_xy(alpha, beta, gamma, mu, x, y)
-        if not (math.isfinite(x1) and math.isfinite(y1)):
-            n -= 1  # the orbit stops before its first non-finite image
-            break
-        if decreasing:
-            violated = x1 > x or y1 > y
-        else:
-            violated = x1 < x or y1 < y
-        if violated:
-            n0 = n
-        if abs(x1 - x) < step_tol and abs(y1 - y) < step_tol:
-            break  # stationary; the remaining tail is constant
-        x, y = x1, y1
-
-    if n0 == n:  # also when no step was taken
-        n0 = None  # no monotone tail observed within the horizon
-    return MonotonicityReport(region=region, n0=n0, horizon=horizon)
 
 
 def sum_identity_residual(params: Params, s: State) -> float:

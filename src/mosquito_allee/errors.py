@@ -6,6 +6,8 @@ routine cannot operate on (``ConfigurationError``), and internal
 cross-checks disagreeing with each other (``InternalConsistencyError``).
 """
 
+__all__ = ["MosquitoAlleeError", "DomainError", "ConfigurationError", "InternalConsistencyError"]
+
 
 class MosquitoAlleeError(Exception):
     """Base class for all package-specific errors."""

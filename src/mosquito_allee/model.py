@@ -32,6 +32,7 @@ point, converts and validates each field once, in its own ``__init__``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import isfinite
 
@@ -223,11 +224,21 @@ def derived_constants(params: Params) -> DerivedConstants:
     The two forms of the existence condition, ``beta > threshold_beta``
     and ``gamma < allee_threshold_gamma``, are algebraically equivalent;
     both are evaluated and cross-checked, tolerating disagreement only
-    within a few ulps of the boundary itself.
+    within a few ulps of the boundary itself.  ``threshold_beta`` is the
+    float form ``mu*(1.0 + gamma*mu/alpha)``; where that overflows it is
+    evaluated exactly instead and rounded once, so it reads inf only if
+    the threshold itself exceeds ``sys.float_info.max``.
     """
     params.require_analysis_valid()
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
     threshold_beta = mu * (1.0 + gamma * mu / alpha)
+    if threshold_beta == math.inf:
+        # gamma*mu/alpha overflowed, which the threshold itself need not do:
+        # evaluate it exactly on the float inputs and round once
+        from fractions import Fraction
+
+        exact = Fraction(mu) * (1 + Fraction(gamma) * Fraction(mu) / Fraction(alpha))
+        threshold_beta = float(exact) if exact <= sys.float_info.max else math.inf
     y_limit = alpha / mu
     if beta > mu:
         allee_threshold_gamma = alpha * (beta - mu) / (mu * mu)

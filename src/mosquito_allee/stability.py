@@ -214,13 +214,15 @@ def _jury_test(matrix) -> tuple[Stability, tuple[float, float, float, float]]:
     return label, (m00 + m11, det, p_plus, p_minus)
 
 
-def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> InteriorClassification:
+def classify_interior(params: Params) -> InteriorClassification:
     """Stability type of the interior fixed point, with full diagnostics.
 
     The label is decided by comparing ``alpha`` with the thresholds
     ``alpha1``/``alpha2`` and cross-checked by the trace-determinant test
-    on the Jacobian; a disagreement away from the tolerance bands raises
-    an internal consistency error.
+    on the Jacobian.  ``alpha`` within ``UNIT_MODULUS_TOL`` of a
+    threshold is labelled non-hyperbolic; a disagreement farther than
+    ten times that from both thresholds and from unit modulus raises an
+    internal consistency error.
     """
     fp = interior_fixed_point(params)
     if fp is None:
@@ -240,16 +242,14 @@ def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> Interior
     eigenvalues = (1.0 - lambda1, 1.0 - lambda2)
     moduli = (abs(eigenvalues[0]), abs(eigenvalues[1]))
 
-    thresholds = alpha_thresholds(params)
-    if thresholds is None:  # unreachable: existence implies beta > mu
-        raise InternalConsistencyError("interior point exists but beta <= mu")
-    alpha1, alpha2 = thresholds
+    # beta > mu*(1 + gamma*mu/alpha) >= mu, so the thresholds exist
+    alpha1, alpha2 = alpha_thresholds(params)
 
     notes: list[str] = []
-    if abs(alpha - alpha1) <= tol or abs(alpha - alpha2) <= tol:
+    if abs(alpha - alpha1) <= UNIT_MODULUS_TOL or abs(alpha - alpha2) <= UNIT_MODULUS_TOL:
         label = Stability.NON_HYPERBOLIC
         notes.append(
-            f"alpha within {tol} of a classification threshold "
+            f"alpha within {UNIT_MODULUS_TOL} of a classification threshold "
             f"(alpha1={alpha1!r}, alpha2={alpha2!r}); label is tolerance-dependent"
         )
     elif alpha > alpha1:
@@ -264,8 +264,9 @@ def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> Interior
 
     jury_label, (tr, det, p_plus, p_minus) = _jury_test(matrix)
     if jury_label is not label:
-        near_threshold = min(abs(alpha - alpha1), abs(alpha - alpha2)) <= 10.0 * tol
-        if near_threshold or any(abs(m - 1.0) <= 10.0 * tol for m in moduli):
+        band = 10.0 * UNIT_MODULUS_TOL
+        near_threshold = min(abs(alpha - alpha1), abs(alpha - alpha2)) <= band
+        if near_threshold or any(abs(m - 1.0) <= band for m in moduli):
             notes.append(
                 f"threshold label {label.value} vs trace-determinant label {jury_label.value} "
                 "inside the tolerance band; threshold label kept"

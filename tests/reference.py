@@ -9,7 +9,8 @@ kept verbatim so that tests can require the orbit engine in
 lifted out of its loop unchanged, for tests of the package's one shared
 form of them.  ``check_invariance`` is the version that wrote its own
 Omega1/Omega2 inside-test, kept verbatim so that tests can require the
-package's, which uses the shared region test, to give the same reports.
+package's, which allows a few dozen ulps of rounding past a bound, to
+give the same reports on images that leave a region by more than that.
 ``classify_interior`` is the version that cross-checked its threshold
 label against ``numpy.linalg.eigvals`` of the Jacobian, kept verbatim so
 that tests can require the trace-determinant cross-check in

@@ -145,6 +145,20 @@ def test_fixed_points_origin_only_nulls(capsys):
     assert payload["thresholds"]["allee_threshold_gamma"] is not None
 
 
+def test_threshold_past_an_overflowing_intermediate(capsys):
+    # gamma*mu/alpha = 1e313 overflows, but the threshold mu*(1 + 1e313) does not
+    args = ["--alpha", "1e-10", "--gamma", "1e308", "--mu", "1e-5"]
+    assert main(["fixed-points", *args, "--beta", "1e300"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["regime"] == "origin-only"
+    assert payload["thresholds"]["threshold_beta"] == 1.0000000000000002e308
+    # above it, the interior point exists and simulate answers
+    assert main(["simulate", *args, "--beta", "1.5e308", "--x0", "1", "--y0", "1", "--budget", "100"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1].startswith("verdict=unbounded iterations=100 ")
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [
@@ -415,10 +429,14 @@ class TestExitCodes:
             ["fixed-points", "--alpha", "0.5", "--beta", "1.7e308", "--gamma", "1e-20", "--mu", "1"],
             # beta*y*(2*gamma + y) and (gamma + y)^2 overflow in the Jacobian, which is then nan
             ["fixed-points", "--alpha", "0.5", "--beta", "1e300", "--gamma", "1e300", "--mu", "0.5"],
+            # the interior point (2, 6.7e-6) exists past a threshold whose gamma*mu/alpha overflows;
+            # its Jacobian entry overflows as above
+            ["fixed-points", "--alpha", "1e-10", "--beta", "1.5e308", "--gamma", "1e308", "--mu", "1e-5"],
         ],
         ids=[
             "fixed-points-mu", "simulate-mu", "check-mu", "basin-mu",
             "fixed-points-gamma", "fixed-points-beta", "fixed-points-jacobian-overflow",
+            "fixed-points-threshold-intermediate",
         ],
     )
     def test_float64_range_is_a_usage_error(self, argv, capsys):

@@ -35,7 +35,6 @@ from mosquito_allee import (
     interior_fixed_point,
     iterate,
     membership,
-    monotonicity_probe,
     simulate,
     step_w0,
     sum_identity_residual,
@@ -303,6 +302,30 @@ class TestCheckInvariance:
         for region in (Region.OMEGA1, Region.OMEGA2):
             assert check_invariance(p, region, samples=10_000, seed=0).passed
 
+    def test_rounding_next_to_the_threshold_is_no_escape(self):
+        # mu = 1 and beta one ulp above the threshold: x* = 4.5e15, and the
+        # adult images alpha*x/(1+x) of states near it round past y* by an ulp
+        p = Params(alpha=0.1, beta=11.000000000000002, gamma=1.0, mu=1.0)
+        for region in (Region.OMEGA1, Region.OMEGA2):
+            assert check_invariance(p, region, samples=10_000, seed=0).passed
+
+    @pytest.mark.parametrize("ulps, escapes", [(32, 0), (33, 4)])
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    @pytest.mark.parametrize("region", [Region.OMEGA1, Region.OMEGA2])
+    def test_rounding_allowance(self, region, axis, ulps, escapes, monkeypatch):
+        # every image lies well inside the region but for one coordinate,
+        # which lies past its bound by the given number of ulps of the bound
+        fp = interior_fixed_point(SHOWCASE).as_tuple()
+        sign, inner = (1.0, 0.5) if region is Region.OMEGA1 else (-1.0, 2.0)
+        image = [inner * c for c in fp]
+        image[axis] = fp[axis] + sign * ulps * math.ulp(fp[axis])
+
+        def kernel(alpha, beta, gamma, mu, x, y):
+            return np.full_like(x, image[0]), np.full_like(y, image[1])
+
+        monkeypatch.setattr(dynamics, "_w0_xy", kernel)
+        assert check_invariance(SHOWCASE, region, samples=4, seed=0).escapes == escapes
+
     def test_argument_validation(self):
         with pytest.raises(ConfigurationError):
             check_invariance(SHOWCASE, Region.OUTSIDE, samples=10, seed=0)
@@ -327,49 +350,6 @@ class TestCheckInvariance:
         monkeypatch.setattr("numpy.random.default_rng", EdgeRng)
         report = check_invariance(SHOWCASE, region, samples=4, seed=0)
         assert report.escapes == 0 and report.counterexample is None
-
-
-class TestMonotonicityProbe:
-    def test_showcase_onsets(self):
-        assert monotonicity_probe(SHOWCASE, State(1.0, 1.0), 200).n0 == 0
-        assert monotonicity_probe(SHOWCASE, State(5.0, 2.0), 200).n0 == 9
-
-    @pytest.mark.parametrize(
-        "start, horizon, n0",
-        [
-            ((5.0, 1e200), 10, None),  # the first image overflows: no step is taken
-            # past divergence_x, where iterate stops at step 1; the probe runs on
-            ((2e9, 3.0), 50, None),  # y falls through the horizon
-            ((2e9, 1.7), 50, 2),  # x falls for two steps, then both rise
-            ((0.5, 0.5), 10**5, 1),  # stalls at step 69
-            ((5.0, 2.0), 1, None),  # the only transition, y falling, violates monotonicity
-            # x too large for its increment to register: an unchanged coordinate is monotone
-            ((1e300, 2.0), 10, 0),  # y at its limit: constant, stalls at step 1
-            ((1e300, 2.5), 1000, None),  # y still falling when the displacement drops below step_tol
-            ((0.0, 1e-7), 100, 1),  # x rises at step 1 by less than step_tol while y moves on
-        ],
-    )
-    def test_stop_rules(self, start, horizon, n0):
-        assert monotonicity_probe(SHOWCASE, State(*start), horizon).n0 == n0
-
-    def test_fixed_point_is_constant(self):
-        fp = interior_fixed_point(SHOWCASE)
-        report = monotonicity_probe(SHOWCASE, fp, 50)
-        assert report.region is Region.IS_FIXED_POINT
-        assert report.n0 == 0 and report.found
-
-    def test_rejects_outside_starts(self):
-        with pytest.raises(ConfigurationError):
-            monotonicity_probe(SHOWCASE, State(0.2, 4.0), 100)
-        with pytest.raises(ConfigurationError):
-            monotonicity_probe(SHOWCASE, State(1.0, 1.0), 0)
-
-    def test_monotone_tail_verified_directly(self):
-        report = monotonicity_probe(SHOWCASE, State(5.0, 2.0), 200)
-        t = iterate(SHOWCASE, State(5.0, 2.0), 200)
-        for i in range(report.n0, min(len(t.points) - 1, 150)):
-            assert t.points[i + 1].x >= t.points[i].x
-            assert t.points[i + 1].y >= t.points[i].y
 
 
 class TestSumIdentityResidual:

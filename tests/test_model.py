@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,6 +217,19 @@ class TestDerivedConstants:
     def test_requires_analysis_regime(self):
         with pytest.raises(ConfigurationError):
             derived_constants(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
+
+    @pytest.mark.parametrize("beta", [1e300, 1.5e308])
+    def test_overflowing_intermediate_keeps_a_finite_threshold(self, beta):
+        # gamma*mu/alpha = 1e313 overflows, but mu*(1 + 1e313) = 1e308 does not
+        p = Params(alpha=1e-10, beta=beta, gamma=1e308, mu=1e-5)
+        dc = derived_constants(p)
+        exact = Fraction(p.mu) * (1 + Fraction(p.gamma) * Fraction(p.mu) / Fraction(p.alpha))
+        assert dc.threshold_beta == float(exact) == 1.0000000000000002e308
+        # the two existence forms agree, where the inf threshold made them disagree
+        assert (p.beta > dc.threshold_beta) == (p.gamma < dc.allee_threshold_gamma) == (beta > 1e300)
+
+    def test_threshold_beyond_float64_range_stays_inf(self):
+        assert derived_constants(Params(alpha=1e-300, beta=1.0, gamma=1e10, mu=1.0)).threshold_beta == math.inf
 
 
 class TestTotalChangeIdentity:

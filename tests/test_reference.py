@@ -29,9 +29,10 @@ on arrays: the region test ``_regions``, the certificate update
 ``_certify`` must give the same answers on a float and on a one-element
 array, from every prior certificate state, at the states where their
 comparisons turn, and the answers of the oracle's ``_region`` and
-per-step rules.  ``check_invariance``, which tests its images with
-``_regions``, must give the oracle's reports, under kernels that make
-images leave each region across each of its boundaries.
+per-step rules.  ``check_invariance``, which tests its images against
+the regions' bounds widened by a rounding allowance of a few dozen ulps,
+must give the oracle's reports, under kernels that make images leave
+each region across each of its boundaries by more than that.
 """
 
 from __future__ import annotations
