@@ -96,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="iteration budget")
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv", help="trajectory format")
     p_sim.add_argument("--out", default=None, help="output path (default: stdout)")
+    p_sim.set_defaults(handler=_cmd_simulate)
 
     p_fp = sub.add_parser(
         "fixed-points",
@@ -103,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report fixed points, stability, and thresholds as JSON",
     )
     p_fp.add_argument("--out", default=None, help="output path (default: stdout)")
+    p_fp.set_defaults(handler=_cmd_fixed_points)
 
     p_basin = sub.add_parser(
         "basin",
@@ -118,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_basin.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="iteration budget per cell")
     p_basin.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p_basin.add_argument("--out", default=None, help="output path (default: stdout)")
+    p_basin.set_defaults(handler=_cmd_basin)
 
     p_check = sub.add_parser(
         "check",
@@ -132,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="upper-region sampling window size (default: 10*max(x*, y*))",
     )
+    p_check.set_defaults(handler=_cmd_check)
     return parser
 
 
@@ -330,15 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = Params(alpha=args.alpha, beta=args.beta, gamma=args.gamma, mu=args.mu)
         params.require_analysis_valid()
-        if args.command == "simulate":
-            return _cmd_simulate(params, args)
-        if args.command == "fixed-points":
-            return _cmd_fixed_points(params, args)
-        if args.command == "basin":
-            return _cmd_basin(params, args)
-        if args.command == "check":
-            return _cmd_check(params, args)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return args.handler(params, args)
     except (ConfigurationError, DomainError, InternalConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

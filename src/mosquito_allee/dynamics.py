@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
 from .model import Params, State, derived_constants, _w0_xy
-from .stability import interior_fixed_point
+from .stability import _require_interior, interior_fixed_point
 
 if TYPE_CHECKING:
     import numpy as np
@@ -436,16 +436,6 @@ def _regions(x, y, fp: State):
     """
     off_fp = (x != fp.x) | (y != fp.y)
     return off_fp & (x <= fp.x) & (y <= fp.y), off_fp & (x >= fp.x) & (y >= fp.y)
-
-
-def _require_interior(params: Params) -> State:
-    fp = interior_fixed_point(params)
-    if fp is None:
-        raise ConfigurationError(
-            "no interior fixed point at these parameters "
-            "(beta <= mu*(1 + gamma*mu/alpha)); invariant regions are undefined"
-        )
-    return fp
 
 
 def membership(params: Params, s: State) -> Region:

@@ -2,8 +2,8 @@
 
 Three failure categories are kept distinct so callers can react
 appropriately: bad numeric inputs (``DomainError``), parameter sets that a
-routine cannot operate on (``ConfigurationError``), and internal
-cross-checks disagreeing with each other (``InternalConsistencyError``).
+routine cannot operate on (``ConfigurationError``), and a result failing
+its internal verification (``InternalConsistencyError``).
 """
 
 __all__ = ["MosquitoAlleeError", "DomainError", "ConfigurationError", "InternalConsistencyError"]
@@ -31,8 +31,14 @@ class ConfigurationError(MosquitoAlleeError, ValueError):
 
 
 class InternalConsistencyError(MosquitoAlleeError, RuntimeError):
-    """Two independent internal computations disagree.
+    """A result failed its internal verification.
 
-    This signals a bug (or a parameter set at the edge of floating-point
-    resolution), never a user mistake; it should not be caught and ignored.
+    Three checks raise it: the stability label against the
+    trace-determinant test, a fixed point against the map, and the
+    closed form's denominator ``alpha*(beta-mu) - gamma*mu^2`` against
+    the existence decision (it can round to ``<= 0`` within a few ulps
+    of the threshold).  Existence itself is decided once, so its two
+    equivalent forms are reported but never compared.  This signals a
+    bug or the limit of floating-point resolution, never a user
+    mistake; it should not be caught and ignored.
     """

@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from math import isfinite
 
-from .errors import ConfigurationError, DomainError, InternalConsistencyError
+from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "Params",
@@ -222,12 +222,14 @@ def derived_constants(params: Params) -> DerivedConstants:
     """Existence threshold, growth limit, and the equivalent Allee threshold.
 
     The two forms of the existence condition, ``beta > threshold_beta``
-    and ``gamma < allee_threshold_gamma``, are algebraically equivalent;
-    both are evaluated and cross-checked, tolerating disagreement only
-    within a few ulps of the boundary itself.  ``threshold_beta`` is the
-    float form ``mu*(1.0 + gamma*mu/alpha)``; where that overflows it is
-    evaluated exactly instead and rounded once, so it reads inf only if
-    the threshold itself exceeds ``sys.float_info.max``.
+    and ``gamma < allee_threshold_gamma``, are algebraically equivalent
+    but can round apart, by many ulps where ``mu*mu`` is subnormal.  They
+    are reported, not compared: existence is decided once, by
+    :func:`~mosquito_allee.stability.interior_fixed_point`, on the
+    ``beta`` form.  ``threshold_beta`` is the float form
+    ``mu*(1.0 + gamma*mu/alpha)``; where that overflows it is evaluated
+    exactly instead and rounded once, so it reads inf only if the
+    threshold itself exceeds ``sys.float_info.max``.
     """
     params.require_analysis_valid()
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
@@ -244,16 +246,4 @@ def derived_constants(params: Params) -> DerivedConstants:
         allee_threshold_gamma = alpha * (beta - mu) / (mu * mu)
     else:
         allee_threshold_gamma = None
-
-    if allee_threshold_gamma is not None:
-        by_beta = beta > threshold_beta
-        by_gamma = gamma < allee_threshold_gamma
-        on_boundary = math.isclose(beta, threshold_beta, rel_tol=1e-12) or math.isclose(
-            gamma, allee_threshold_gamma, rel_tol=1e-12
-        )
-        if by_beta != by_gamma and not on_boundary:
-            raise InternalConsistencyError(
-                "existence-condition forms disagree: "
-                f"beta > {threshold_beta} is {by_beta} but gamma < {allee_threshold_gamma} is {by_gamma}"
-            )
     return DerivedConstants(threshold_beta, y_limit, allee_threshold_gamma)

@@ -121,7 +121,9 @@ class FixedPointReport:
 def interior_fixed_point(params: Params) -> State | None:
     """Closed-form interior fixed point, or None when it does not exist.
 
-    Memoized per ``Params`` (at most 64 sets); errors are not cached.
+    The package's one existence decision: the point exists iff
+    ``beta > derived_constants(params).threshold_beta``.  Memoized per
+    ``Params`` (at most 64 sets); errors are not cached.
     """
     params.require_analysis_valid()
     constants = derived_constants(params)
@@ -137,6 +139,17 @@ def interior_fixed_point(params: Params) -> State | None:
             f"existence threshold passed but alpha*(beta-mu) - gamma*mu^2 = {denom} <= 0"
         )
     return State(gm2 / denom, gamma * mu / (beta - mu))
+
+
+def _require_interior(params: Params) -> State:
+    """The interior fixed point; a ``ConfigurationError`` when there is none."""
+    fp = interior_fixed_point(params)
+    if fp is None:
+        raise ConfigurationError(
+            "no interior fixed point at these parameters "
+            "(beta <= mu*(1 + gamma*mu/alpha)); invariant regions are undefined"
+        )
+    return fp
 
 
 def _jacobian(params: Params, s: State) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -224,9 +237,7 @@ def classify_interior(params: Params) -> InteriorClassification:
     ten times that from both thresholds and from unit modulus raises an
     internal consistency error.
     """
-    fp = interior_fixed_point(params)
-    if fp is None:
-        raise ConfigurationError("no interior fixed point: beta must exceed mu*(1 + gamma*mu/alpha)")
+    fp = _require_interior(params)
     alpha, mu = params.alpha, params.mu
     matrix = _jacobian(params, fp)
     (_, b_quantity), (a_quantity, _) = matrix

@@ -42,7 +42,6 @@ from mosquito_allee.dynamics import (
     Trajectory,
     TrajectoryOutcome,
     Verdict,
-    _require_interior,
     _require_sampling,
 )
 from mosquito_allee.errors import ConfigurationError, DomainError, InternalConsistencyError
@@ -53,6 +52,7 @@ from mosquito_allee.stability import (
     JacobianAnalysis,
     Stability,
     _label_from_moduli,
+    _require_interior,
     alpha_thresholds,
     jacobian_at,
 )

@@ -32,6 +32,9 @@ from mosquito_allee.errors import InternalConsistencyError
 KNOWN_DEFECT_MESSAGE = "alpha*(beta-mu) - gamma*mu^2"
 DEFECT_ULPS = 16
 
+# beta about 4e10 ulps below the threshold, with mu*mu = 2.25e-320 subnormal
+SUBNORMAL_MU_SQUARED = (1.0, 1e-150, 4.4444691839e169, 1.5e-160)
+
 BUDGET = "2000"
 GRID = ["--x-min", "0", "--x-max", "10", "--y-min", "0", "--y-max", "10", "--nx", "4", "--ny", "4"]
 SAMPLES = "200"
@@ -81,6 +84,18 @@ def _is_known_defect(error: InternalConsistencyError, alpha: float, beta: float,
     return abs(ulps) <= DEFECT_ULPS and KNOWN_DEFECT_MESSAGE in str(error)
 
 
+def _commands(params: tuple[float, float, float, float], start: tuple[float, float]) -> list[list[str]]:
+    """The four commands' argument lists, in the order fixed-points, simulate, basin, check."""
+    alpha, beta, gamma, mu = params
+    shared = ["--alpha", repr(alpha), "--beta", repr(beta), "--gamma", repr(gamma), "--mu", repr(mu)]
+    return [
+        ["fixed-points", *shared],
+        ["simulate", *shared, "--x0", repr(start[0]), "--y0", repr(start[1]), "--budget", BUDGET],
+        ["basin", *shared, *GRID, "--budget", BUDGET],
+        ["check", *shared, "--samples", SAMPLES, "--seed", "0"],
+    ]
+
+
 @settings(max_examples=200)
 @given(params=cli_params(), start=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)))
 # gamma*mu/alpha overflows in the threshold: above it and below it
@@ -90,16 +105,10 @@ def _is_known_defect(error: InternalConsistencyError, alpha: float, beta: float,
 @example(
     params=(0.4060172786217775, 0.6523125203403398, 0.2383817077263435, 0.5034810722044961), start=(1.0, 1.0)
 )
+# mu*mu is subnormal: the gamma form of the existence test rounds far from the beta form
+@example(params=SUBNORMAL_MU_SQUARED, start=(1.0, 1.0))
 def test_every_command_answers_or_gives_one_usage_error(params, start):
-    alpha, beta, gamma, mu = params
-    shared = ["--alpha", repr(alpha), "--beta", repr(beta), "--gamma", repr(gamma), "--mu", repr(mu)]
-    commands = [
-        ["fixed-points", *shared],
-        ["simulate", *shared, "--x0", repr(start[0]), "--y0", repr(start[1]), "--budget", BUDGET],
-        ["basin", *shared, *GRID, "--budget", BUDGET],
-        ["check", *shared, "--samples", SAMPLES, "--seed", "0"],
-    ]
-    for argv in commands:
+    for argv in _commands(params, start):
         code, out, err, built = _run(argv)
         assert code in (EXIT_OK, EXIT_CONFIG), (argv, code, err)
         assert "Traceback" not in out + err
@@ -109,3 +118,12 @@ def test_every_command_answers_or_gives_one_usage_error(params, start):
         [line] = err.splitlines()
         assert line.startswith("error: ") and out == "", (argv, err, out)
         assert all(_is_known_defect(error, *params) for error in built), (argv, err)
+
+
+def test_subnormal_mu_squared_is_origin_only():
+    """The three commands that need no interior point answer; ``check`` names its absence."""
+    runs = [_run(argv) for argv in _commands(SUBNORMAL_MU_SQUARED, (1.0, 1.0))]
+    assert [(code, built) for code, _, _, built in runs] == [(EXIT_OK, [])] * 3 + [(EXIT_CONFIG, [])]
+    assert '"regime": "origin-only"' in runs[0][1]
+    [line] = runs[3][2].splitlines()
+    assert line.startswith("error: no interior fixed point")

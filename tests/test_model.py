@@ -228,6 +228,16 @@ class TestDerivedConstants:
         # the two existence forms agree, where the inf threshold made them disagree
         assert (p.beta > dc.threshold_beta) == (p.gamma < dc.allee_threshold_gamma) == (beta > 1e300)
 
+    def test_subnormal_mu_squared_reports_all_three_constants(self):
+        # mu*mu = 2.25e-320 is subnormal, so the gamma form keeps a few bits and
+        # rounds to the other side of gamma than the beta form, far from the threshold
+        p = Params(alpha=1.0, beta=1e-150, gamma=4.4444691839e169, mu=1.5e-160)
+        dc = derived_constants(p)
+        assert dc.threshold_beta == p.mu * (1.0 + p.gamma * p.mu / p.alpha) == 1.0000055665275e-150
+        assert dc.y_limit == p.alpha / p.mu
+        assert dc.allee_threshold_gamma == p.alpha * (p.beta - p.mu) / (p.mu * p.mu)
+        assert not p.beta > dc.threshold_beta and p.gamma < dc.allee_threshold_gamma
+
     def test_threshold_beyond_float64_range_stays_inf(self):
         assert derived_constants(Params(alpha=1e-300, beta=1.0, gamma=1e10, mu=1.0)).threshold_beta == math.inf
 
