@@ -47,7 +47,9 @@ earns in ``_certify``, the rules of a start alone in
 the verdict in ``_verdict``.  ``membership`` and both fate engines
 call them; the engines write only the stepping.  ``check_invariance``
 tests its images against the regions' bounds widened by a rounding
-allowance.
+allowance.  The sampled checks scale the unit uniforms of
+``_unit_draws``, which a process keeps for small draws, so a sweep
+draws each seed's stream once.
 ``classify_fate`` steps its start on ``_fate_from``, without numpy.
 ``basin_scan``'s engine, ``_lockstep_fates``, steps the unresolved
 cells together as float64 arrays through the kernel; numpy's
@@ -116,6 +118,10 @@ MAX_GRID_CELLS = 10**6
 # a sampled check holds a few arrays of this length, about 50 bytes of RSS
 # per sample (measured at 1e5 and 1e6 samples), so about 500 MB here
 MAX_SAMPLES = 10**7
+# a draw of at most this many samples (its two halves 64 KB) is kept for
+# the life of the process, 8 draws at most, so a sweep over parameter sets
+# draws each seed's stream once
+_MEMO_SAMPLES = 2**12
 # check_invariance's rounding allowance, in ulps of the bound crossed: to
 # first order the roundings of an image and of (x*, y*) stay below 20u of
 # that bound (u = 2**-53, less than an ulp).  The map's images crossed a
@@ -580,7 +586,10 @@ def _verdict(ball, extinction, growth, stalled, tag):
     negates a bool and a bool array alike, where ``not`` and ``~`` do not.
     """
     moving = stalled ^ True
-    extinct = ball | (extinction & moving)
+    # a stall is taken for the float image of (x*, y*) and vetoes the
+    # certificates; with no interior point (Theorem 1(ii), tag 1) there is
+    # no such image, and the certificate stands
+    extinct = ball | (extinction & (moving | (tag == 1)))
     grows = (extinct ^ True) & growth & moving
     # no event, or pinned at a numerical fixed point away from the origin
     # (the float image of (x*, y*)): no asymptotic claim, and no tag
@@ -641,7 +650,9 @@ def classify_fate(
     ``undetermined`` is returned when the budget expires without any
     certificate or event, for a start at the fixed point, and for orbits
     that go numerically stationary away from the origin (which only
-    happens within rounding distance of the fixed point).
+    happens within rounding distance of the fixed point), unless
+    Theorem 1(ii) has proved extinction: with no interior point there
+    is no fixed point to stall at.
 
     The start is settled by ``_start_certificate`` and steps on
     ``_fate_from``, as a cell of ``basin_scan`` is and does, so a start's
@@ -680,16 +691,33 @@ def _require_sampling(samples: int, seed: int) -> None:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
 
-@lru_cache(maxsize=8)
-def _seed_sequence(seed: int):
-    """``numpy.random.SeedSequence(seed)``, built once per seed.
+def _draw_units(seed: int, samples: int):
+    """``default_rng(seed).random(2*samples)``, split into read-only halves ``(u, v)``.
 
-    Drawing never changes a ``SeedSequence``, and ``default_rng`` of it
-    draws exactly what ``default_rng(seed)`` does.
+    The halves are drawn as two arrays, so a caller can let go of one.
     """
     import numpy as np
 
-    return np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seed)
+    u, v = rng.random(samples), rng.random(samples)
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
+
+
+_memo_units = lru_cache(maxsize=8)(_draw_units)
+
+
+def _unit_draws(seed: int, samples: int):
+    """The unit uniforms every sampled check scales into its starts.
+
+    ``Generator.uniform(0.0, h, n)`` is ``0.0 + h*r`` for the stream's
+    next ``n`` doubles ``r``, so ``h*u`` and ``k*v`` are bit for bit the
+    ``x`` and ``y`` draws of two such calls on ``default_rng(seed)``.
+    The draw depends on ``(seed, samples)`` alone, so one of at most
+    ``_MEMO_SAMPLES`` samples is kept for every parameter set of a
+    sweep; a larger one is drawn on each call.
+    """
+    return (_memo_units if samples <= _MEMO_SAMPLES else _draw_units)(seed, samples)
 
 
 def check_invariance(
@@ -710,6 +738,12 @@ def check_invariance(
     and so is a fixed point so small that the map's ``beta*y*y`` there
     underflows float64's normal range: its images would lose the bits
     that decide an escape.
+
+    The starts scale the unit draws of ``_unit_draws(seed, samples)``:
+    ``(x*u, y*v)`` in ``Omega1`` and ``(x* + span*u, y* + span*v)`` in
+    ``Omega2``, bit for bit the ``default_rng(seed).uniform`` draws of
+    the region's window.  A start that lands on ``(x*, y*)`` is moved
+    along ``x`` into the region.
 
     An image escapes when it lands on ``(x*, y*)`` or lies beyond a
     bound of the region by more than ``_ESCAPE_ULPS`` ulps of that
@@ -737,36 +771,44 @@ def check_invariance(
 
     import numpy as np
 
-    rng = np.random.default_rng(_seed_sequence(seed))
+    u, v = _unit_draws(seed, samples)
     if region is Region.OMEGA1:
-        x0 = rng.uniform(0.0, xs, samples)
-        y0 = rng.uniform(0.0, ys, samples)
+        x0, y0 = xs * u, ys * v
     else:
-        x0 = xs + rng.uniform(0.0, span, samples)
-        y0 = ys + rng.uniform(0.0, span, samples)
-    at_fp = (x0 == xs) & (y0 == ys)
-    if at_fp.any():  # measure-zero draw; the fixed point is not in the region
+        # xs + span*u, without a temporary
+        x0, y0 = span * u, span * v
+        x0 += xs
+        y0 += ys
+    del u, v  # a draw too large to keep is not held while the images are made
+    # count_nonzero is the cheapest any() numpy has for a short array
+    at_fp = x0 == xs
+    if np.count_nonzero(at_fp):  # measure-zero draw; the fixed point is not in the region
+        at_fp &= y0 == ys
         # move it along x into the region sampled: down into Omega1, up into Omega2
         moved = 0.5 * xs if region is Region.OMEGA1 else np.nextafter(xs, np.inf)
         x0 = np.where(at_fp, moved, x0)
 
+    # the regions' bounds, each widened by the rounding allowance
+    ax, ay = _ESCAPE_ULPS * math.ulp(xs), _ESCAPE_ULPS * math.ulp(ys)
     with np.errstate(over="ignore", invalid="ignore"):
         x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x0, y0)
+        if region is Region.OMEGA1:
+            # an image is not a State, so Omega1's quadrant bounds are tested
+            # too; np.minimum passes a nan on, which fails the test as it should
+            inside = (x1 <= xs + ax) & (y1 <= ys + ay) & (np.minimum(x1, y1) >= 0.0)
+        else:
+            inside = (x1 >= xs - ax) & (y1 >= ys - ay)
+        on_fp = x1 == xs
+        if np.count_nonzero(on_fp):  # only an image with x = x* can be (x*, y*)
+            inside &= ~(on_fp & (y1 == ys))
+        escapes = samples - int(np.count_nonzero(inside))
+        # an image inside Omega1's box is finite, one in Omega2 may be inf;
         # images are nonnegative, so x1 - y1 is finite exactly when both are
-        finite = np.isfinite(x1 - y1).all()
+        finite = not (escapes or region is Region.OMEGA2) or np.count_nonzero(np.isfinite(x1 - y1)) == samples
     if not finite:
         # a float64 limit, not a counterexample: a State cannot hold inf
         raise ConfigurationError(f"sampling span {span} overflows the map's float64 images; use a smaller span")
-    # the regions' bounds, each widened by the rounding allowance
-    ax, ay = _ESCAPE_ULPS * math.ulp(xs), _ESCAPE_ULPS * math.ulp(ys)
-    off_fp = (x1 != xs) | (y1 != ys)
-    if region is Region.OMEGA1:
-        # an image is not a State, so Omega1's quadrant bounds are tested too
-        inside = off_fp & (x1 <= xs + ax) & (y1 <= ys + ay) & (x1 >= 0.0) & (y1 >= 0.0)
-    else:
-        inside = off_fp & (x1 >= xs - ax) & (y1 >= ys - ay)
 
-    escapes = samples - int(np.count_nonzero(inside))
     counterexample = None
     if escapes:
         i = int(np.argmin(inside))
@@ -816,14 +858,14 @@ def check_sum_identity(params: Params, samples: int, seed: int) -> IdentityRepor
 
     import numpy as np
 
-    rng = np.random.default_rng(seed + 2)
-    xs = rng.uniform(0.0, 1e4, samples)
-    ys = rng.uniform(0.0, y_window, samples)
+    u, v = _unit_draws(seed + 2, samples)
+    ys = y_window * v
+    del v  # a draw too large to keep is not held while the defects are computed
     residuals = np.abs(_identity_defect(params.beta, params.gamma, params.mu, ys))
     allowances = 1e-12 * np.maximum(1.0, np.maximum(params.beta * ys, params.mu * ys))
     exceeds = ~(residuals <= allowances)  # a nan residual exceeds too
     i = int(np.argmax(exceeds)) if exceeds.any() else int(np.argmax(residuals))
-    return IdentityReport(samples, float(residuals[i]), State(float(xs[i]), float(ys[i])), float(allowances[i]))
+    return IdentityReport(samples, float(residuals[i]), State(float(1e4 * u[i]), float(ys[i])), float(allowances[i]))
 
 
 def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundReport:
@@ -841,9 +883,8 @@ def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundRepo
 
     import numpy as np
 
-    rng = np.random.default_rng(seed + 3)
-    x0 = rng.uniform(0.0, 100.0, starts)
-    y0 = rng.uniform(0.0, 3.0 * y_limit, starts)
+    u, v = _unit_draws(seed + 3, starts)
+    x0, y0 = 100.0 * u, 3.0 * y_limit * v
     bounds = np.maximum(y0, y_limit) + 1e-12
     x, y = x0, y0
     for _ in range(horizon):

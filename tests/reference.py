@@ -1,6 +1,6 @@
 """Reference oracles: the scalar ``iterate`` and ``classify_fate`` loops,
-``check_invariance`` with its own region test, and ``classify_interior``
-with its ``eigvals`` cross-check.
+``check_invariance`` with its own region test, the sampled checks that
+drew per call, and ``classify_interior`` with its ``eigvals`` cross-check.
 
 These are the package's original hand-written loops, one per function,
 kept verbatim so that tests can require the orbit engine in
@@ -21,20 +21,30 @@ it was memoized, and ``OriginalState`` the value object as it was when
 ``__init__`` had set it (only the class name differs), kept verbatim so
 that tests can require the memoized closed form and the one-pass
 constructor to give the same values, errors and dataclass behaviour.
-Do not edit them to follow the package; they define the expected
-outputs.
+``check_invariance_with_allowance``, ``check_sum_identity`` and
+``check_adult_bound`` are the sampled checks as they were when each
+call drew its starts with ``default_rng(...).uniform``, kept verbatim
+so that tests can require the shared unit draws to give the same
+reports under any order of seeds and parameter sets.  Do not edit them to follow the package; they define the expected
+outputs.  One rule was changed on purpose: ``classify_fate``'s stall no
+longer overrides a Theorem 1(ii) certificate, which holds whether or not
+the float orbit stops moving.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
 from mosquito_allee.dynamics import (
+    _ESCAPE_ULPS,
     DEFAULT_BUDGET,
     TRAJECTORY_WINDOW,
+    AdultBoundReport,
     FateThresholds,
+    IdentityReport,
     InvarianceReport,
     Region,
     Termination,
@@ -42,6 +52,7 @@ from mosquito_allee.dynamics import (
     Trajectory,
     TrajectoryOutcome,
     Verdict,
+    _identity_defect,
     _require_sampling,
 )
 from mosquito_allee.errors import ConfigurationError, DomainError, InternalConsistencyError
@@ -271,9 +282,11 @@ def classify_fate(
     if ball_hit:
         verdict = Verdict.EXTINCTION
         estimate = None
-    elif stalled:
+    elif stalled and tag is not TheoremTag.THM1_II:
         # pinned at a numerical fixed point away from the origin (the
-        # float image of (x*, y*)); no asymptotic claim can be confirmed
+        # float image of (x*, y*)); no asymptotic claim can be confirmed.
+        # With no interior point there is no such fixed point to be
+        # pinned at, and Theorem 1(ii) stands
         verdict = Verdict.UNDETERMINED
         estimate = None
         tag = None
@@ -367,6 +380,144 @@ def check_invariance(
         i = int(np.argmax(~inside))
         counterexample = (State(float(x0[i]), float(y0[i])), State(float(x1[i]), float(y1[i])))
     return InvarianceReport(region=region, samples=samples, escapes=escapes, counterexample=counterexample)
+
+
+def check_invariance_with_allowance(
+    params: Params,
+    region: Region,
+    samples: int,
+    seed: int,
+    span: float | None = None,
+) -> InvarianceReport:
+    """Sample a region uniformly and verify one step stays inside.
+
+    ``Omega2`` is unbounded, so it is sampled on the window
+    ``[x*, x*+span] x [y*, y*+span]`` (default span ``10*max(x*, y*)``);
+    invariance of the map does not depend on the window.  Returns the
+    escape count and the first counterexample, if any.  At most
+    ``MAX_SAMPLES`` samples; the seed must be nonnegative.  A span so
+    large that an image overflows float64 is a ``ConfigurationError``,
+    and so is a fixed point so small that the map's ``beta*y*y`` there
+    underflows float64's normal range: its images would lose the bits
+    that decide an escape.
+
+    An image escapes when it lands on ``(x*, y*)`` or lies beyond a
+    bound of the region by more than ``_ESCAPE_ULPS`` ulps of that
+    bound.  Less is rounding, not a counterexample: the float image and
+    the float ``(x*, y*)`` each carry a few roundings, and a state
+    sampled at the corner of the float box maps past it by the error of
+    ``x*``, whose denominator cancels next to the existence threshold.
+    """
+    fp = _require_interior(params)
+    if region not in (Region.OMEGA1, Region.OMEGA2):
+        raise ConfigurationError(f"invariance is defined for omega1/omega2, got {region}")
+    _require_sampling(samples, seed)
+    xs, ys = fp.x, fp.y
+    # the kernel's product, in its operation order; every Omega2 sample's is at least this
+    g = params.beta * ys * ys
+    if g < sys.float_info.min:
+        raise ConfigurationError(
+            f"beta*y*^2 = {g!r} at the interior fixed point ({xs!r}, {ys!r}) underflows "
+            "float64's normal range, where the map's images cannot test invariance"
+        )
+    if span is None:
+        span = 10.0 * max(xs, ys)
+    if not (math.isfinite(span) and span > 0.0):
+        raise ConfigurationError(f"sampling span must be positive and finite, got {span}")
+
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    if region is Region.OMEGA1:
+        x0 = rng.uniform(0.0, xs, samples)
+        y0 = rng.uniform(0.0, ys, samples)
+    else:
+        x0 = xs + rng.uniform(0.0, span, samples)
+        y0 = ys + rng.uniform(0.0, span, samples)
+    at_fp = (x0 == xs) & (y0 == ys)
+    if at_fp.any():  # measure-zero draw; the fixed point is not in the region
+        # move it along x into the region sampled: down into Omega1, up into Omega2
+        moved = 0.5 * xs if region is Region.OMEGA1 else np.nextafter(xs, np.inf)
+        x0 = np.where(at_fp, moved, x0)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x0, y0)
+        # images are nonnegative, so x1 - y1 is finite exactly when both are
+        finite = np.isfinite(x1 - y1).all()
+    if not finite:
+        # a float64 limit, not a counterexample: a State cannot hold inf
+        raise ConfigurationError(f"sampling span {span} overflows the map's float64 images; use a smaller span")
+    # the regions' bounds, each widened by the rounding allowance
+    ax, ay = _ESCAPE_ULPS * math.ulp(xs), _ESCAPE_ULPS * math.ulp(ys)
+    off_fp = (x1 != xs) | (y1 != ys)
+    if region is Region.OMEGA1:
+        # an image is not a State, so Omega1's quadrant bounds are tested too
+        inside = off_fp & (x1 <= xs + ax) & (y1 <= ys + ay) & (x1 >= 0.0) & (y1 >= 0.0)
+    else:
+        inside = off_fp & (x1 >= xs - ax) & (y1 >= ys - ay)
+
+    escapes = samples - int(np.count_nonzero(inside))
+    counterexample = None
+    if escapes:
+        i = int(np.argmin(inside))
+        counterexample = (State(float(x0[i]), float(y0[i])), State(float(x1[i]), float(y1[i])))
+    return InvarianceReport(region=region, samples=samples, escapes=escapes, counterexample=counterexample)
+
+
+def check_sum_identity(params: Params, samples: int, seed: int) -> IdentityReport:
+    """Sample states and report the worst defect of the total-population identity.
+
+    ``x`` is drawn from ``[0, 1e4]`` and ``y`` from a window that keeps
+    ``beta*y`` moderate where ``beta`` is small.  The draws come from
+    ``seed + 2``, apart from the invariance draws a ``check`` seed makes
+    at ``seed`` and ``seed + 1``.  The terms the defect adds up are of
+    the size of ``beta*y`` and ``mu*y``, so each state is allowed
+    ``1e-12*max(1, beta*y, mu*y)`` of rounding.
+    """
+    fp = _require_interior(params)
+    _require_sampling(samples, seed)
+    y_window = max(1.0, min(10.0 * max(derived_constants(params).y_limit, fp.y), 500.0 / params.beta))
+
+    import numpy as np
+
+    rng = np.random.default_rng(seed + 2)
+    xs = rng.uniform(0.0, 1e4, samples)
+    ys = rng.uniform(0.0, y_window, samples)
+    residuals = np.abs(_identity_defect(params.beta, params.gamma, params.mu, ys))
+    allowances = 1e-12 * np.maximum(1.0, np.maximum(params.beta * ys, params.mu * ys))
+    exceeds = ~(residuals <= allowances)  # a nan residual exceeds too
+    i = int(np.argmax(exceeds)) if exceeds.any() else int(np.argmax(residuals))
+    return IdentityReport(samples, float(residuals[i]), State(float(xs[i]), float(ys[i])), float(allowances[i]))
+
+
+def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundReport:
+    """Step sampled orbits and report one whose adult density passes ``max(y0, alpha/mu)``.
+
+    ``min(samples, 1000)`` starts are drawn from ``seed + 3`` on
+    ``[0, 100] x [0, 3*alpha/mu]`` and stepped 256 times together.  The
+    violation reported is the first start, in draw order, to pass its
+    bound by more than ``1e-12`` at the earliest step any start does.
+    """
+    y_limit = derived_constants(params).y_limit
+    _require_sampling(samples, seed)
+    starts = min(samples, 1000)
+    horizon = 256
+
+    import numpy as np
+
+    rng = np.random.default_rng(seed + 3)
+    x0 = rng.uniform(0.0, 100.0, starts)
+    y0 = rng.uniform(0.0, 3.0 * y_limit, starts)
+    bounds = np.maximum(y0, y_limit) + 1e-12
+    x, y = x0, y0
+    for _ in range(horizon):
+        x, y = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x, y)
+        bad = y > bounds
+        if bad.any():
+            i = int(np.argmax(bad))
+            violation = (State(float(x0[i]), float(y0[i])), float(y[i]))
+            return AdultBoundReport(starts, horizon, y_limit, violation)
+    return AdultBoundReport(starts, horizon, y_limit, None)
 
 
 def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> InteriorClassification:

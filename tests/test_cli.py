@@ -173,6 +173,15 @@ def test_stdout_matches_golden_bytes(argv, golden, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
+def test_check_after_another_set_matches_golden_bytes(capsys):
+    # the same seed and sample count, so the second check reuses the first one's draws
+    draws = ["--samples", "2000", "--seed", "7"]
+    assert main(["check", "--alpha", "0.5", "--beta", "3", "--gamma", "1", "--mu", "0.5", *draws]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["check", *SHOWCASE_ARGS, *draws]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / "check_showcase.txt").read_bytes()
+
+
 _rate = st.floats(0.05, 1.0)
 
 

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import SHOWCASE, interior_params, origin_only_params, pumped_kernel
-from mosquito_allee import dynamics
+from mosquito_allee import dynamics, model
 from mosquito_allee import (
     ConfigurationError,
     FateThresholds,
@@ -248,6 +248,35 @@ class TestClassifyFate:
             FateThresholds(**{field: value})
 
 
+class TestStallUnderTheorem1ii:
+    """A stall does not veto Theorem 1(ii): with no interior point there is
+    no float image of ``(x*, y*)`` for an orbit to be pinned at."""
+
+    # 1 - mu rounds to 1, so y stops moving once x is tiny, far below alpha/mu
+    PARAMS = Params(alpha=0.5, beta=1e-17, gamma=1.0, mu=1e-17)
+
+    def test_scalar_engine(self):
+        o = classify_fate(self.PARAMS, State(1.0, 1.0))
+        assert (o.verdict, o.theorem_tag, o.iterations_used) == (Verdict.EXTINCTION, TheoremTag.THM1_II, 50)
+        assert o.final_state.y > 1.0  # stalled, not in the origin ball
+
+    def test_simulate(self):
+        trajectory, o = simulate(self.PARAMS, State(1.0, 1.0), 1000)
+        assert trajectory.terminated is Termination.CONVERGED and trajectory.n_steps == 50
+        assert o == classify_fate(self.PARAMS, State(1.0, 1.0), 1000)
+        assert (o.verdict, o.theorem_tag) == (Verdict.EXTINCTION, TheoremTag.THM1_II)
+
+    # 0: every cell steps in lockstep; 10**6: every cell on the scalar loop
+    @pytest.mark.parametrize("crossover", [0, 10**6])
+    def test_basin_scan(self, crossover, monkeypatch):
+        monkeypatch.setattr(dynamics, "LOCKSTEP_CROSSOVER", crossover)
+        cells = [c for row in basin_scan(self.PARAMS, (0.0, 5.0), (0.0, 5.0), 20, 20, budget=1000).cells for c in row]
+        assert {(c.verdict, c.theorem_tag) for c in cells} == {(Verdict.EXTINCTION, TheoremTag.THM1_II)}
+        # every cell but the origin stalls before the budget, outside the ball
+        radius = FateThresholds().extinction_radius
+        assert sum(c.iterations_used < 1000 and c.final_state.y > radius for c in cells) == 399
+
+
 class TestCheckInvariance:
     def test_showcase_regions_hold(self):
         for region in (Region.OMEGA1, Region.OMEGA2):
@@ -259,6 +288,32 @@ class TestCheckInvariance:
     def test_explicit_span(self):
         report = check_invariance(SHOWCASE, Region.OMEGA2, samples=2000, seed=1, span=500.0)
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "region, units",
+        [
+            # Omega1's starts are (x*u, y*v): u = v = 1 is (x*, y*) and moves down to x*/2
+            (Region.OMEGA1, ([1.0, 1.0, 0.5], [1.0, 0.5, 1.0])),
+            # Omega2's are (x* + u, y* + v) at span 1: u = v = 0 moves up by one ulp
+            (Region.OMEGA2, ([0.0, 0.0, 0.5], [0.0, 0.5, 0.0])),
+        ],
+    )
+    def test_only_a_start_on_the_fixed_point_moves(self, region, units, monkeypatch):
+        monkeypatch.setattr(dynamics, "_unit_draws", lambda seed, samples: tuple(map(np.array, units)))
+        starts = []
+
+        def recording_kernel(alpha, beta, gamma, mu, x, y):
+            starts.append((x.tolist(), y.tolist()))
+            return model._w0_xy(alpha, beta, gamma, mu, x, y)
+
+        monkeypatch.setattr(dynamics, "_w0_xy", recording_kernel)
+        assert check_invariance(SHOWCASE, region, 3, 0, span=1.0).passed
+        fp = interior_fixed_point(SHOWCASE)
+        if region is Region.OMEGA1:
+            expected = ([0.5 * fp.x, fp.x, 0.5 * fp.x], [fp.y, 0.5 * fp.y, fp.y])
+        else:
+            expected = ([math.nextafter(fp.x, math.inf), fp.x, fp.x + 0.5], [fp.y, fp.y + 0.5, fp.y])
+        assert starts == [expected]
 
     def test_random_parameter_sets(self):
         rng = np.random.default_rng(31)
@@ -510,6 +565,8 @@ class TestSamplingArguments:
             raise Drawn
 
         monkeypatch.setattr("numpy.random.default_rng", rng)
+        # without the draw memo, a draw a test before this one kept is drawn again
+        monkeypatch.setattr(dynamics, "_memo_units", dynamics._draw_units)
         with pytest.raises(ConfigurationError, match="exceed the maximum"):
             check(dynamics.MAX_SAMPLES + 1, 0)
         with pytest.raises(Drawn):

@@ -1,13 +1,16 @@
-"""Set-up paid once: the memoized interior point and seed sequences, and
-the one-pass constructor of ``State``.
+"""Set-up paid once: the memoized interior point and unit draws, and the
+one-pass constructor of ``State``.
 
 ``interior_fixed_point`` is memoized per ``Params`` in a bounded
 ``lru_cache``; it must give :mod:`reference`'s unmemoized value on a
 first call and on every later one, raise its errors on every call
 (errors are never cached), keep sets one ulp apart apart, and hold at
-most 64 entries.  ``check_invariance`` seeds its
-generator from a memoized ``SeedSequence``; its reports must equal the
-oracle's under any order of seeds, and its draws ``default_rng(seed)``'s.
+most 64 entries.  The sampled checks scale the read-only unit draws of
+``dynamics._unit_draws``, kept per ``(seed, samples)`` for draws of at
+most ``_MEMO_SAMPLES`` samples: the draws must be ``default_rng(seed)``'s
+uniforms, bit for bit, a large draw must not be kept, and every check's
+reports must equal the per-call oracle's under any order of seeds and
+parameter sets.
 ``State`` converts, validates and sets each field once in its own
 ``__init__``; it must store what the original dataclass stored and
 raise what it raised, in the same precedence, and behave the same
@@ -17,18 +20,30 @@ under ``dataclasses``, ``pickle``, ``hash``, ``==`` and ``repr``.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import inspect
 import itertools
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference
 from helpers import SHOWCASE, analysis_params, nudged
-from mosquito_allee import InternalConsistencyError, Params, Region, State, check_invariance, dynamics
+from mosquito_allee import (
+    InternalConsistencyError,
+    Params,
+    Region,
+    State,
+    check_adult_bound,
+    check_invariance,
+    check_sum_identity,
+    dynamics,
+)
 from mosquito_allee.model import derived_constants
 from mosquito_allee.stability import interior_fixed_point
 
@@ -86,7 +101,12 @@ def test_memos_stay_bounded():
         _value_or_error(interior_fixed_point, Params(*(float(v) for v in rng.uniform(0.05, 1.0, 4))))
     info = interior_fixed_point.cache_info()
     assert info.maxsize == MEMO_BOUND and info.currsize <= MEMO_BOUND
-    assert dynamics._seed_sequence.cache_info().maxsize <= MEMO_BOUND
+    for seed in range(100):
+        dynamics._unit_draws(seed, 1 + seed % 7)
+    draws = dynamics._memo_units.cache_info()
+    assert draws.currsize <= draws.maxsize <= MEMO_BOUND
+    # what the kept draws can hold at most
+    assert draws.maxsize * 2 * dynamics._MEMO_SAMPLES * 8 <= 2**20
 
 
 def test_check_invariance_under_interleaved_seeds_matches_reference():
@@ -96,18 +116,78 @@ def test_check_invariance_under_interleaved_seeds_matches_reference():
             assert repr(got) == repr(reference.check_invariance(SHOWCASE, region, 300, seed, span))
 
 
-def test_seed_sequence_draws_are_default_rngs():
-    for seed in (0, 1, 0, 2, 1, 2**40, 0):
-        memo = dynamics._seed_sequence(seed)
-        assert memo is dynamics._seed_sequence(seed)
-        state = (memo.entropy, memo.spawn_key, memo.pool_size, memo.n_children_spawned)
-        got = np.random.default_rng(memo)
-        expected = np.random.default_rng(seed)
-        for size in (1, 5, 300):
-            assert got.uniform(0.0, 3.0, size).tobytes() == expected.uniform(0.0, 3.0, size).tobytes()
-        assert got.integers(0, 2**62, 10).tolist() == expected.integers(0, 2**62, 10).tolist()
-        # drawing leaves the memoized sequence as it was
-        assert (memo.entropy, memo.spawn_key, memo.pool_size, memo.n_children_spawned) == state
+def test_unit_draws_are_default_rng_uniforms():
+    for seed in (0, 1, 0, 2**40, 1):
+        for samples in (1, 5, 300, dynamics._MEMO_SAMPLES, dynamics._MEMO_SAMPLES + 1):
+            u, v = dynamics._unit_draws(seed, samples)
+            assert u.shape == v.shape == (samples,)
+            assert np.concatenate((u, v)).tobytes() == np.random.default_rng(seed).random(2 * samples).tobytes()
+            # the x and y draws of two uniform() calls, including the
+            # subnormal and huge scales the checks meet
+            for h, k in ((1.0, 1.0), (3.0, 0.25), (5e-320, 1e300), (1e300, 5e-320)):
+                rng = np.random.default_rng(seed)
+                assert (h * u).tobytes() == rng.uniform(0.0, h, samples).tobytes()
+                assert (k * v).tobytes() == rng.uniform(0.0, k, samples).tobytes()
+
+
+def test_unit_draws_are_read_only():
+    for samples in (3, dynamics._MEMO_SAMPLES + 1):
+        for half in dynamics._unit_draws(0, samples):
+            assert not half.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                half[0] = 0.5
+
+
+def test_small_draws_are_kept_and_large_ones_are_not():
+    small = dynamics._unit_draws(5, dynamics._MEMO_SAMPLES)
+    assert all(a is b for a, b in zip(small, dynamics._unit_draws(5, dynamics._MEMO_SAMPLES)))
+    before = dynamics._memo_units.cache_info()
+    large = dynamics._unit_draws(5, dynamics._MEMO_SAMPLES + 1)
+    assert not any(a is b for a, b in zip(large, dynamics._unit_draws(5, dynamics._MEMO_SAMPLES + 1)))
+    after = dynamics._memo_units.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+    refs = [weakref.ref(a) for a in large]
+    del large
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def _checks(check_invariance_fn, check_sum_identity_fn, check_adult_bound_fn):
+    """One call of each sampled check, as ``(name, call(params, samples, seed))`` pairs."""
+    return (
+        ("omega1", lambda p, n, seed: check_invariance_fn(p, Region.OMEGA1, n, seed)),
+        ("omega2", lambda p, n, seed: check_invariance_fn(p, Region.OMEGA2, n, seed)),
+        ("omega2 span 0.5", lambda p, n, seed: check_invariance_fn(p, Region.OMEGA2, n, seed, 0.5)),
+        ("identity", check_sum_identity_fn),
+        ("adult bound", check_adult_bound_fn),
+    )
+
+
+CHECKS = _checks(check_invariance, check_sum_identity, check_adult_bound)
+REFERENCE_CHECKS = _checks(
+    reference.check_invariance_with_allowance, reference.check_sum_identity, reference.check_adult_bound
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(analysis_params(), st.integers(0, 3), st.sampled_from((1, 7, 256))), min_size=1, max_size=4))
+@example(
+    [
+        (SHOWCASE, 0, 300),
+        (CRASH_SET, 1, 1000),
+        (Params(alpha=0.5, beta=1e6, gamma=1.0, mu=0.5), 0, 2000),
+        (Params(alpha=0.8, beta=0.7, gamma=2.0, mu=0.4), 2, 300),
+        (SHOWCASE, 1, dynamics._MEMO_SAMPLES + 1),
+        (SHOWCASE, 7, 1000),
+        (Params(alpha=0.5, beta=3.0, gamma=1.0, mu=0.5), 0, 300),
+        (SHOWCASE, 0, 300),
+    ]
+)
+def test_samplers_under_interleaved_seeds_and_sets_match_reference(calls):
+    for params, seed, samples in calls:
+        for (name, check), (_, oracle) in zip(CHECKS, REFERENCE_CHECKS):
+            got, expected = (_value_or_error(f, params, samples, seed) for f in (check, oracle))
+            assert got == expected, (name, params, samples, seed)
 
 
 # field values the constructor converts or rejects: ints, numpy floats,
