@@ -42,14 +42,16 @@ trajectory keeps are re-stepped on the kernel at the end
 
 Each fate rule is written once, on floats and float64 arrays alike:
 the Omega1/Omega2 test in ``_regions``, the certificate a reached state
-earns in ``_certify``, the rules of a start alone in
-``_start_certificate``, the adult-limit estimate in ``_estimate`` and
-the verdict in ``_verdict``.  ``membership`` and both fate engines
-call them; the engines write only the stepping.  ``check_invariance``
-tests its images against the regions' bounds widened by a rounding
-allowance.  The sampled checks scale the unit uniforms of
-``_unit_draws``, which a process keeps for small draws, so a sweep
-draws each seed's stream once.
+earns in ``_certify``, the rules of a start alone in ``_start``, the
+adult-limit estimate in ``_estimate`` and the verdict in ``_verdict``.
+``membership`` and both fate engines call them; the engines write only
+the stepping.  A fate's resumable state is declared once, as
+``_FateState``: ``_start`` builds it, on floats or arrays, ``_fate_from``
+resumes from it and returns it, and the lockstep engine compacts it.
+``check_invariance`` tests its images against the regions' bounds
+widened by a rounding allowance.  The sampled checks scale the unit
+uniforms of ``_unit_draws``, which a process keeps for small draws, so
+a sweep draws each seed's stream once.
 ``classify_fate`` steps its start on ``_fate_from``, without numpy.
 ``basin_scan``'s engine, ``_lockstep_fates``, steps the unresolved
 cells together as float64 arrays through the kernel; numpy's
@@ -71,6 +73,7 @@ import enum
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
@@ -365,8 +368,9 @@ def _orbit(
     fields of ``classify_fate`` (see ``_fields``), else None.  The orbit
     is stepped once, in blocks that end at each multiple of ``window``,
     each one call of ``_fate_from`` that also stops where the trajectory
-    does, carrying the fate while it is open and else ``_CLOSED_FATE``,
-    on which only the trajectory's stops fire.  A trajectory that stops at
+    does, carrying the fate while it is open and else the closed fate
+    (``_CLOSED_CONTEXT`` and ``_CLOSED_STATE``), on which only the
+    trajectory's stops fire.  A trajectory that stops at
     ``divergence_x`` before the verdict hands the fate to ``_fate_from``
     at the state it stopped at.  Nothing is recorded while stepping: the
     state at each block's start is kept, and the points of the first
@@ -378,7 +382,9 @@ def _orbit(
     n, x, y = 0, s0.x, s0.y
     terminated = fields = None
     if fate:
-        fields, context, state = _fate_start(params, th, x, y)
+        context = _fate_context(params, th)
+        done, ball, state = _start(x, y, context)
+        fields = _fields(0, state, ball, False) if done else None
     # the states at the latest two block starts, each a multiple of window;
     # a fate that stops before a non-finite image may return to its block's
     # start, which is kept once
@@ -390,20 +396,21 @@ def _orbit(
         if fate and fields is None:
             # a fate that stops before a non-finite image leaves that image
             # to the closed fate, which meets it at once and stops there too
-            block = _fate_from(params, budget, th, n, x, y, *context, *state, stop, divergence_x)
-            fields, stalled, (n, x, y, *state) = block
+            fields, stalled, n, state = _fate_from(params, budget, th, context, n, state, stop, divergence_x)
         else:
-            end, stalled, (n, x, y, *_) = _fate_from(params, budget, th, n, x, y, *_CLOSED_FATE, stop, divergence_x)
+            closed = _CLOSED_STATE._replace(x=x, y=y)
+            end, stalled, n, state = _fate_from(params, budget, th, _CLOSED_CONTEXT, n, closed, stop, divergence_x)
             # a closed fate ends before the budget without a stall only
             # before a non-finite image
             if end is not None and not stalled and n < budget:
                 terminated = Termination.DIVERGED
+        x, y = state.x, state.y
         # the trajectory's stops at step n, also where the fate stopped first
         if terminated is None and (stalled or x > divergence_x):
             terminated = Termination.DIVERGED if x > divergence_x else Termination.CONVERGED
     if fate and fields is None:
         # the budget ran out, or the trajectory stopped first at divergence_x
-        fields = _fate_from(params, budget, th, n, x, y, *context, *state)[0]
+        fields = _fate_from(params, budget, th, context, n, state)[0]
 
     head = min(n, window)
     points = [s0, *_replay(params, 0, s0.x, s0.y, 1, head)]
@@ -487,43 +494,35 @@ def _fate_from(
     params: Params,
     budget: int,
     th: FateThresholds,
+    context: tuple,
     n: int,
-    x: float,
-    y: float,
-    y_cap: float,
-    fp: State | None,
-    radius: float,
-    tag: int,
-    extinction: bool,
-    growth: bool,
-    est_prev: float,
-    checkpoint_x: float,
+    state: _FateState,
     block_end: int = sys.maxsize,
     stop_x: float = math.inf,
-) -> tuple[tuple | None, bool, tuple]:
+) -> tuple[tuple | None, bool, int, _FateState]:
     """The scalar fate loop of :func:`classify_fate`, ``_orbit`` and ``_lockstep_fates``.
 
-    Steps a cell on from its state after ``n`` steps at ``(x, y)``, with
-    ``y_cap`` and ``fp`` for ``_certify``, the origin ball's ``radius``,
-    the certificates and tag code reached so far, the last estimate
-    checkpoint ``est_prev`` (nan before the first, which no estimate is
-    within tolerance of) and the ``x`` at which the next one falls.
-    Returns ``(fields, stalled, state)``: once the verdict is final, the
-    column fields (see ``_fields``), whether the last step's displacement
-    was below ``step_tol``, and ``(n, x, y)``.  At ``block_end``, or once ``x``
-    passes ``stop_x``, before the verdict, ``fields`` is None and
-    ``state`` is ``(n, x, y, tag, extinction, growth, est_prev,
-    checkpoint_x)``, from which a call resumes.  ``_certify`` is called
-    only while a certificate is missing.  On ``_CLOSED_FATE`` only the
-    stops that are not rules end a call.  ``_lockstep_fates`` steps the
-    same way, elementwise.  The kernel's one inlined copy is here; a step
-    that fires no rule pays one test on top of it, and the rules run, in
-    order, when it fails.
+    Steps a cell on from its ``state`` after ``n`` steps, with the
+    ``context`` of ``_fate_context``.  Returns ``(fields, stalled, n,
+    state)``: once the verdict is final, the column fields (see
+    ``_fields``), else None; whether the last step's displacement was
+    below ``step_tol``; and the step count and state reached.  A call
+    stops before the verdict at ``block_end``, or once ``x`` passes
+    ``stop_x``, and a call from the ``(n, state)`` it returns resumes
+    where it stopped.  ``_certify`` is called only while a certificate is
+    missing.  On the closed fate only the stops that are not rules end a
+    call.  ``_lockstep_fates`` steps the same way, elementwise.  The
+    kernel's one inlined copy is here; a step that fires no rule pays one
+    test on top of it, and the rules run, in order, when it fails.
     """
     isfinite = math.isfinite
     alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
     divergence_x, step_tol = th.divergence_x, th.step_tol
     est_tol = 0.1 * th.y_limit_tol
+    fp, y_cap, radius = context
+    x, y, tag, extinction, growth, est_prev, checkpoint_x = state
+    # ended: the verdict is final though neither ball nor stall fired
+    ball = stalled = ended = False
     gate = -math.inf  # each step that runs the rules sets it, the first included
     for n in range(n + 1, min(budget, block_end) + 1):
         # _w0_xy inlined, in its operation order
@@ -540,12 +539,15 @@ def _fate_from(
             continue
         # both images are >= 0, so their difference is finite iff both are
         if not isfinite(x1 - y1):
-            return _fields(n - 1, x, y, False, extinction, growth, False, tag), False, (n - 1, x, y)
+            n -= 1
+            ended = True
+            break
         # the displacement, max(|x1 - x|, |y1 - y|), is below step_tol
         stalled = abs(x1 - x) < step_tol and abs(y1 - y) < step_tol
         x, y = x1, y1
-        if x <= radius and y <= radius:  # max() would cost a call per step
-            return _fields(n, x, y, True, extinction, growth, False, tag), stalled, (n, x, y)
+        ball = x <= radius and y <= radius  # max() would cost a call per step
+        if ball:
+            break
         # a certified orbit pays no call
         if not extinction and (fp is None or not growth):
             extinction, growth, tag = _certify(x, y, fp, y_cap, extinction, growth, tag)
@@ -559,21 +561,22 @@ def _fate_from(
             est = _estimate(x, y)
             if abs(est - est_prev) <= est_tol:
                 # the outcome reports est, the inversion at the final state
-                return _fields(n, x, y, False, extinction, growth, False, tag), stalled, (n, x, y)
+                ended = True
+                break
             est_prev = est
             checkpoint_x = 2.0 * x
 
-        if stalled:
-            return _fields(n, x, y, False, extinction, growth, True, tag), True, (n, x, y)
-        if x > stop_x:
+        if stalled or x > stop_x:
             break
         # the least x at which a rule can fire: any x while a certificate
         # may come, else the next checkpoint (growth) or divergence_x, or stop_x
         gate = min(checkpoint_x if growth else divergence_x, stop_x)
         if not extinction and (fp is None or not growth):
             gate = -math.inf
-    fields = _fields(n, x, y, False, extinction, growth, False, tag) if n == budget else None
-    return fields, False, (n, x, y, tag, extinction, growth, est_prev, checkpoint_x)
+    state = _FateState(x, y, tag, extinction, growth, est_prev, checkpoint_x)
+    # an accepted estimate decides growth, also on a step that stalls
+    fields = _fields(n, state, ball, stalled and not ended) if ended or ball or stalled or n == budget else None
+    return fields, stalled, n, state
 
 
 def _verdict(ball, extinction, growth, stalled, tag):
@@ -598,24 +601,17 @@ def _verdict(ball, extinction, growth, stalled, tag):
     return grows + 2 * undetermined, (tag + 4 * (tag == 0)) * (undetermined ^ True)
 
 
-def _fields(
-    n: int,
-    x: float,
-    y: float,
-    ball: bool,
-    extinction: bool,
-    growth: bool,
-    stalled: bool,
-    tag: int,
-) -> tuple[int, int, float, float, float, int]:
-    """The column fields of a fate that stopped at ``(x, y)`` after ``n`` steps.
+def _fields(n: int, state: _FateState, ball: bool, stalled: bool) -> tuple[int, int, float, float, float, int]:
+    """The column fields of a fate that stopped at ``state`` after ``n`` steps.
 
     Returns ``(verdict, iterations, final_x, final_y, estimate, tag)``,
-    the verdict and tag as codes.  A growth verdict carries the
-    adult-limit estimate ``y*(1+x)/x`` at ``(x, y)``; for an accepted
-    estimate that is the checkpoint's own value.  Any other has nan.
+    the verdict and tag as codes; ``ball`` and ``stalled`` are
+    ``_verdict``'s.  A growth verdict carries the adult-limit estimate
+    ``y*(1+x)/x`` at ``(x, y)``; for an accepted estimate that is the
+    checkpoint's own value.  Any other has nan.
     """
-    verdict, tag = _verdict(ball, extinction, growth, stalled, tag)
+    x, y = state.x, state.y
+    verdict, tag = _verdict(ball, state.extinction, state.growth, stalled, state.tag)
     estimate = _estimate(x, y) if verdict == 1 and x > 0.0 else math.nan
     return verdict, n, x, y, estimate, tag
 
@@ -654,15 +650,15 @@ def classify_fate(
     Theorem 1(ii) has proved extinction: with no interior point there
     is no fixed point to stall at.
 
-    The start is settled by ``_start_certificate`` and steps on
+    The start is settled by ``_start`` and steps on
     ``_fate_from``, as a cell of ``basin_scan`` is and does, so a start's
     outcome is the same here and in a scan, bit for bit.  No numpy is
     loaded.
     """
     th = _checked(params, budget, thresholds)
-    fields, context, state = _fate_start(params, th, s0.x, s0.y)
-    if fields is None:
-        fields = _fate_from(params, budget, th, 0, s0.x, s0.y, *context, *state)[0]
+    context = _fate_context(params, th)
+    done, ball, state = _start(s0.x, s0.y, context)
+    fields = _fields(0, state, ball, False) if done else _fate_from(params, budget, th, context, 0, state)[0]
     return _outcome(*fields)
 
 
@@ -864,7 +860,7 @@ def check_sum_identity(params: Params, samples: int, seed: int) -> IdentityRepor
     residuals = np.abs(_identity_defect(params.beta, params.gamma, params.mu, ys))
     allowances = 1e-12 * np.maximum(1.0, np.maximum(params.beta * ys, params.mu * ys))
     exceeds = ~(residuals <= allowances)  # a nan residual exceeds too
-    i = int(np.argmax(exceeds)) if exceeds.any() else int(np.argmax(residuals))
+    i = int(np.argmax(exceeds)) if np.count_nonzero(exceeds) else int(np.argmax(residuals))
     return IdentityReport(samples, float(residuals[i]), State(float(1e4 * u[i]), float(ys[i])), float(allowances[i]))
 
 
@@ -875,6 +871,9 @@ def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundRepo
     ``[0, 100] x [0, 3*alpha/mu]`` and stepped 256 times together.  The
     violation reported is the first start, in draw order, to pass its
     bound by more than ``1e-12`` at the earliest step any start does.
+    Parameters under which an orbit overflows float64 within the horizon
+    are a ``ConfigurationError``: a nan adult density passes no bound,
+    so such an orbit could not fail the check.
     """
     y_limit = derived_constants(params).y_limit
     _require_sampling(samples, seed)
@@ -887,13 +886,20 @@ def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundRepo
     x0, y0 = 100.0 * u, 3.0 * y_limit * v
     bounds = np.maximum(y0, y_limit) + 1e-12
     x, y = x0, y0
-    for _ in range(horizon):
-        x, y = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x, y)
-        bad = y > bounds
-        if bad.any():
-            i = int(np.argmax(bad))
-            violation = (State(float(x0[i]), float(y0[i])), float(y[i]))
-            return AdultBoundReport(starts, horizon, y_limit, violation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(horizon):
+            x, y = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x, y)
+            bad = y > bounds
+            if np.count_nonzero(bad):
+                i = int(np.argmax(bad))
+                violation = (State(float(x0[i]), float(y0[i])), float(y[i]))
+                return AdultBoundReport(starts, horizon, y_limit, violation)
+        # a non-finite image stays non-finite, so one test sees every orbit
+        # that overflowed; x - y is finite iff both nonnegative images are
+        finite = np.count_nonzero(np.isfinite(x - y)) == starts
+    if not finite:
+        # a float64 limit, not a pass: a State cannot hold inf
+        raise ConfigurationError(f"an adult-bound orbit overflows float64 within {horizon} steps at these parameters")
     return AdultBoundReport(starts, horizon, y_limit, None)
 
 
@@ -905,9 +911,17 @@ LOCKSTEP_CROSSOVER = 110
 
 # the x of a growth fate's first estimate checkpoint
 _FIRST_CHECKPOINT_X = 100.0
-# the context and state of a fate on which no rule fires: no origin ball,
-# both certificates held (so y_cap and fp go unread), and no checkpoint
-_CLOSED_FATE = (math.nan, None, -math.inf, 0, True, True, math.nan, math.inf)
+# the state a fate carries from step to step beside its step count: the
+# point (x, y), the tag code and two certificates reached so far, the last
+# checkpoint's estimate (nan before the first, which no estimate is within
+# tolerance of) and the x at which the next checkpoint falls; on floats,
+# or in lockstep one array per field
+_FateState = namedtuple("_FateState", "x y tag extinction growth est_prev checkpoint_x")
+# the closed fate, on which no rule fires: a context with no origin ball,
+# and a state with both certificates held (so y_cap and fp go unread) and
+# no checkpoint, which takes the orbit's (x, y)
+_CLOSED_CONTEXT = (None, math.nan, -math.inf)
+_CLOSED_STATE = _FateState(math.nan, math.nan, 0, True, True, math.nan, math.inf)
 # a verdict code indexes _VERDICTS and a tag code _TAGS; codes 1-3 name a
 # certificate, and a fate decided without one gets 4, empirical, from _verdict
 _VERDICTS = tuple(Verdict)
@@ -923,39 +937,32 @@ _COLUMNS = (
 )
 
 
-def _start_certificate(x, y, fp: State | None, y_cap: float, r: float):
-    """The certificate of a start ``(x, y)``, on floats or float64 arrays.
+def _fate_context(params: Params, th: FateThresholds) -> tuple:
+    """What a fate reads and never changes: ``_certify``'s ``fp`` and ``y_cap``, and the origin ball's radius."""
+    return interior_fixed_point(params), derived_constants(params).y_limit, th.extinction_radius
 
-    Returns ``(done, ball, extinction, growth, tag)``: ``done`` when the
-    verdict is final before any step, ``ball`` when that is because the
-    start lies in the origin ball of radius ``r``, the two certificates,
-    and ``tag``, an index into ``_TAGS``.  The certificates are
-    ``_certify``'s from none; the rules that hold only at a start (the
-    ball, the fixed point, tags 2 and 3) are written here.
+
+def _start(x, y, context: tuple) -> tuple:
+    """The fate of a start ``(x, y)`` before any step, on floats or float64 arrays.
+
+    Returns ``(done, ball, state)``: ``done`` when the verdict is final
+    before any step, ``ball`` when that is because the start lies in the
+    origin ball, and the ``_FateState`` the fate starts from.  Its
+    certificates are ``_certify``'s from none; the rules that hold only
+    at a start (the ball, the fixed point, tags 2 and 3) are written here.
     """
+    fp, y_cap, r = context
     ball = (x <= r) & (y <= r)
     uncertified = ball & False  # False in the start's shape
+    zero = 0.0 * ball  # 0.0 in the start's shape
     extinction, growth, tag = _certify(x, y, fp, y_cap, uncertified, uncertified, 0 * ball)
-    if fp is None:
-        return ball, ball, extinction, growth, tag
-    at_fp = (x == fp.x) & (y == fp.y)
-    # a start at the fixed point is undetermined, even inside the origin ball
-    ball = ball & (at_fp ^ True)
-    return ball | at_fp, ball, extinction, growth, 2 * extinction + 3 * growth
-
-
-def _fate_start(params: Params, th: FateThresholds, x: float, y: float) -> tuple[tuple | None, tuple, tuple]:
-    """The scalar fate of a start ``(x, y)`` before any step: ``(fields, context, state)``.
-
-    ``fields`` are the column fields when the start settles the verdict,
-    else None; ``_fate_from`` then steps on with ``context``, ``(y_cap,
-    fp, radius)``, from ``state``, ``(tag, extinction, growth, est_prev,
-    checkpoint_x)``.
-    """
-    fp, y_cap = interior_fixed_point(params), derived_constants(params).y_limit
-    done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, th.extinction_radius)
-    fields = _fields(0, x, y, ball, extinction, growth, False, tag) if done else None
-    return fields, (y_cap, fp, th.extinction_radius), (tag, extinction, growth, math.nan, _FIRST_CHECKPOINT_X)
+    done = ball
+    if fp is not None:
+        at_fp = (x == fp.x) & (y == fp.y)
+        # a start at the fixed point is undetermined, even inside the origin ball
+        ball = ball & (at_fp ^ True)
+        done, tag = ball | at_fp, 2 * extinction + 3 * growth
+    return done, ball, _FateState(x, y, tag, extinction, growth, zero + math.nan, zero + _FIRST_CHECKPOINT_X)
 
 
 def _lockstep_fates(
@@ -968,8 +975,8 @@ def _lockstep_fates(
     """The fate of every start ``(x0[i], y0[i])``, as ``classify_fate`` gives it.
 
     Returns the ``_COLUMNS``, each with one entry per start.  Every start
-    is settled at once by ``_start_certificate``.  The unresolved ones
-    then step together as float64 arrays, ``_fate_from``'s stepping
+    is settled at once by ``_start``.  The unresolved ones then step
+    together as a ``_FateState`` of arrays, ``_fate_from``'s stepping
     written elementwise around the same ``_certify`` and ``_estimate``.
     A finished cell is compacted out and its fields written into the
     columns then.  Once ``LOCKSTEP_CROSSOVER`` or fewer remain, each
@@ -978,71 +985,64 @@ def _lockstep_fates(
     import numpy as np
 
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
-    fp, y_cap = interior_fixed_point(params), derived_constants(params).y_limit
-    r, div_x, step_tol = th.extinction_radius, th.divergence_x, th.step_tol
+    context = _fate_context(params, th)
+    fp, y_cap, r = context
+    div_x, step_tol = th.divergence_x, th.step_tol
     est_tol = 0.1 * th.y_limit_tol
     columns = tuple(np.empty(len(x0), dtype) for _, dtype in _COLUMNS)
     verdicts, iterations, final_x, final_y, estimates, tags = columns
     estimates[:] = np.nan  # only growth verdicts carry an estimate
 
-    # the unresolved cells' state, one entry per cell (with the
-    # certificates and tag codes set below)
-    idx = np.arange(len(x0))
-    x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
-    est_prev = np.full(len(x0), np.nan)  # nan: no checkpoint yet
-    # x at which the next estimate checkpoint falls: the first, then twice the last checkpoint's x
-    checkpoint_x = np.full(len(x0), _FIRST_CHECKPOINT_X)
+    def finish(idx, state, done, ball=None, stalled=None):
+        """Write the fields of the cells in ``done`` at step ``n``, and return the cells left.
 
-    def finish(done, ball=None, stalled=None) -> None:
-        """Write the fields of the cells in ``done`` at step ``n``, and drop them.
-
-        ``ball`` and ``stalled`` default to all False.
+        A cell is its index ``idx`` into the columns and its entry of
+        ``state``.  ``ball`` and ``stalled`` default to all False.
         """
-        nonlocal idx, x, y, tag, extinction, growth, est_prev, checkpoint_x
-        at, xd, yd = idx[done], x[done], y[done]
+        at, xd, yd = idx[done], state.x[done], state.y[done]
         verdict, tags[at] = _verdict(
             False if ball is None else ball[done],
-            extinction[done],
-            growth[done],
+            state.extinction[done],
+            state.growth[done],
             False if stalled is None else stalled[done],
-            tag[done],
+            state.tag[done],
         )
         verdicts[at], iterations[at], final_x[at], final_y[at] = verdict, n, xd, yd
         grows = (verdict == 1) & (xd > 0.0)
         estimates[at[grows]] = _estimate(xd[grows], yd[grows])
         keep = ~done
-        idx, x, y, tag, extinction, growth, est_prev, checkpoint_x = (
-            a[keep] for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x)
-        )
+        return idx[keep], _FateState._make(a[keep] for a in state)
 
     # the steps, as in _fate_from; an image or an estimate may
     # overflow, and an orbit stops before a non-finite image
     with np.errstate(over="ignore", invalid="ignore"):
         n = 0
-        done, ball, extinction, growth, tag = _start_certificate(x, y, fp, y_cap, r)
-        finish(done, ball)
+        done, ball, state = _start(np.asarray(x0, dtype=float), np.asarray(y0, dtype=float), context)
+        idx, state = finish(np.arange(len(x0)), state, done, ball)
 
+        # count_nonzero is the cheapest any() numpy has for a short array
         while len(idx) > LOCKSTEP_CROSSOVER and n < budget:
-            x1, y1 = _w0_xy(alpha, beta, gamma, mu, x, y)
+            x1, y1 = _w0_xy(alpha, beta, gamma, mu, state.x, state.y)
             # both images are >= 0, so their difference is finite iff both are
             finite = np.isfinite(x1 - y1)
-            if not finite.all():  # these stop before the non-finite image
-                finish(~finite)
+            if np.count_nonzero(finite) < len(idx):  # these stop before the non-finite image
+                idx, state = finish(idx, state, ~finite)
                 x1, y1 = x1[finite], y1[finite]
+            x, y, tag, extinction, growth, est_prev, checkpoint_x = state
             n += 1
             displacement = np.maximum(np.abs(x1 - x), np.abs(y1 - y))
             x, y = x1, y1
 
             ball = np.maximum(x, y) <= r
             # only while a cell lacks a certificate; a cell in the ball keeps its tag
-            if not (extinction if fp is None else extinction | growth).all():
+            if np.count_nonzero(extinction if fp is None else extinction | growth) < len(idx):
                 extinction, growth, tag = _certify(x, y, fp, y_cap, extinction | ball, growth, tag)
             growth |= x > div_x
 
             stalled = displacement < step_tol
             done = ball | stalled
             checkpoint = growth & (x >= checkpoint_x)
-            if checkpoint.any():
+            if np.count_nonzero(checkpoint):
                 xc = x[checkpoint]
                 est = _estimate(xc, y[checkpoint])
                 accepted = np.zeros(len(x), dtype=bool)
@@ -1053,13 +1053,12 @@ def _lockstep_fates(
                 done |= accepted
             if n == budget:
                 done[:] = True
-            if done.any():
-                finish(done, ball, stalled)
+            state = _FateState(x, y, tag, extinction, growth, est_prev, checkpoint_x)
+            if np.count_nonzero(done):
+                idx, state = finish(idx, state, done, ball, stalled)
 
-    for i, xi, yi, t, e, g, ep, cx in zip(
-        *(a.tolist() for a in (idx, x, y, tag, extinction, growth, est_prev, checkpoint_x))
-    ):
-        fields = _fate_from(params, budget, th, n, xi, yi, y_cap, fp, r, t, e, g, ep, cx)[0]
+    for i, *cell in zip(idx.tolist(), *(a.tolist() for a in state)):
+        fields = _fate_from(params, budget, th, context, n, _FateState(*cell))[0]
         for column, value in zip(columns, fields):
             column[i] = value
     return columns

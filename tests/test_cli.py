@@ -396,6 +396,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert "sampling span 1e+300 overflows" in captured.err
 
+    def test_check_overflowing_adult_orbits_prints_no_report(self, capsys):
+        # every adult-bound orbit is nan by step 256, which no bound catches
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            params = ["--alpha", "1", "--beta", "1e306", "--gamma", "1e10", "--mu", "1e-3"]
+            code = main(["check", *params, "--samples", "100"])
+        assert code == EXIT_CONFIG
+        assert caught == []  # numpy's overflow warnings included
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == "error: an adult-bound orbit overflows float64 within 256 steps at these parameters"
+
     @pytest.mark.parametrize(
         "params",
         [

@@ -540,6 +540,26 @@ class TestCheckAdultBound:
             assert not report.passed
             assert report.violation == adult_bound_by_loop(SHOWCASE, 40, seed)
 
+    def test_overflowing_orbits_are_a_usage_error(self):
+        # every orbit is nan by step 256, and a nan adult density passes no
+        # bound: a float64 limit, neither a pass nor a counterexample
+        params = Params(alpha=1.0, beta=1e306, gamma=1e10, mu=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings included
+            with pytest.raises(ConfigurationError, match="overflows float64 within 256 steps"):
+                check_adult_bound(params, 100, 0)
+
+    def test_one_overflowing_orbit_is_a_usage_error(self, monkeypatch):
+        # the last start's orbit alone overflows; the others pass
+        def kernel(alpha, beta, gamma, mu, x, y):
+            x1, y1 = model._w0_xy(alpha, beta, gamma, mu, x, y)
+            x1[-1] = math.inf
+            return x1, y1
+
+        monkeypatch.setattr(dynamics, "_w0_xy", kernel)
+        with pytest.raises(ConfigurationError, match="overflows float64"):
+            check_adult_bound(SHOWCASE, 1000, 0)
+
 
 class TestSamplingArguments:
     CHECKS = [

@@ -3,16 +3,16 @@
 ``basin_scan`` steps its cells in lockstep as numpy arrays and hands
 the last few to the scalar fate loop, filling one column per outcome
 field, from which the outcomes are rebuilt here; ``classify_fate``
-settles its one start with the same start certificate, on floats, and
-runs that scalar loop.  ``iterate`` and ``simulate`` share one orbit
-engine: it steps ``simulate``'s fate on that loop, one call per block,
-while the verdict is open, records nothing while stepping and re-steps
-the first and last ``window`` states at the end.  ``simulate`` must
-give the oracle's ``iterate`` and ``classify_fate``, at budgets on
-either side of each of the first block ends, with the verdict on a
-block end, with the last ``window`` states reaching back before the
-verdict, and with the trajectory stopping at ``divergence_x`` on a
-block end and inside one while the fate runs on.
+settles its one start with the same start rules, ``_start``, on
+floats, and runs that scalar loop.  ``iterate`` and ``simulate`` share
+one orbit engine: it steps ``simulate``'s fate on that loop, one call
+per block, while the verdict is open, records nothing while stepping
+and re-steps the first and last ``window`` states at the end.
+``simulate`` must give the oracle's ``iterate`` and ``classify_fate``,
+at budgets on either side of each of the first block ends, with the
+verdict on a block end, with the last ``window`` states reaching back
+before the verdict, and with the trajectory stopping at
+``divergence_x`` on a block end and inside one while the fate runs on.
 :mod:`reference` keeps the original scalar loops.  Both must agree bit
 for bit (``repr`` tells every double apart, ``-0.0`` included) over both
 regimes, windows and budgets, including starts whose first image
@@ -23,16 +23,22 @@ also under threshold overrides.  ``classify_fate`` and the engine on a
 one-start array must agree too, at the start certificate's boundaries.
 The package calls must emit no numpy warnings.
 
-Each fate rule is one function that both engines call, on floats and
-on arrays: the region test ``_regions``, the certificate update
-``_certify`` and the estimate ``_estimate``.  ``_regions`` and
-``_certify`` must give the same answers on a float and on a one-element
-array, from every prior certificate state, at the states where their
-comparisons turn, and the answers of the oracle's ``_region`` and
-per-step rules.  ``check_invariance``, which tests its images against
-the regions' bounds widened by a rounding allowance of a few dozen ulps,
-must give the oracle's reports, under kernels that make images leave
-each region across each of its boundaries by more than that.
+Both engines carry a fate on one schema, ``_FateState``: ``_start``
+builds it from a start, on floats or with one array per field, the
+scalar loop resumes from the ``(n, state)`` it returns, and the lockstep
+engine compacts its arrays and hands each cell's entries to that loop.
+A fate split at any step or ``x``, and resumed, must give one unsplit
+call's result, ``repr`` for ``repr``.  Each fate rule is one function
+that both engines call, on floats and on arrays: the region test
+``_regions``, the certificate update ``_certify`` and the estimate
+``_estimate``.  ``_regions`` and ``_certify`` must give the same
+answers on a float and on a one-element array, from every prior
+certificate state, at the states where their comparisons turn, and the
+answers of the oracle's ``_region`` and per-step rules.
+``check_invariance``, which tests its images against the regions'
+bounds widened by a rounding allowance of a few dozen ulps, must give
+the oracle's reports, under kernels that make images leave each region
+across each of its boundaries by more than that.
 """
 
 from __future__ import annotations
@@ -132,6 +138,35 @@ def test_simulate_matches_reference_bit_for_bit(case):
     got = simulate(params, s0, budget)
     assert got == expected
     assert repr(got) == repr(expected)
+
+
+@settings(max_examples=100)
+@given(
+    case=cases(),
+    long_budget=st.booleans(),
+    first=st.integers(1, 2000),
+    stop_x=st.one_of(st.just(math.inf), st.floats(0.0, 1e10)),
+)
+def test_fate_resumes_exactly_from_the_state_it_returns(case, long_budget, first, stop_x):
+    # a fate split into calls, each resumed from the (n, state) the last
+    # returned, gives what one unsplit call gives, so the state carries
+    # every field a resume reads.  The first call also stops once x passes
+    # stop_x, and each later one runs twice as many steps as the last, so
+    # some call ends in every doubling of the step count, the last one
+    # between a growth fate's last two estimate checkpoints included
+    params, s0, thresholds, _, budget = case
+    budget = 10**5 if long_budget else budget  # long enough to accept most growth estimates
+    th = thresholds if thresholds is not None else FateThresholds()
+    context = dynamics._fate_context(params, th)
+    start = dynamics._start(s0.x, s0.y, context)[2]
+    whole = dynamics._fate_from(params, budget, th, context, 0, start)
+    part, k = dynamics._fate_from(params, budget, th, context, 0, start, first, stop_x), first
+    while part[0] is None:
+        n, state = part[2:]
+        k *= 2
+        part = dynamics._fate_from(params, budget, th, context, n, state, n + k)
+        assert part[0] is not None or part[2] == n + k
+    assert repr(part) == repr(whole)
 
 
 # beta so large that the interior fixed point lies inside the origin ball
