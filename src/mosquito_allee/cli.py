@@ -1,7 +1,7 @@
 """Command-line front end: simulate, fixed-points, basin, check.
 
 All numeric output is machine-readable: trajectory and basin data as
-CSV (floats at 17 significant digits, losslessly re-parseable) or JSON,
+CSV (floats at 17 significant digits, losslessly re-parseable),
 fixed-point reports as JSON.  Exit codes: 0 success, 1 configuration
 error, 2 I/O error, 3 property falsified by sampling.
 """
@@ -27,15 +27,7 @@ from .dynamics import (
 )
 from .errors import ConfigurationError, DomainError, InternalConsistencyError
 from .model import Params, State, derived_constants
-from .stability import (
-    FixedPoint,
-    FixedPointReport,
-    JacobianAnalysis,
-    PointKind,
-    Regime,
-    Stability,
-    find_fixed_points,
-)
+from .stability import FixedPointReport, find_fixed_points
 
 __all__ = [
     "EXIT_OK",
@@ -46,8 +38,6 @@ __all__ = [
     "trajectory_to_csv",
     "report_to_dict",
     "report_to_json",
-    "report_from_dict",
-    "report_from_json",
     "main",
 ]
 
@@ -94,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--x0", type=float, required=True, help="initial larvae density, >= 0")
     p_sim.add_argument("--y0", type=float, required=True, help="initial adult density, >= 0")
     p_sim.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="iteration budget")
-    p_sim.add_argument("--format", choices=("csv", "json"), default="csv", help="trajectory format")
     p_sim.add_argument("--out", default=None, help="output path (default: stdout)")
     p_sim.set_defaults(handler=_cmd_simulate)
 
@@ -139,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path: str | None, text: str) -> None:
-    _write_chunks(path, (text,))
-
-
 def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
     if path is None:
         sys.stdout.writelines(chunks)
@@ -161,45 +146,10 @@ def report_to_dict(report: FixedPointReport, params: Params) -> dict:
     return payload
 
 
-def _fixed_point_from_dict(payload: dict) -> FixedPoint:
-    return FixedPoint(
-        location=State(**payload["location"]),
-        kind=PointKind(payload["kind"]),
-        stability=Stability(payload["stability"]),
-    )
-
-
-def _tuples(value):
-    """A JSON array as the nested tuples a report holds; other values as they are."""
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
-
-
-def report_from_dict(payload: dict) -> FixedPointReport:
-    analysis = None
-    if payload["analysis"] is not None:
-        a = payload["analysis"]
-        fields = dataclasses.fields(JacobianAnalysis)
-        analysis = JacobianAnalysis(**{f.name: _tuples(a[f.name]) for f in fields})
-    origin = payload["origin"]
-    return FixedPointReport(
-        regime=Regime(payload["regime"]),
-        origin=_fixed_point_from_dict(origin),
-        interior=None if payload["interior"] is None else _fixed_point_from_dict(payload["interior"]),
-        analysis=analysis,
-        origin_eigenvalues=_tuples(origin["eigenvalues"]),
-    )
-
-
 def report_to_json(report: FixedPointReport, params: Params) -> str:
     import json
 
     return json.dumps(report_to_dict(report, params), indent=2) + "\n"
-
-
-def report_from_json(text: str) -> FixedPointReport:
-    import json
-
-    return report_from_dict(json.loads(text))
 
 
 def trajectory_to_csv(trajectory: Trajectory) -> str:
@@ -211,17 +161,7 @@ def trajectory_to_csv(trajectory: Trajectory) -> str:
 def _cmd_simulate(params: Params, args) -> int:
     trajectory, outcome = simulate(params, State(args.x0, args.y0), args.budget)
 
-    if args.format == "csv":
-        _write_text(args.out, trajectory_to_csv(trajectory))
-    else:
-        import json
-
-        rows = [
-            {"n": i, "x": s.x, "y": s.y}
-            for i, s in zip(trajectory.indices, trajectory.points)
-        ]
-        _write_text(args.out, json.dumps(rows, indent=2) + "\n")
-
+    _write_chunks(args.out, (trajectory_to_csv(trajectory),))
     summary = (
         f"verdict={outcome.verdict.value}"
         f" iterations={outcome.iterations_used}"
@@ -237,7 +177,7 @@ def _cmd_simulate(params: Params, args) -> int:
 
 def _cmd_fixed_points(params: Params, args) -> int:
     report = find_fixed_points(params)
-    _write_text(args.out, report_to_json(report, params))
+    _write_chunks(args.out, (report_to_json(report, params),))
     return EXIT_OK
 
 

@@ -195,9 +195,10 @@ class Region(str, enum.Enum):
 class Trajectory:
     """A recorded orbit. ``points[i]`` is the state after ``indices[i]`` steps.
 
-    Long runs are windowed: the first ``window+1`` and last ``window``
-    states are kept, so ``indices`` may jump once in the middle.  Within
-    each contiguous run, consecutive points are exact step images.
+    Long runs are windowed: the first ``TRAJECTORY_WINDOW + 1`` and last
+    ``TRAJECTORY_WINDOW`` states are kept, so ``indices`` may jump once
+    in the middle.  Within each contiguous run, consecutive points are
+    exact step images.
     """
 
     params: Params
@@ -208,10 +209,6 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return self.indices[-1]
-
-    @property
-    def final(self) -> State:
-        return self.points[-1]
 
 
 @dataclass(frozen=True)
@@ -338,7 +335,6 @@ def iterate(
     s0: State,
     max_iter: int,
     thresholds: FateThresholds | None = None,
-    window: int = TRAJECTORY_WINDOW,
 ) -> Trajectory:
     """Apply the restricted map repeatedly, recording the orbit.
 
@@ -346,12 +342,10 @@ def iterate(
     (``Converged``), when ``x`` exceeds ``divergence_x`` or overflows
     (``Diverged``), and otherwise runs ``max_iter`` steps (``Budget``).
     A non-finite image is never stored; the trajectory ends at the last
-    finite state.
+    finite state.  The window is ``TRAJECTORY_WINDOW``, read when called.
     """
     th = _checked(params, max_iter, thresholds)
-    if window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {window}")
-    return _orbit(params, s0, max_iter, th, window, False)[0]
+    return _orbit(params, s0, max_iter, th, False)[0]
 
 
 def _orbit(
@@ -359,18 +353,17 @@ def _orbit(
     s0: State,
     budget: int,
     th: FateThresholds,
-    window: int,
     fate: bool,
 ) -> tuple[Trajectory, tuple | None]:
     """The engine of :func:`iterate` and, with ``fate``, of :func:`simulate`.
 
     Returns the trajectory of ``iterate`` and, with ``fate``, the column
     fields of ``classify_fate`` (see ``_fields``), else None.  The orbit
-    is stepped once, in blocks that end at each multiple of ``window``,
-    each one call of ``_fate_from`` that also stops where the trajectory
-    does, carrying the fate while it is open and else the closed fate
-    (``_CLOSED_CONTEXT`` and ``_CLOSED_STATE``), on which only the
-    trajectory's stops fire.  A trajectory that stops at
+    is stepped once, in blocks that end at each multiple of ``window``
+    (``TRAJECTORY_WINDOW``), each one call of ``_fate_from`` that also
+    stops where the trajectory does, carrying the fate while it is open
+    and else the closed fate (``_CLOSED_CONTEXT`` and ``_CLOSED_STATE``),
+    on which only the trajectory's stops fire.  A trajectory that stops at
     ``divergence_x`` before the verdict hands the fate to ``_fate_from``
     at the state it stopped at.  Nothing is recorded while stepping: the
     state at each block's start is kept, and the points of the first
@@ -378,7 +371,7 @@ def _orbit(
     (``_replay``), from the start and from the latest kept state before
     the last ``window``.
     """
-    divergence_x = th.divergence_x
+    divergence_x, window = th.divergence_x, TRAJECTORY_WINDOW
     n, x, y = 0, s0.x, s0.y
     terminated = fields = None
     if fate:
@@ -486,8 +479,15 @@ def _certify(x, y, fp: State | None, y_cap: float, extinction, growth, tag):
 
 
 def _estimate(x, y):
-    """The adult-limit estimate ``y*(1+x)/x`` at ``(x, y)``, on floats or float64 arrays."""
-    return y * (1.0 + x) / x
+    """The adult-limit estimate ``y*(1+x)/x`` at ``(x, y)``, on floats or float64 arrays.
+
+    nan, for no estimate, where ``y*(1+x)`` overflows, though the quotient
+    may be finite.  No checkpoint is accepted on or against an inf or a
+    nan estimate, so the two differ only in what a fate reports.
+    """
+    est = y * (1.0 + x) / x
+    # est * True is est, bit for bit, and inf * False is nan
+    return est * (est < math.inf)
 
 
 def _fate_from(
@@ -673,7 +673,7 @@ def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, Trajec
     loaded.
     """
     th = _checked(params, budget, None)
-    trajectory, fields = _orbit(params, s0, budget, th, TRAJECTORY_WINDOW, True)
+    trajectory, fields = _orbit(params, s0, budget, th, True)
     return trajectory, _outcome(*fields)
 
 

@@ -133,9 +133,6 @@ class State:
         fields["x"] = x
         fields["y"] = y
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class StepResult:

@@ -94,9 +94,6 @@ class OriginalState:
         if self.x < 0.0 or self.y < 0.0:
             raise DomainError(f"state must lie in the nonnegative quadrant, got ({self.x}, {self.y})")
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 def interior_fixed_point(params: Params) -> State | None:
     """Closed-form interior fixed point, or None when it does not exist."""
@@ -297,6 +294,9 @@ def classify_fate(
         verdict = Verdict.UNBOUNDED_GROWTH
         if estimate is None and x > 0.0:
             estimate = y * (1.0 + x) / x
+            if not math.isfinite(estimate):
+                # y*(1+x) overflowed, though the quotient may be finite: no estimate
+                estimate = None
     else:
         verdict = Verdict.UNDETERMINED
         estimate = None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import json
 import subprocess
@@ -21,6 +23,7 @@ from mosquito_allee import (
     Termination,
     check_adult_bound,
     check_sum_identity,
+    derived_constants,
     find_fixed_points,
     iterate,
 )
@@ -31,7 +34,6 @@ from mosquito_allee.cli import (
     EXIT_IO,
     EXIT_OK,
     main,
-    report_from_json,
     report_to_json,
 )
 
@@ -61,21 +63,16 @@ def test_simulate_csv_stdout_round_trips(capsys):
         assert float(y_str) == point.y
 
 
-def test_simulate_json_format(capsys):
+def test_simulate_format_option_is_a_usage_error(capsys):
+    # CSV is the one trajectory format
     code = main(
         ["simulate", *SHOWCASE_ARGS, "--x0", "0.2", "--y0", "4.0", "--budget", "50", "--format", "json"]
     )
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    body, summary = out.rsplit("\n", 2)[0], out.strip().splitlines()[-1]
-    rows = json.loads(body)
-    trajectory = iterate(SHOWCASE, State(0.2, 4.0), 50)
-    assert [r["n"] for r in rows] == list(trajectory.indices)
-    assert all(r["x"] == p.x and r["y"] == p.y for r, p in zip(rows, trajectory.points))
-    # the orbit dips into the lower invariant region well before step 50,
-    # so the verdict is already certified when the budget expires
-    assert summary.startswith("verdict=extinction iterations=50 ")
-    assert "certificate=empirical" in summary
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: unrecognized arguments: --format json"]
 
 
 def test_simulate_growth_summary_reports_limit(capsys):
@@ -87,6 +84,16 @@ def test_simulate_growth_summary_reports_limit(capsys):
     assert "y_limit_estimate=" in summary
     estimate = float(summary.split("y_limit_estimate=")[1].split()[0])
     assert abs(estimate - 2.0) <= 1e-6
+
+
+def test_simulate_summary_omits_an_overflowing_estimate(capsys):
+    # y*(1+x) overflows at the start, where the fate stops on its Omega2 certificate
+    code = main(["simulate", *SHOWCASE_ARGS, "--x0", "1e200", "--y0", "1e200", "--budget", "2000"])
+    assert code == EXIT_OK
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    assert summary.startswith("verdict=unbounded iterations=0 ")
+    assert "certificate=thm2-omega2" in summary
+    assert "y_limit_estimate=" not in summary
 
 
 def test_simulate_writes_file(tmp_path, capsys):
@@ -113,6 +120,23 @@ def test_simulate_matches_golden_summary_and_csv(tmp_path, capsys):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+def _as_json_reads(value):
+    """``value`` as JSON reads it back: tuples as lists and str enums as their values."""
+    if isinstance(value, dict):
+        return {key: _as_json_reads(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_json_reads(item) for item in value]
+    return value.value if isinstance(value, enum.Enum) else value
+
+
+def _report_fields(report, params) -> dict:
+    """The report's fields, in declaration order, laid out as the fixed-point JSON lays them out."""
+    fields = dataclasses.asdict(report)
+    fields["origin"]["eigenvalues"] = fields.pop("origin_eigenvalues")
+    fields["thresholds"] = dataclasses.asdict(derived_constants(params))
+    return _as_json_reads(fields)
+
+
 def test_fixed_points_schema_and_round_trip(capsys):
     code = main(["fixed-points", *SHOWCASE_ARGS])
     assert code == EXIT_OK
@@ -131,8 +155,8 @@ def test_fixed_points_schema_and_round_trip(capsys):
         "y_limit": 2.0,
         "allee_threshold_gamma": 2.4999999999999996,
     }
-    # JSON floats use repr, so the parsed report is bit-identical
-    assert report_from_json(json.dumps(payload)) == find_fixed_points(SHOWCASE)
+    # JSON floats use repr, so the parsed fields are bit-identical
+    assert repr(payload) == repr(_report_fields(find_fixed_points(SHOWCASE), SHOWCASE))
 
 
 def test_fixed_points_origin_only_nulls(capsys):
@@ -198,7 +222,7 @@ def _params_either_regime(draw) -> Params:
 @given(params=_params_either_regime())
 def test_report_json_round_trips(params):
     report = find_fixed_points(params)
-    assert report_from_json(report_to_json(report, params)) == report
+    assert repr(json.loads(report_to_json(report, params))) == repr(_report_fields(report, params))
 
 
 def test_basin_csv_contents(capsys):

@@ -52,7 +52,7 @@ class TestIterate:
         t = iterate(SHOWCASE, State(0.0, 0.0), 100)
         assert t.terminated is Termination.CONVERGED
         assert t.n_steps == 1
-        assert t.final == State(0.0, 0.0)
+        assert t.points[-1] == State(0.0, 0.0)
 
     def test_fixed_point_stays_put(self):
         fp = interior_fixed_point(SHOWCASE)
@@ -65,19 +65,21 @@ class TestIterate:
         t = iterate(SHOWCASE, State(0.2, 4.0), 10**5)
         assert t.terminated is Termination.CONVERGED
         assert t.n_steps == 299
-        assert t.final.x <= 1e-12 and t.final.y <= 1e-12
+        assert t.points[-1].x <= 1e-12 and t.points[-1].y <= 1e-12
         assert len(t.points) == 300  # shorter than the window, fully stored
 
-    def test_windowed_storage(self):
-        t = iterate(SHOWCASE, State(0.2, 5.0), 5000, window=64)
+    def test_windowed_storage(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "TRAJECTORY_WINDOW", 64)
+        t = iterate(SHOWCASE, State(0.2, 5.0), 5000)
         assert t.terminated is Termination.BUDGET
         assert len(t.points) == 129  # 65 head + 64 tail
         assert t.indices[:65] == tuple(range(65))
         assert t.indices[65:] == tuple(range(4937, 5001))
         assert t.n_steps == 5000
 
-    def test_consecutive_points_are_step_images(self):
-        t = iterate(SHOWCASE, State(0.2, 5.0), 5000, window=64)
+    def test_consecutive_points_are_step_images(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "TRAJECTORY_WINDOW", 64)
+        t = iterate(SHOWCASE, State(0.2, 5.0), 5000)
         for i in range(len(t.points) - 1):
             if t.indices[i + 1] != t.indices[i] + 1:
                 continue  # the single window jump
@@ -87,7 +89,7 @@ class TestIterate:
     def test_divergence_cutoff(self):
         t = iterate(SHOWCASE, State(0.2, 5.0), 10**6, thresholds=FateThresholds(divergence_x=1e4))
         assert t.terminated is Termination.DIVERGED
-        assert t.final.x > 1e4
+        assert t.points[-1].x > 1e4
 
     @pytest.mark.parametrize(
         "start, budget, thresholds, terminated, n_steps",
@@ -97,7 +99,7 @@ class TestIterate:
             # step 1 moves by exactly step_tol, step 2 by less
             ((1.0, 1.0), 5, FateThresholds(step_tol=0.10000000000000009), Termination.CONVERGED, 2),
             # the fixed point lies past divergence_x: that rule is checked before the stall
-            (interior_fixed_point(SHOWCASE).as_tuple(), 10, FateThresholds(divergence_x=1.0), Termination.DIVERGED, 1),
+            (dataclasses.astuple(interior_fixed_point(SHOWCASE)), 10, FateThresholds(divergence_x=1.0), Termination.DIVERGED, 1),
         ],
     )
     def test_stop_rules_at_their_boundaries(self, start, budget, thresholds, terminated, n_steps):
@@ -107,8 +109,6 @@ class TestIterate:
     def test_argument_validation(self):
         with pytest.raises(ConfigurationError):
             iterate(SHOWCASE, State(1.0, 1.0), 0)
-        with pytest.raises(ConfigurationError):
-            iterate(SHOWCASE, State(1.0, 1.0), 10, window=0)
         with pytest.raises(ConfigurationError):
             iterate(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0), 10)
 
@@ -277,6 +277,27 @@ class TestStallUnderTheorem1ii:
         assert sum(c.iterations_used < 1000 and c.final_state.y > radius for c in cells) == 399
 
 
+class TestOverflowingEstimate:
+    """A growth verdict reports no adult-limit estimate where ``y*(1+x)``
+    overflows, though ``y*(1+x)/x`` would be finite."""
+
+    # in Omega2; the first image overflows, so the fate stops at step 0 on its certificate
+    START = State(1e200, 1e200)
+
+    def test_classify_fate(self):
+        o = classify_fate(SHOWCASE, self.START, 2000)
+        assert (o.verdict, o.theorem_tag, o.iterations_used) == (Verdict.UNBOUNDED_GROWTH, TheoremTag.THM2_OMEGA2, 0)
+        assert o.y_limit_estimate is None
+
+    # 0: every cell steps in lockstep; the default: 4 cells finish on the scalar loop
+    @pytest.mark.parametrize("crossover", [0, dynamics.LOCKSTEP_CROSSOVER])
+    def test_basin_scan(self, crossover, monkeypatch):
+        monkeypatch.setattr(dynamics, "LOCKSTEP_CROSSOVER", crossover)
+        grid = basin_scan(SHOWCASE, (1e200, 1e201), (1e200, 1e201), 2, 2, budget=5)
+        assert np.isnan(grid.estimate).all()
+        assert {(c.verdict, c.y_limit_estimate) for row in grid.cells for c in row} == {(Verdict.UNBOUNDED_GROWTH, None)}
+
+
 class TestCheckInvariance:
     def test_showcase_regions_hold(self):
         for region in (Region.OMEGA1, Region.OMEGA2):
@@ -370,7 +391,7 @@ class TestCheckInvariance:
     def test_rounding_allowance(self, region, axis, ulps, escapes, monkeypatch):
         # every image lies well inside the region but for one coordinate,
         # which lies past its bound by the given number of ulps of the bound
-        fp = interior_fixed_point(SHOWCASE).as_tuple()
+        fp = dataclasses.astuple(interior_fixed_point(SHOWCASE))
         sign, inner = (1.0, 0.5) if region is Region.OMEGA1 else (-1.0, 2.0)
         image = [inner * c for c in fp]
         image[axis] = fp[axis] + sign * ulps * math.ulp(fp[axis])

@@ -3,13 +3,20 @@ re-exports exactly the names that its library modules export.
 
 A name deleted from a module but left in an ``__all__`` would break
 ``from mosquito_allee import *``.
+
+An AST guard keeps the names few: every name a source module imports is
+used in that module, and every exported name is read somewhere in
+``src/``, ``bench/`` or ``scripts/`` outside its own definition, unless
+the source paper defines it.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,3 +56,72 @@ def test_import_loads_neither_numpy_nor_the_cli():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True False"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "mosquito_allee").glob("*.py"))
+# where a public name's reader may live
+READERS = [*SOURCES, *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
+# names the source paper defines, kept for a library user though the
+# package itself does not read them: the general map with larval death
+# rates, its result, and the Jacobian at a state
+PAPER_DEFINED = {"step_general", "StepResult", "jacobian_at"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _loads(node: ast.AST) -> set[str]:
+    """The names ``node`` reads: bare names loaded and attributes taken."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names if a.name != "*"}
+    assert sorted(bound - _loads(tree)) == []
+
+
+def _statements(path: Path) -> list[tuple[set[str], set[str]]]:
+    """``(defined, read)`` for each top-level statement of ``path``.
+
+    ``defined`` holds the names a ``def``, ``class`` or assignment binds,
+    whose reads inside it do not count; an ``__all__`` list reads nothing.
+    """
+    statements = []
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = {t.id for t in targets if isinstance(t, ast.Name)}
+        else:
+            defined = set()
+        if "__all__" not in defined:
+            statements.append((defined, _loads(node)))
+    return statements
+
+
+def test_every_exported_name_has_a_reader():
+    statements = [s for path in READERS for s in _statements(path)]
+    unread = [
+        f"{name}.{exported}"
+        for name in MODULES
+        for exported in _module(name).__all__
+        if exported not in PAPER_DEFINED
+        and not any(exported in read and exported not in defined for defined, read in statements)
+    ]
+    assert unread == []

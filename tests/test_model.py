@@ -73,9 +73,6 @@ class TestState:
         with pytest.raises(DomainError):
             State(1.0, float("inf"))
 
-    def test_as_tuple(self):
-        assert State(0.2, 4.0).as_tuple() == (0.2, 4.0)
-
     def test_value_semantics(self):
         assert State(1.0, 2.0) == State(1.0, 2.0)
         assert len({State(1.0, 2.0), State(1.0, 2.0)}) == 1

@@ -43,6 +43,7 @@ across each of its boundaries by more than that.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -114,9 +115,10 @@ def test_engine_matches_reference_bit_for_bit(case):
     expected_trajectory = reference.iterate(params, s0, budget, thresholds, window)
     expected_outcome = reference.classify_fate(params, s0, budget, thresholds)
 
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error")  # overflowing starts print no numpy warnings
-        trajectory = iterate(params, s0, budget, thresholds, window)
+        patch.setattr(dynamics, "TRAJECTORY_WINDOW", window)
+        trajectory = iterate(params, s0, budget, thresholds)
         outcome = classify_fate(params, s0, budget, thresholds)
     assert trajectory == expected_trajectory
     assert repr(trajectory) == repr(expected_trajectory)
@@ -213,14 +215,14 @@ def test_simulate_argument_validation():
 def assert_simulate_matches_reference(monkeypatch, params, s0, budget, window):
     """``simulate`` and ``iterate`` at ``window`` against the oracle's calls; returns ``simulate``'s.
 
-    ``simulate`` reads ``TRAJECTORY_WINDOW`` when called, so patching it sets its window.
+    Both read ``TRAJECTORY_WINDOW`` when called, so patching it sets their window.
     """
     monkeypatch.setattr(dynamics, "TRAJECTORY_WINDOW", window)
     expected = (reference.iterate(params, s0, budget, None, window), reference.classify_fate(params, s0, budget))
     got = simulate(params, s0, budget)
     assert got == expected
     assert repr(got) == repr(expected)
-    trajectory = iterate(params, s0, budget, None, window)
+    trajectory = iterate(params, s0, budget)
     assert repr(trajectory) == repr(expected[0])
     return got
 
@@ -304,8 +306,9 @@ def test_simulate_overflow_on_a_block_start_matches_reference(monkeypatch, y0, w
     # iterate steps on the closed fate from step 0; step 2*window + 1 is the
     # first of a block at window 8, and at 1024 too, or inside one
     for iterate_window in (8, 1024):
+        monkeypatch.setattr(dynamics, "TRAJECTORY_WINDOW", iterate_window)
         expected = reference.iterate(params, State(1.0, y0), 5000, None, iterate_window)
-        got = iterate(params, State(1.0, y0), 5000, None, iterate_window)
+        got = iterate(params, State(1.0, y0), 5000)
         assert repr(got) == repr(expected)
         assert got.n_steps == 2 * window
         assert got.terminated is Termination.DIVERGED
@@ -385,7 +388,7 @@ BALL_IN_ONE_STEP = Params(alpha=1e-12, beta=1.0, gamma=1.0, mu=1.0)
 @pytest.mark.parametrize(
     "params, start, budget, thresholds",
     [
-        (TINY_FIXED_POINT, interior_fixed_point(TINY_FIXED_POINT).as_tuple(), 100, None),
+        (TINY_FIXED_POINT, dataclasses.astuple(interior_fixed_point(TINY_FIXED_POINT)), 100, None),
         (BALL_IN_ONE_STEP, (0.0, 1e-6), 100, None),
         # growth past its first estimate checkpoint (step 1187) when the
         # extinction next to the fixed point ends (step 1402); the
