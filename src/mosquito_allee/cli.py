@@ -9,7 +9,6 @@ error, 2 I/O error, 3 property falsified by sampling.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -136,13 +135,22 @@ def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
             fh.writelines(chunks)
 
 
+def _as_dict(value):
+    """``dataclasses.asdict``'s walk: a value object becomes a dict of its
+    fields and a tuple a tuple, each item walked in turn."""
+    if isinstance(value, tuple):
+        return tuple(map(_as_dict, value))
+    names = getattr(type(value), "__match_args__", None)
+    return value if names is None else {name: _as_dict(getattr(value, name)) for name in names}
+
+
 def report_to_dict(report: FixedPointReport, params: Params) -> dict:
     """The report's fields, with the origin's eigenvalues inside ``origin``
     and ``derived_constants(params)`` as ``thresholds``.  Enum members stay:
     they are ``str`` enums, which JSON writes as their values."""
-    payload = dataclasses.asdict(report)
+    payload = _as_dict(report)
     payload["origin"]["eigenvalues"] = payload.pop("origin_eigenvalues")
-    payload["thresholds"] = dataclasses.asdict(derived_constants(params))
+    payload["thresholds"] = _as_dict(derived_constants(params))
     return payload
 
 

@@ -74,12 +74,11 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
-from .model import Params, State, derived_constants, _w0_xy
+from .model import Params, State, _frozen, _w0_xy, derived_constants
 from .stability import _require_interior, interior_fixed_point
 
 if TYPE_CHECKING:
@@ -133,7 +132,7 @@ _MEMO_SAMPLES = 2**12
 _ESCAPE_ULPS = 32
 
 
-@dataclass(frozen=True)
+@_frozen
 class FateThresholds:
     """Finite-time detection cutoffs for asymptotic statements.
 
@@ -191,7 +190,7 @@ class Region(str, enum.Enum):
     IS_FIXED_POINT = "is-fixed-point"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Trajectory:
     """A recorded orbit. ``points[i]`` is the state after ``indices[i]`` steps.
 
@@ -211,7 +210,7 @@ class Trajectory:
         return self.indices[-1]
 
 
-@dataclass(frozen=True)
+@_frozen
 class TrajectoryOutcome:
     verdict: Verdict
     iterations_used: int
@@ -220,7 +219,7 @@ class TrajectoryOutcome:
     theorem_tag: TheoremTag | None
 
 
-@dataclass(frozen=True)
+@_frozen
 class InvarianceReport:
     region: Region
     samples: int
@@ -232,7 +231,7 @@ class InvarianceReport:
         return self.escapes == 0
 
 
-@dataclass(frozen=True)
+@_frozen
 class IdentityReport:
     samples: int
     worst_residual: float  # the witness's |residual|
@@ -244,7 +243,7 @@ class IdentityReport:
         return self.worst_residual <= self.tolerance
 
 
-@dataclass(frozen=True)
+@_frozen
 class AdultBoundReport:
     starts: int
     horizon: int
@@ -256,7 +255,7 @@ class AdultBoundReport:
         return self.violation is None
 
 
-@dataclass(frozen=True, eq=False)
+@_frozen
 class BasinGrid:
     """Fate verdicts over a rectangular grid of initial conditions.
 

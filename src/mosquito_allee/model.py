@@ -27,13 +27,16 @@ All arithmetic is plain 64-bit floating point, and every public type is
 an immutable value object, so everything here is safe to share across
 threads or send to worker processes.  ``State``, built per kept orbit
 point, converts and validates each field once, in its own ``__init__``.
+The value classes, here and in ``stability`` and ``dynamics``, are built
+by :func:`_frozen`, not ``@dataclass``: importing ``dataclasses`` (with
+``inspect`` and ``ast``) and building the classes took about 10 ms of
+every CLI start.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from math import isfinite
 
 from .errors import ConfigurationError, DomainError
@@ -56,7 +59,64 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+class _LazyFields:
+    def __get__(self, instance, cls):
+        import dataclasses
+
+        own = vars(cls)
+        spec = [(n, cls.__annotations__[n], *([own[n]] if n in own else [])) for n in cls.__match_args__]
+        made = dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+        cls.__dataclass_fields__ = {f.name: f for f in dataclasses.fields(made)}
+        return cls.__dataclass_fields__
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _refuse(self, name, *value):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _frozen(cls):
+    """What ``@dataclass(frozen=True)`` gave a value class, without ``dataclasses``.
+
+    The fields are the class's own annotations, in order, with its class
+    attributes as defaults.  ``__init__`` (calling ``__post_init__`` where
+    the class has one), ``__eq__`` and ``__hash__`` are compiled once per
+    class; a method the class defines is kept, so a class with its own
+    ``__eq__`` stays unhashable.  ``__dataclass_fields__`` is built on first
+    read, from a frozen ``make_dataclass`` of the same fields, so that only
+    a caller of ``dataclasses.replace``, ``asdict`` or ``fields``
+    (``bench/test_checks.py`` calls ``replace``) imports ``dataclasses``.
+    """
+    names = tuple(cls.__annotations__)
+    this = "".join(f"self.{n}, " for n in names)
+    source = [
+        f"def __init__(self, {', '.join(names)}):",
+        *(f"    _set(self, {n!r}, {n})" for n in names),
+        *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+        "def __eq__(self, other):",
+        "    if other.__class__ is not self.__class__: return NotImplemented",
+        f"    return ({this}) == ({this.replace('self.', 'other.')})",
+        f"def __hash__(self): return hash(({this}))",
+    ]
+    methods = {}
+    exec("\n".join(source), {"_set": object.__setattr__}, methods)
+    methods["__init__"].__defaults__ = tuple(vars(cls)[n] for n in names if n in vars(cls))
+    for name, method in {**methods, "__repr__": _repr}.items():
+        if name not in vars(cls):
+            setattr(cls, name, method)
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    cls.__match_args__ = names
+    cls.__dataclass_fields__ = _LazyFields()
+    return cls
+
+
+@_frozen
 class Params:
     """Model constants.
 
@@ -107,7 +167,7 @@ class Params:
             )
 
 
-@dataclass(frozen=True, init=False)
+@_frozen
 class State:
     """A population point (larvae ``x``, adults ``y``) in the closed quadrant.
 
@@ -134,7 +194,7 @@ class State:
         fields["y"] = y
 
 
-@dataclass(frozen=True)
+@_frozen
 class StepResult:
     """Raw image under the general operator, which may leave the quadrant.
 
@@ -153,7 +213,7 @@ class StepResult:
         return State(self.x, self.y)
 
 
-@dataclass(frozen=True)
+@_frozen
 class DerivedConstants:
     """Thresholds determined by a parameter set.
 

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InternalConsistencyError
-from .model import Params, State, _w0_xy, derived_constants
+from .model import Params, State, _frozen, _w0_xy, derived_constants
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,14 +72,14 @@ class Regime(str, enum.Enum):
     TWO_FIXED_POINTS = "two-fixed-points"
 
 
-@dataclass(frozen=True)
+@_frozen
 class FixedPoint:
     location: State
     kind: PointKind
     stability: Stability
 
 
-@dataclass(frozen=True)
+@_frozen
 class JacobianAnalysis:
     """Jacobian at the interior fixed point plus the derived quantities.
 
@@ -101,14 +100,14 @@ class JacobianAnalysis:
     alpha2: float
 
 
-@dataclass(frozen=True)
+@_frozen
 class InteriorClassification:
     stability: Stability
     analysis: JacobianAnalysis
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@_frozen
 class FixedPointReport:
     regime: Regime
     origin: FixedPoint

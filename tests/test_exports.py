@@ -58,6 +58,33 @@ def test_import_loads_neither_numpy_nor_the_cli():
     assert proc.stdout.strip() == "True False"
 
 
+def test_cli_runs_load_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize: a CLI start needs
+    # none of them.  numpy loads inspect itself, so after basin and check
+    # only dataclasses is asked about
+    showcase = "--alpha 0.8 --beta 0.9 --gamma 2 --mu 0.4".split()
+    numpy_free = ("simulate --x0 0.2 --y0 5 --budget 1000", "fixed-points")
+    with_numpy = ("basin --x-min 0 --x-max 7 --y-min 0 --y-max 5 --nx 3 --ny 3 --budget 1000", "check --samples 100")
+    probe = f"""
+import contextlib, io, sys
+import mosquito_allee, mosquito_allee.cli
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+def run(*commands):
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert mosquito_allee.cli.main([*command.split(), *{showcase!r}]) == 0, command
+print(loaded("dataclasses", "inspect"))
+run(*{numpy_free!r})
+print(loaded("dataclasses", "inspect"))
+run(*{with_numpy!r})
+print(loaded("dataclasses"))
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
+
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "mosquito_allee").glob("*.py"))
 # where a public name's reader may live

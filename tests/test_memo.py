@@ -15,6 +15,9 @@ parameter sets.
 ``__init__``; it must store what the original dataclass stored and
 raise what it raised, in the same precedence, and behave the same
 under ``dataclasses``, ``pickle``, ``hash``, ``==`` and ``repr``.
+Every value class of the package is built without ``dataclasses``; each
+must behave as a frozen dataclass of the same fields does, on instances
+that the package's own calls return.
 """
 
 from __future__ import annotations
@@ -35,17 +38,24 @@ from hypothesis import strategies as st
 import reference
 from helpers import SHOWCASE, analysis_params, nudged
 from mosquito_allee import (
+    BasinGrid,
+    FateThresholds,
     InternalConsistencyError,
     Params,
     Region,
     State,
+    basin_scan,
     check_adult_bound,
     check_invariance,
     check_sum_identity,
     dynamics,
+    find_fixed_points,
+    model,
+    simulate,
+    stability,
 )
-from mosquito_allee.model import derived_constants
-from mosquito_allee.stability import interior_fixed_point
+from mosquito_allee.model import derived_constants, step_general
+from mosquito_allee.stability import classify_interior, interior_fixed_point
 
 MEMO_BOUND = 64
 BAND_ULPS = 8
@@ -213,41 +223,89 @@ def test_state_constructor_matches_reference():
         assert _construct(State, y=y, x=x) == _construct(reference.OriginalState, y=y, x=x)
 
 
+def _oracle(cls):
+    """A frozen dataclass of ``cls``'s fields, defaults and ``__post_init__``,
+    made by ``dataclasses`` itself; ``BasinGrid`` compares by its own rule."""
+    own = vars(cls)
+    spec = [(name, kind, own[name]) if name in own else (name, kind) for name, kind in cls.__annotations__.items()]
+    namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True, eq=cls is not BasinGrid, namespace=namespace)
+
+
+def _instances():
+    """One instance of each value class, as the package's calls return them."""
+    report = find_fixed_points(SHOWCASE)
+    yield from (SHOWCASE, report, report.origin, report.interior, report.analysis, classify_interior(SHOWCASE))
+    yield from simulate(SHOWCASE, State(0.2, 5.0), 3000)
+    yield check_invariance(SHOWCASE, Region.OMEGA2, 50, 0)
+    yield check_sum_identity(SHOWCASE, 50, 0)
+    yield check_adult_bound(SHOWCASE, 50, 0)
+    yield basin_scan(SHOWCASE, (0.0, 7.0), (0.0, 5.0), 4, 3, budget=1000)
+    yield from (FateThresholds(), derived_constants(SHOWCASE), step_general(SHOWCASE, State(1.0, 1.0)))
+
+
 def _pairs():
     """The same value built by the package's class and by the original one."""
     for args in ((1.0, 2.0), (0, np.float64(1.5)), ("3", -0.0), (5e-324, 1e308)):
         yield State(*args), reference.OriginalState(*args)
+    for new in _instances():
+        yield new, _oracle(type(new))(*(getattr(new, name) for name in type(new).__match_args__))
 
 
-@pytest.mark.parametrize("new, original", list(_pairs()), ids=repr)
+PAIRS = list(_pairs())
+
+
+def test_every_value_class_is_compared():
+    modules = (model, stability, dynamics)
+    classes = {c for m in modules for c in vars(m).values() if dataclasses.is_dataclass(c) and c.__module__ == m.__name__}
+    assert len(classes) == 15 and {type(new) for new, _ in PAIRS} == classes
+
+
+@pytest.mark.parametrize(
+    "new, original",
+    PAIRS,
+    ids=[f"{new!r}-{original!r}" if type(new) is State else type(new).__name__ for new, original in PAIRS],
+)
 def test_dataclass_behaviour_matches_reference(new, original):
     cls, original_cls = type(new), type(original)
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(new)
     assert [(f.name, f.type, f.default, f.init) for f in dataclasses.fields(new)] == [
         (f.name, f.type, f.default, f.init) for f in dataclasses.fields(original)
     ]
+    assert cls.__match_args__ == original_cls.__match_args__
     assert list(inspect.signature(cls).parameters) == list(inspect.signature(original_cls).parameters)
     assert [p.default for p in inspect.signature(cls).parameters.values()] == [
         p.default for p in inspect.signature(original_cls).parameters.values()
     ]
-    assert dataclasses.asdict(new) == dataclasses.asdict(original)
-    assert dataclasses.astuple(new) == dataclasses.astuple(original)
+    # repr tells -0.0, nan and arrays apart where == cannot
+    assert repr(dataclasses.asdict(new)) == repr(dataclasses.asdict(original))
+    assert repr(dataclasses.astuple(new)) == repr(dataclasses.astuple(original))
     assert repr(new).removeprefix(cls.__name__) == repr(original).removeprefix(original_cls.__name__)
-    assert hash(new) == hash(original)
-    assert new == cls(*dataclasses.astuple(new)) and new != original
-    assert len({new, cls(*dataclasses.astuple(new))}) == 1
+    rebuilt = cls(*(getattr(new, name) for name in cls.__match_args__))
+    assert new == rebuilt and new != original
+    if cls is BasinGrid:
+        # equal bit for bit, so unhashable
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(new)
+    else:
+        assert hash(new) == hash(original)
+        assert len({new, rebuilt}) == 1
 
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(new, protocol))
         assert type(back) is cls and back == new and repr(back) == repr(new)
-        assert vars(back) == vars(new)
-
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        new.x = 1.0  # type: ignore[misc]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        original.x = 1.0  # type: ignore[misc]
+        assert repr(vars(back)) == repr(vars(new))
 
     first = dataclasses.fields(new)[0].name
+    for obj in (new, original):
+        for name in (first, "unknown"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+
     for value in (7, "0.125", math.nan, -2.0, 0.0, "abc"):
         got = _construct(dataclasses.replace, new, **{first: value})
         expected = _construct(dataclasses.replace, original, **{first: value})
         assert got == expected, value
+
