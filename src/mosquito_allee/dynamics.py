@@ -13,10 +13,10 @@ regions exist:
 When no interior fixed point exists (``beta <= mu*(1 + gamma*mu/alpha)``)
 any trajectory whose adult density ever dips to ``alpha/mu`` or below
 goes extinct.  Outside these proven cases classification is empirical:
-a trajectory is extinct once it enters a small ball at the origin, and
-unboundedly growing once it enters ``Omega2`` or exceeds a divergence
-cutoff in ``x``.  Anything else within the iteration budget is reported
-``undetermined`` rather than guessed.
+a trajectory is extinct once it enters a small ball at the origin
+(``EXTINCTION_RADIUS``), and unboundedly growing once it enters
+``Omega2`` or its ``x`` exceeds ``DIVERGENCE_X``.  Anything else within
+the iteration budget is reported ``undetermined`` rather than guessed.
 
 Growth is asymptotically linear in the step count (the increment
 approaches a positive constant), so enormous ``x`` values are never
@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 import sys
 from collections import namedtuple
@@ -89,7 +90,10 @@ __all__ = [
     "MAX_GRID_CELLS",
     "MAX_SAMPLES",
     "TRAJECTORY_WINDOW",
-    "FateThresholds",
+    "EXTINCTION_RADIUS",
+    "DIVERGENCE_X",
+    "Y_LIMIT_TOL",
+    "STEP_TOL",
     "Termination",
     "Verdict",
     "TheoremTag",
@@ -113,6 +117,14 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**6
 TRAJECTORY_WINDOW = 1024
+# the finite-time fate cutoffs, read when a public routine is called: the
+# sup-norm radius of the origin ball that counts as extinct, the x beyond
+# which growth is certified, the target accuracy of the adult-limit
+# estimate, and the displacement below which an orbit is stationary
+EXTINCTION_RADIUS = 1e-9
+DIVERGENCE_X = 1e9
+Y_LIMIT_TOL = 1e-6
+STEP_TOL = 1e-14
 # a CLI basin scan peaks at about 160 bytes of RSS per cell, while the
 # engine's working arrays step (its result holds 34 bytes a cell): 32 MB
 # at 1e4 cells, 46 MB at 1e5 and 194 MB at 1e6, budget 1, so about 190 MB here
@@ -130,30 +142,6 @@ _MEMO_SAMPLES = 2**12
 # bound by at most 3 ulps over 8000 sets, many with mu = 1 or beta within
 # 8 ulps of the threshold, sampled on the edges of the regions too
 _ESCAPE_ULPS = 32
-
-
-@_frozen
-class FateThresholds:
-    """Finite-time detection cutoffs for asymptotic statements.
-
-    ``extinction_radius``: sup-norm ball around the origin that counts
-    as extinct.  ``divergence_x``: ``x`` beyond this certifies growth.
-    ``y_limit_tol``: target accuracy of the adult-limit estimate.
-    ``step_tol``: displacement below which a trajectory is numerically
-    stationary.  Each must be finite and positive.
-    """
-
-    extinction_radius: float = 1e-9
-    divergence_x: float = 1e9
-    y_limit_tol: float = 1e-6
-    step_tol: float = 1e-14
-
-    def __post_init__(self) -> None:
-        # a cutoff <= 0 or nan turns its rule off, and an infinite one (except
-        # divergence_x) turns it on at every step
-        for name, value in vars(self).items():
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
 class Termination(str, enum.Enum):
@@ -322,38 +310,37 @@ class BasinGrid:
                 yield x0, y0, next(outcomes)
 
 
-def _checked(params: Params, budget: int, thresholds: FateThresholds | None) -> FateThresholds:
+def _index(name: str, value) -> int:
+    """``value`` as an int, through ``operator.index``, which numpy integers pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _checked(params: Params, budget: int) -> int:
+    """The budget, as an int, once ``params`` and it are valid."""
     params.require_analysis_valid()
+    budget = _index("budget", budget)
     if budget < 1:
         raise ConfigurationError(f"budget must be >= 1, got {budget}")
-    return thresholds if thresholds is not None else FateThresholds()
+    return budget
 
 
-def iterate(
-    params: Params,
-    s0: State,
-    max_iter: int,
-    thresholds: FateThresholds | None = None,
-) -> Trajectory:
+def iterate(params: Params, s0: State, max_iter: int) -> Trajectory:
     """Apply the restricted map repeatedly, recording the orbit.
 
-    Stops early when the step displacement falls below ``step_tol``
-    (``Converged``), when ``x`` exceeds ``divergence_x`` or overflows
+    Stops early when the step displacement falls below ``STEP_TOL``
+    (``Converged``), when ``x`` exceeds ``DIVERGENCE_X`` or overflows
     (``Diverged``), and otherwise runs ``max_iter`` steps (``Budget``).
     A non-finite image is never stored; the trajectory ends at the last
-    finite state.  The window is ``TRAJECTORY_WINDOW``, read when called.
+    finite state.  The window is ``TRAJECTORY_WINDOW``; it and the
+    cutoffs are read when called.
     """
-    th = _checked(params, max_iter, thresholds)
-    return _orbit(params, s0, max_iter, th, False)[0]
+    return _orbit(params, s0, _checked(params, max_iter), False)[0]
 
 
-def _orbit(
-    params: Params,
-    s0: State,
-    budget: int,
-    th: FateThresholds,
-    fate: bool,
-) -> tuple[Trajectory, tuple | None]:
+def _orbit(params: Params, s0: State, budget: int, fate: bool) -> tuple[Trajectory, tuple | None]:
     """The engine of :func:`iterate` and, with ``fate``, of :func:`simulate`.
 
     Returns the trajectory of ``iterate`` and, with ``fate``, the column
@@ -361,20 +348,22 @@ def _orbit(
     is stepped once, in blocks that end at each multiple of ``window``
     (``TRAJECTORY_WINDOW``), each one call of ``_fate_from`` that also
     stops where the trajectory does, carrying the fate while it is open
-    and else the closed fate (``_CLOSED_CONTEXT`` and ``_CLOSED_STATE``),
-    on which only the trajectory's stops fire.  A trajectory that stops at
-    ``divergence_x`` before the verdict hands the fate to ``_fate_from``
-    at the state it stopped at.  Nothing is recorded while stepping: the
-    state at each block's start is kept, and the points of the first
-    ``window`` steps and of the last ``window`` are re-stepped at the end
-    (``_replay``), from the start and from the latest kept state before
-    the last ``window``.
+    and else the closed fate, on which only the trajectory's stops fire:
+    the context ``closed``, built here with the cutoffs of this call, and
+    ``_CLOSED_STATE``.  A trajectory that stops at ``divergence_x``
+    before the verdict hands the fate to ``_fate_from`` at the state it
+    stopped at.  Nothing is recorded while stepping: the state at each
+    block's start is kept, and the points of the first ``window`` steps
+    and of the last ``window`` are re-stepped at the end (``_replay``),
+    from the start and from the latest kept state before the last
+    ``window``.
     """
-    divergence_x, window = th.divergence_x, TRAJECTORY_WINDOW
+    closed = _fate_context(None)
+    divergence_x, window = closed[3], TRAJECTORY_WINDOW
     n, x, y = 0, s0.x, s0.y
     terminated = fields = None
     if fate:
-        context = _fate_context(params, th)
+        context = _fate_context(params)
         done, ball, state = _start(x, y, context)
         fields = _fields(0, state, ball, False) if done else None
     # the states at the latest two block starts, each a multiple of window;
@@ -388,10 +377,10 @@ def _orbit(
         if fate and fields is None:
             # a fate that stops before a non-finite image leaves that image
             # to the closed fate, which meets it at once and stops there too
-            fields, stalled, n, state = _fate_from(params, budget, th, context, n, state, stop, divergence_x)
+            fields, stalled, n, state = _fate_from(params, budget, context, n, state, stop, divergence_x)
         else:
-            closed = _CLOSED_STATE._replace(x=x, y=y)
-            end, stalled, n, state = _fate_from(params, budget, th, _CLOSED_CONTEXT, n, closed, stop, divergence_x)
+            at = _CLOSED_STATE._replace(x=x, y=y)
+            end, stalled, n, state = _fate_from(params, budget, closed, n, at, stop, divergence_x)
             # a closed fate ends before the budget without a stall only
             # before a non-finite image
             if end is not None and not stalled and n < budget:
@@ -402,7 +391,7 @@ def _orbit(
             terminated = Termination.DIVERGED if x > divergence_x else Termination.CONVERGED
     if fate and fields is None:
         # the budget ran out, or the trajectory stopped first at divergence_x
-        fields = _fate_from(params, budget, th, context, n, state)[0]
+        fields = _fate_from(params, budget, context, n, state)[0]
 
     head = min(n, window)
     points = [s0, *_replay(params, 0, s0.x, s0.y, 1, head)]
@@ -492,7 +481,6 @@ def _estimate(x, y):
 def _fate_from(
     params: Params,
     budget: int,
-    th: FateThresholds,
     context: tuple,
     n: int,
     state: _FateState,
@@ -502,10 +490,11 @@ def _fate_from(
     """The scalar fate loop of :func:`classify_fate`, ``_orbit`` and ``_lockstep_fates``.
 
     Steps a cell on from its ``state`` after ``n`` steps, with the
-    ``context`` of ``_fate_context``.  Returns ``(fields, stalled, n,
-    state)``: once the verdict is final, the column fields (see
-    ``_fields``), else None; whether the last step's displacement was
-    below ``step_tol``; and the step count and state reached.  A call
+    ``context`` of ``_fate_context``, which carries the cutoffs and is
+    unpacked once per call.  Returns ``(fields, stalled, n, state)``:
+    once the verdict is final, the column fields (see ``_fields``), else
+    None; whether the last step's displacement was below the context's
+    ``step_tol``; and the step count and state reached.  A call
     stops before the verdict at ``block_end``, or once ``x`` passes
     ``stop_x``, and a call from the ``(n, state)`` it returns resumes
     where it stopped.  ``_certify`` is called only while a certificate is
@@ -516,9 +505,7 @@ def _fate_from(
     """
     isfinite = math.isfinite
     alpha, beta, gamma, c = params.alpha, params.beta, params.gamma, 1.0 - params.mu
-    divergence_x, step_tol = th.divergence_x, th.step_tol
-    est_tol = 0.1 * th.y_limit_tol
-    fp, y_cap, radius = context
+    fp, y_cap, radius, divergence_x, step_tol, est_tol = context
     x, y, tag, extinction, growth, est_prev, checkpoint_x = state
     # ended: the verdict is final though neither ball nor stall fired
     ball = stalled = ended = False
@@ -627,12 +614,7 @@ def _outcomes(columns) -> list[TrajectoryOutcome]:
     return [_outcome(*fields) for fields in zip(*(c.tolist() for c in columns))]
 
 
-def classify_fate(
-    params: Params,
-    s0: State,
-    budget: int = DEFAULT_BUDGET,
-    thresholds: FateThresholds | None = None,
-) -> TrajectoryOutcome:
+def classify_fate(params: Params, s0: State, budget: int = DEFAULT_BUDGET) -> TrajectoryOutcome:
     """Long-run fate of a single initial condition.
 
     Proven shortcuts are applied first: a start inside ``Omega1`` or
@@ -647,17 +629,19 @@ def classify_fate(
     that go numerically stationary away from the origin (which only
     happens within rounding distance of the fixed point), unless
     Theorem 1(ii) has proved extinction: with no interior point there
-    is no fixed point to stall at.
+    is no fixed point to stall at.  The finite-time events are set by
+    the cutoffs ``EXTINCTION_RADIUS``, ``DIVERGENCE_X``, ``Y_LIMIT_TOL``
+    and ``STEP_TOL``, read when called.
 
     The start is settled by ``_start`` and steps on
     ``_fate_from``, as a cell of ``basin_scan`` is and does, so a start's
     outcome is the same here and in a scan, bit for bit.  No numpy is
     loaded.
     """
-    th = _checked(params, budget, thresholds)
-    context = _fate_context(params, th)
+    budget = _checked(params, budget)
+    context = _fate_context(params)
     done, ball, state = _start(s0.x, s0.y, context)
-    fields = _fields(0, state, ball, False) if done else _fate_from(params, budget, th, context, 0, state)[0]
+    fields = _fields(0, state, ball, False) if done else _fate_from(params, budget, context, 0, state)[0]
     return _outcome(*fields)
 
 
@@ -671,19 +655,20 @@ def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, Trajec
     points, at most about ``3*TRAJECTORY_WINDOW`` steps.  No numpy is
     loaded.
     """
-    th = _checked(params, budget, None)
-    trajectory, fields = _orbit(params, s0, budget, th, True)
+    trajectory, fields = _orbit(params, s0, _checked(params, budget), True)
     return trajectory, _outcome(*fields)
 
 
-def _require_sampling(samples: int, seed: int) -> None:
-    """Reject a sample count or seed before any array is allocated."""
+def _require_sampling(samples: int, seed: int) -> tuple[int, int]:
+    """The sample count and seed, as ints, rejected before any array is allocated."""
+    samples, seed = _index("samples", samples), _index("seed", seed)
     if samples < 1:
         raise ConfigurationError(f"samples must be >= 1, got {samples}")
     if samples > MAX_SAMPLES:
         raise ConfigurationError(f"{samples} samples exceed the maximum of {MAX_SAMPLES}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    return samples, seed
 
 
 def _draw_units(seed: int, samples: int):
@@ -750,7 +735,7 @@ def check_invariance(
     fp = _require_interior(params)
     if region not in (Region.OMEGA1, Region.OMEGA2):
         raise ConfigurationError(f"invariance is defined for omega1/omega2, got {region}")
-    _require_sampling(samples, seed)
+    samples, seed = _require_sampling(samples, seed)
     xs, ys = fp.x, fp.y
     # the kernel's product, in its operation order; every Omega2 sample's is at least this
     g = params.beta * ys * ys
@@ -848,7 +833,7 @@ def check_sum_identity(params: Params, samples: int, seed: int) -> IdentityRepor
     ``1e-12*max(1, beta*y, mu*y)`` of rounding.
     """
     fp = _require_interior(params)
-    _require_sampling(samples, seed)
+    samples, seed = _require_sampling(samples, seed)
     y_window = max(1.0, min(10.0 * max(derived_constants(params).y_limit, fp.y), 500.0 / params.beta))
 
     import numpy as np
@@ -875,7 +860,7 @@ def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundRepo
     so such an orbit could not fail the check.
     """
     y_limit = derived_constants(params).y_limit
-    _require_sampling(samples, seed)
+    samples, seed = _require_sampling(samples, seed)
     starts = min(samples, 1000)
     horizon = 256
 
@@ -916,10 +901,9 @@ _FIRST_CHECKPOINT_X = 100.0
 # tolerance of) and the x at which the next checkpoint falls; on floats,
 # or in lockstep one array per field
 _FateState = namedtuple("_FateState", "x y tag extinction growth est_prev checkpoint_x")
-# the closed fate, on which no rule fires: a context with no origin ball,
-# and a state with both certificates held (so y_cap and fp go unread) and
-# no checkpoint, which takes the orbit's (x, y)
-_CLOSED_CONTEXT = (None, math.nan, -math.inf)
+# the state of the closed fate, on which no rule fires: both certificates
+# held (so the context's y_cap and fp go unread) and no checkpoint; it
+# takes the orbit's (x, y)
 _CLOSED_STATE = _FateState(math.nan, math.nan, 0, True, True, math.nan, math.inf)
 # a verdict code indexes _VERDICTS and a tag code _TAGS; codes 1-3 name a
 # certificate, and a fate decided without one gets 4, empirical, from _verdict
@@ -936,9 +920,19 @@ _COLUMNS = (
 )
 
 
-def _fate_context(params: Params, th: FateThresholds) -> tuple:
-    """What a fate reads and never changes: ``_certify``'s ``fp`` and ``y_cap``, and the origin ball's radius."""
-    return interior_fixed_point(params), derived_constants(params).y_limit, th.extinction_radius
+def _fate_context(params: Params | None) -> tuple:
+    """What a fate reads and never changes, with the cutoffs as they are when called.
+
+    ``(fp, y_cap, radius, divergence_x, step_tol, est_tol)``: ``_certify``'s
+    ``fp`` and ``y_cap``, the origin ball's radius, ``DIVERGENCE_X``,
+    ``STEP_TOL`` and a tenth of ``Y_LIMIT_TOL``, within which an estimate
+    is accepted.  With no ``params``, the closed fate's: no ``fp``, a nan
+    ``y_cap`` and a ``-inf`` radius, so no origin ball.
+    """
+    cutoffs = (DIVERGENCE_X, STEP_TOL, 0.1 * Y_LIMIT_TOL)
+    if params is None:
+        return (None, math.nan, -math.inf, *cutoffs)
+    return (interior_fixed_point(params), derived_constants(params).y_limit, EXTINCTION_RADIUS, *cutoffs)
 
 
 def _start(x, y, context: tuple) -> tuple:
@@ -950,7 +944,7 @@ def _start(x, y, context: tuple) -> tuple:
     certificates are ``_certify``'s from none; the rules that hold only
     at a start (the ball, the fixed point, tags 2 and 3) are written here.
     """
-    fp, y_cap, r = context
+    fp, y_cap, r = context[:3]
     ball = (x <= r) & (y <= r)
     uncertified = ball & False  # False in the start's shape
     zero = 0.0 * ball  # 0.0 in the start's shape
@@ -969,10 +963,12 @@ def _lockstep_fates(
     x0: np.ndarray,
     y0: np.ndarray,
     budget: int,
-    th: FateThresholds,
+    context: tuple,
 ) -> tuple[np.ndarray, ...]:
     """The fate of every start ``(x0[i], y0[i])``, as ``classify_fate`` gives it.
 
+    The ``context`` of ``_fate_context`` is the caller's, which carries
+    the cutoffs, so a pool worker reads no module constant of its own.
     Returns the ``_COLUMNS``, each with one entry per start.  Every start
     is settled at once by ``_start``.  The unresolved ones then step
     together as a ``_FateState`` of arrays, ``_fate_from``'s stepping
@@ -984,10 +980,7 @@ def _lockstep_fates(
     import numpy as np
 
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
-    context = _fate_context(params, th)
-    fp, y_cap, r = context
-    div_x, step_tol = th.divergence_x, th.step_tol
-    est_tol = 0.1 * th.y_limit_tol
+    fp, y_cap, r, div_x, step_tol, est_tol = context
     columns = tuple(np.empty(len(x0), dtype) for _, dtype in _COLUMNS)
     verdicts, iterations, final_x, final_y, estimates, tags = columns
     estimates[:] = np.nan  # only growth verdicts carry an estimate
@@ -1057,7 +1050,7 @@ def _lockstep_fates(
                 idx, state = finish(idx, state, done, ball, stalled)
 
     for i, *cell in zip(idx.tolist(), *(a.tolist() for a in state)):
-        fields = _fate_from(params, budget, th, context, n, _FateState(*cell))[0]
+        fields = _fate_from(params, budget, context, n, _FateState(*cell))[0]
         for column, value in zip(columns, fields):
             column[i] = value
     return columns
@@ -1083,7 +1076,6 @@ def basin_scan(
     ny: int,
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
-    thresholds: FateThresholds | None = None,
 ) -> BasinGrid:
     """Classify every grid point's long-run fate.
 
@@ -1095,9 +1087,11 @@ def basin_scan(
     arrays until ``LOCKSTEP_CROSSOVER`` or fewer remain, which finish on
     the scalar loop.  Each block returns its columns, which are joined
     in block order.  The result does not depend on the worker count.
-    A grid holds at most ``MAX_GRID_CELLS`` cells.
+    A grid holds at most ``MAX_GRID_CELLS`` cells.  The cutoffs are
+    read when called, in the calling process, and sent to each worker.
     """
-    th = _checked(params, budget, thresholds)
+    budget = _checked(params, budget)
+    nx, ny, workers = _index("nx", nx), _index("ny", ny), _index("workers", workers)
     if nx < 2 or ny < 2:
         raise ConfigurationError(f"grid resolution must be >= 2 per axis, got {nx}x{ny}")
     if nx * ny > MAX_GRID_CELLS:
@@ -1114,20 +1108,22 @@ def basin_scan(
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
 
+    context = _fate_context(params)
+
     import numpy as np
 
     x0 = np.tile(np.linspace(x_lo, x_hi, nx), ny)
     y0 = np.repeat(np.linspace(y_lo, y_hi, ny), nx)
     pool_size = _pool_size(workers, nx * ny)
     if pool_size == 1:
-        columns = _lockstep_fates(params, x0, y0, budget, th)
+        columns = _lockstep_fates(params, x0, y0, budget, context)
     else:
         # imported here, so that importing the package does not load the pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             blocks = [
-                pool.submit(_lockstep_fates, params, bx, by, budget, th)
+                pool.submit(_lockstep_fates, params, bx, by, budget, context)
                 for bx, by in zip(np.array_split(x0, pool_size), np.array_split(y0, pool_size))
             ]
             columns = [np.concatenate(parts) for parts in zip(*(block.result() for block in blocks))]

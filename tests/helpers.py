@@ -7,7 +7,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from mosquito_allee import Params, model
+from mosquito_allee import Params, dynamics, model
 from mosquito_allee.stability import alpha_thresholds
 
 # used throughout the docs and regression fixtures: interior fixed point
@@ -63,6 +63,17 @@ def identity_params(rng: np.random.Generator) -> Params:
         gamma=float(rng.uniform(0.1, 3.0)),
         mu=mu,
     )
+
+
+def set_cutoffs(patch, cutoffs: dict) -> None:
+    """Set the fate cutoffs named in ``cutoffs`` on ``patch``, a ``pytest.MonkeyPatch``.
+
+    ``{"divergence_x": 100.0}`` sets ``dynamics.DIVERGENCE_X``, which the
+    package reads when called.  The names are the keyword arguments of
+    the oracle's ``iterate`` and ``classify_fate``.
+    """
+    for name, value in cutoffs.items():
+        patch.setattr(dynamics, name.upper(), value)
 
 
 def pumped_kernel(alpha, beta, gamma, mu, x, y):

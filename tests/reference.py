@@ -28,7 +28,10 @@ so that tests can require the shared unit draws to give the same
 reports under any order of seeds and parameter sets.  Do not edit them to follow the package; they define the expected
 outputs.  One rule was changed on purpose: ``classify_fate``'s stall no
 longer overrides a Theorem 1(ii) certificate, which holds whether or not
-the float orbit stops moving.
+the float orbit stops moving.  The fate cutoffs of ``iterate`` and
+``classify_fate``, once one ``thresholds`` object, are plain keyword
+arguments with its defaults, so the oracle never reads the package's
+cutoffs.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from mosquito_allee.dynamics import (
     DEFAULT_BUDGET,
     TRAJECTORY_WINDOW,
     AdultBoundReport,
-    FateThresholds,
     IdentityReport,
     InvarianceReport,
     Region,
@@ -117,8 +119,9 @@ def iterate(
     params: Params,
     s0: State,
     max_iter: int,
-    thresholds: FateThresholds | None = None,
     window: int = TRAJECTORY_WINDOW,
+    divergence_x: float = 1e9,
+    step_tol: float = 1e-14,
 ) -> Trajectory:
     """Apply the restricted map repeatedly, recording the orbit.
 
@@ -133,7 +136,6 @@ def iterate(
         raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
-    th = thresholds if thresholds is not None else FateThresholds()
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
 
     head: list[tuple[int, State]] = [(0, s0)]
@@ -155,10 +157,10 @@ def iterate(
         record(n, State(x1, y1))
         displacement = max(abs(x1 - x), abs(y1 - y))
         x, y = x1, y1
-        if x1 > th.divergence_x:
+        if x1 > divergence_x:
             terminated = Termination.DIVERGED
             break
-        if displacement < th.step_tol:
+        if displacement < step_tol:
             terminated = Termination.CONVERGED
             break
 
@@ -186,7 +188,10 @@ def classify_fate(
     params: Params,
     s0: State,
     budget: int = DEFAULT_BUDGET,
-    thresholds: FateThresholds | None = None,
+    extinction_radius: float = 1e-9,
+    divergence_x: float = 1e9,
+    y_limit_tol: float = 1e-6,
+    step_tol: float = 1e-14,
 ) -> TrajectoryOutcome:
     """Long-run fate of a single initial condition.
 
@@ -205,7 +210,6 @@ def classify_fate(
     params.require_analysis_valid()
     if budget < 1:
         raise ConfigurationError(f"budget must be >= 1, got {budget}")
-    th = thresholds if thresholds is not None else FateThresholds()
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
     y_cap = derived_constants(params).y_limit
     fp = interior_fixed_point(params)
@@ -230,7 +234,7 @@ def classify_fate(
 
     x, y = s0.x, s0.y
     n = 0
-    ball_hit = max(x, y) <= th.extinction_radius
+    ball_hit = max(x, y) <= extinction_radius
     stalled = False
     estimate: float | None = None
     est_prev: float | None = None
@@ -244,7 +248,7 @@ def classify_fate(
         displacement = max(abs(x1 - x), abs(y1 - y))
         x, y = x1, y1
 
-        if max(x, y) <= th.extinction_radius:
+        if max(x, y) <= extinction_radius:
             ball_hit = True
             break
         if fp is None:
@@ -257,7 +261,7 @@ def classify_fate(
                 extinction_proved = True
             elif region is Region.OMEGA2:
                 growth_proved = True
-        if not growth_proved and x > th.divergence_x:
+        if not growth_proved and x > divergence_x:
             growth_proved = True
 
         if growth_proved and x >= 100.0 and x >= 2.0 * est_prev_x:
@@ -265,13 +269,13 @@ def classify_fate(
             # by x-doubling; accept once one doubling moves the estimate
             # by less than a tenth of the tolerance
             est = y * (1.0 + x) / x
-            if est_prev is not None and abs(est - est_prev) <= 0.1 * th.y_limit_tol:
+            if est_prev is not None and abs(est - est_prev) <= 0.1 * y_limit_tol:
                 estimate = est
                 break
             est_prev = est
             est_prev_x = x
 
-        if displacement < th.step_tol:
+        if displacement < step_tol:
             stalled = True
             break
 

@@ -15,11 +15,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import SHOWCASE, interior_params, origin_only_params, pumped_kernel
+from helpers import SHOWCASE, interior_params, origin_only_params, pumped_kernel, set_cutoffs
 from mosquito_allee import dynamics, model
 from mosquito_allee import (
     ConfigurationError,
-    FateThresholds,
     Params,
     Region,
     State,
@@ -42,9 +41,12 @@ from mosquito_allee import (
 
 ORIGIN_ONLY = Params(alpha=0.8, beta=0.7, gamma=2.0, mu=0.4)
 
-# loose growth tolerance: stops growth runs early in tests that only care
-# about the verdict, not the limit accuracy
-FAST = FateThresholds(y_limit_tol=1e-3)
+
+@pytest.fixture
+def fast(monkeypatch):
+    """A loose growth tolerance: stops growth runs early in tests that only
+    care about the verdict, not the limit accuracy."""
+    set_cutoffs(monkeypatch, {"y_limit_tol": 1e-3})
 
 
 class TestIterate:
@@ -86,8 +88,9 @@ class TestIterate:
             image = step_w0(SHOWCASE, t.points[i])
             assert image == t.points[i + 1]
 
-    def test_divergence_cutoff(self):
-        t = iterate(SHOWCASE, State(0.2, 5.0), 10**6, thresholds=FateThresholds(divergence_x=1e4))
+    def test_divergence_cutoff(self, monkeypatch):
+        set_cutoffs(monkeypatch, {"divergence_x": 1e4})
+        t = iterate(SHOWCASE, State(0.2, 5.0), 10**6)
         assert t.terminated is Termination.DIVERGED
         assert t.points[-1].x > 1e4
 
@@ -95,15 +98,16 @@ class TestIterate:
         "start, budget, thresholds, terminated, n_steps",
         [
             # x1 equals divergence_x, which does not stop the orbit
-            ((200.0, 0.0), 5, FateThresholds(divergence_x=199.20398009950247), Termination.BUDGET, 5),
+            ((200.0, 0.0), 5, {"divergence_x": 199.20398009950247}, Termination.BUDGET, 5),
             # step 1 moves by exactly step_tol, step 2 by less
-            ((1.0, 1.0), 5, FateThresholds(step_tol=0.10000000000000009), Termination.CONVERGED, 2),
+            ((1.0, 1.0), 5, {"step_tol": 0.10000000000000009}, Termination.CONVERGED, 2),
             # the fixed point lies past divergence_x: that rule is checked before the stall
-            (dataclasses.astuple(interior_fixed_point(SHOWCASE)), 10, FateThresholds(divergence_x=1.0), Termination.DIVERGED, 1),
+            (dataclasses.astuple(interior_fixed_point(SHOWCASE)), 10, {"divergence_x": 1.0}, Termination.DIVERGED, 1),
         ],
     )
-    def test_stop_rules_at_their_boundaries(self, start, budget, thresholds, terminated, n_steps):
-        t = iterate(SHOWCASE, State(*start), budget, thresholds)
+    def test_stop_rules_at_their_boundaries(self, start, budget, thresholds, terminated, n_steps, monkeypatch):
+        set_cutoffs(monkeypatch, thresholds)
+        t = iterate(SHOWCASE, State(*start), budget)
         assert (t.terminated, t.n_steps) == (terminated, n_steps)
 
     def test_argument_validation(self):
@@ -238,15 +242,6 @@ class TestClassifyFate:
         with pytest.raises(ConfigurationError):
             classify_fate(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0))
 
-    # a cutoff <= 0 or nan turned its rule off: with extinction_radius=-1 an
-    # Omega1 start came out undetermined, and with y_limit_tol=nan a growth
-    # start ran its whole budget
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("field", ["extinction_radius", "divergence_x", "y_limit_tol", "step_tol"])
-    def test_malformed_thresholds_rejected(self, field, value):
-        with pytest.raises(ConfigurationError, match=field):
-            FateThresholds(**{field: value})
-
 
 class TestStallUnderTheorem1ii:
     """A stall does not veto Theorem 1(ii): with no interior point there is
@@ -273,7 +268,7 @@ class TestStallUnderTheorem1ii:
         cells = [c for row in basin_scan(self.PARAMS, (0.0, 5.0), (0.0, 5.0), 20, 20, budget=1000).cells for c in row]
         assert {(c.verdict, c.theorem_tag) for c in cells} == {(Verdict.EXTINCTION, TheoremTag.THM1_II)}
         # every cell but the origin stalls before the budget, outside the ball
-        radius = FateThresholds().extinction_radius
+        radius = dynamics.EXTINCTION_RADIUS
         assert sum(c.iterations_used < 1000 and c.final_state.y > radius for c in cells) == 399
 
 
@@ -614,6 +609,47 @@ class TestSamplingArguments:
             check(dynamics.MAX_SAMPLES, 0)
 
 
+def _grid(params=SHOWCASE, nx=40, ny=40, budget=1000, workers=1):
+    return basin_scan(params, (0.0, 7.0), (0.0, 5.0), nx, ny, budget=budget, workers=workers)
+
+
+# a call with one integer argument in the place of v, that argument's name,
+# and a value for it.  At a float budget a scan of mostly long orbits, which
+# ended in lockstep, returned a grid, and one that reached the scalar loop
+# raised a TypeError, as the other calls did, from range, linspace or the RNG
+INTEGER_CALLS = [
+    pytest.param(lambda v: iterate(SHOWCASE, State(1.0, 1.0), v), "budget", 100, id="iterate-max_iter"),
+    pytest.param(lambda v: classify_fate(SHOWCASE, State(1.0, 1.0), v), "budget", 100, id="classify_fate-budget"),
+    pytest.param(lambda v: simulate(SHOWCASE, State(1.0, 1.0), v), "budget", 100, id="simulate-budget"),
+    pytest.param(lambda v: _grid(budget=v), "budget", 1000, id="basin_scan-budget"),
+    pytest.param(lambda v: _grid(ORIGIN_ONLY, budget=v), "budget", 1000, id="basin_scan-budget-origin-only"),
+    pytest.param(lambda v: _grid(nx=v), "nx", 40, id="basin_scan-nx"),
+    pytest.param(lambda v: _grid(ny=v), "ny", 40, id="basin_scan-ny"),
+    pytest.param(lambda v: _grid(workers=v), "workers", 1, id="basin_scan-workers"),
+    pytest.param(lambda v: check_invariance(SHOWCASE, Region.OMEGA1, v, 0), "samples", 10, id="invariance-samples"),
+    pytest.param(lambda v: check_invariance(SHOWCASE, Region.OMEGA2, 10, v), "seed", 1, id="invariance-seed"),
+    pytest.param(lambda v: check_sum_identity(SHOWCASE, v, 0), "samples", 10, id="identity-samples"),
+    pytest.param(lambda v: check_sum_identity(SHOWCASE, 10, v), "seed", 1, id="identity-seed"),
+    pytest.param(lambda v: check_adult_bound(SHOWCASE, v, 0), "samples", 10, id="adult-bound-samples"),
+    pytest.param(lambda v: check_adult_bound(SHOWCASE, 10, v), "seed", 1, id="adult-bound-seed"),
+]
+
+
+@pytest.mark.parametrize("call, name, value", INTEGER_CALLS)
+def test_integer_arguments_are_checked_at_the_call(call, name, value, monkeypatch):
+    # a numpy integer is an integer, and gives the int's result
+    assert repr(call(np.int64(value))) == repr(call(value))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a fate was stepped or a sample drawn")
+
+    for engine in ("_fate_from", "_lockstep_fates", "_unit_draws"):
+        monkeypatch.setattr(dynamics, engine, no_work)
+    # an integral float is not: a usage error naming it, before any work
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got {float(value)!r}$"):
+        call(float(value))
+
+
 class TestTrajectoryInvariants:
     def test_adult_density_bounded_by_start_or_cap(self):
         rng = np.random.default_rng(33)
@@ -640,13 +676,14 @@ class TestTrajectoryInvariants:
                 a, b = t.points[i], t.points[i + 1]
                 assert not (b.x > a.x and b.y > a.y)
 
-    def test_no_joint_decrease_in_upper_region(self):
+    def test_no_joint_decrease_in_upper_region(self, monkeypatch):
+        set_cutoffs(monkeypatch, {"divergence_x": 1e7})
         rng = np.random.default_rng(35)
         for _ in range(10):
             p = interior_params(rng)
             fp = interior_fixed_point(p)
             s0 = State(fp.x * float(rng.uniform(1.001, 3.0)), fp.y * float(rng.uniform(1.001, 3.0)))
-            t = iterate(p, s0, 1000, thresholds=FateThresholds(divergence_x=1e7))
+            t = iterate(p, s0, 1000)
             for i in range(len(t.points) - 1):
                 if t.indices[i + 1] != t.indices[i] + 1:
                     continue
@@ -676,32 +713,32 @@ class TestBasinScan:
         assert verdicts[(7.0, 5.0)] is Verdict.UNBOUNDED_GROWTH
         assert all(o.iterations_used > 0 for _, _, o in grid.iter_rows())
 
-    def test_lower_region_grid_all_extinct(self):
-        grid = basin_scan(SHOWCASE, (0.0, 3.5), (0.0, 1.4), 3, 3, budget=10**5, thresholds=FAST)
+    def test_lower_region_grid_all_extinct(self, fast):
+        grid = basin_scan(SHOWCASE, (0.0, 3.5), (0.0, 1.4), 3, 3, budget=10**5)
         for _, _, o in grid.iter_rows():
             assert o.verdict is Verdict.EXTINCTION
             assert o.theorem_tag is TheoremTag.THM2_OMEGA1
 
-    def test_upper_region_grid_all_growing(self):
-        grid = basin_scan(SHOWCASE, (4.2, 9.0), (1.7, 4.0), 3, 3, budget=10**5, thresholds=FAST)
+    def test_upper_region_grid_all_growing(self, fast):
+        grid = basin_scan(SHOWCASE, (4.2, 9.0), (1.7, 4.0), 3, 3, budget=10**5)
         for _, _, o in grid.iter_rows():
             assert o.verdict is Verdict.UNBOUNDED_GROWTH
             assert o.theorem_tag is TheoremTag.THM2_OMEGA2
 
-    def test_row_order_is_y_outer(self):
-        grid = basin_scan(SHOWCASE, (0.0, 1.0), (0.0, 2.0), 2, 3, budget=100, thresholds=FAST)
+    def test_row_order_is_y_outer(self, fast):
+        grid = basin_scan(SHOWCASE, (0.0, 1.0), (0.0, 2.0), 2, 3, budget=100)
         coords = [(x0, y0) for x0, y0, _ in grid.iter_rows()]
         assert coords == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 2.0), (1.0, 2.0)]
 
-    def test_deterministic_across_worker_counts(self):
-        serial = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 3, budget=10**4, thresholds=FAST)
-        parallel = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 3, budget=10**4, thresholds=FAST, workers=2)
+    def test_deterministic_across_worker_counts(self, fast):
+        serial = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 3, budget=10**4)
+        parallel = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 3, budget=10**4, workers=2)
         assert serial == parallel
-        again = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 3, budget=10**4, thresholds=FAST, workers=2)
+        again = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 3, budget=10**4, workers=2)
         assert parallel == again
 
-    def test_views_follow_the_columns(self):
-        grid = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 2, budget=10**4, thresholds=FAST)
+    def test_views_follow_the_columns(self, fast):
+        grid = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 2, budget=10**4)
         rows = list(grid.iter_rows())
         assert [o for _, _, o in rows] == [grid.cells[ix][iy] for iy in range(2) for ix in range(3)]
         for i, (x0, y0, o) in enumerate(rows):
@@ -711,8 +748,8 @@ class TestBasinScan:
             assert (o.iterations_used, o.final_state) == (grid.iterations[i], State(grid.final_x[i], grid.final_y[i]))
             assert (o.y_limit_estimate is None) == bool(np.isnan(grid.estimate[i]))
 
-    def test_grids_that_differ_in_one_cell_compare_unequal(self):
-        grid = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 3, budget=10**4, thresholds=FAST)
+    def test_grids_that_differ_in_one_cell_compare_unequal(self, fast):
+        grid = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 3, 3, budget=10**4)
         assert np.isnan(grid.estimate).any()  # nan estimates in the same cells compare equal
         assert grid == dataclasses.replace(grid, estimate=grid.estimate.copy())
         iterations = grid.iterations.copy()
@@ -746,15 +783,38 @@ class TestBasinScan:
         monkeypatch.setattr(dynamics.os, "cpu_count", lambda: None)
         assert dynamics._usable_cpus() == 1
 
-    def test_single_cpu_scans_in_process(self, monkeypatch):
+    def test_single_cpu_scans_in_process(self, monkeypatch, fast):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        serial = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 2, 2, budget=10**3, thresholds=FAST)
+        serial = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 2, 2, budget=10**3)
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        wide = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 2, 2, budget=10**3, thresholds=FAST, workers=10**6)
+        wide = basin_scan(SHOWCASE, (0.2, 7.0), (0.2, 5.0), 2, 2, budget=10**3, workers=10**6)
         assert wide == serial
+
+    def test_cutoffs_reach_spawned_workers(self):
+        # a spawned worker imports the package afresh, with the default
+        # cutoffs, so the scan must send it the cutoffs its caller set.  A
+        # fresh interpreter, as the start method is set once per process;
+        # each worker gets 120 cells, more than LOCKSTEP_CROSSOVER (110), so
+        # each steps in lockstep before it hands over to the scalar loop
+        probe = """
+import multiprocessing
+from mosquito_allee import Params, State, basin_scan, classify_fate, dynamics
+multiprocessing.set_start_method("spawn")
+dynamics._usable_cpus = lambda: 2
+params = Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4)
+grid = dict(x_range=(0.0, 7.0), y_range=(0.0, 5.0), nx=24, ny=10, budget=3000)
+default = basin_scan(params, **grid)
+dynamics.DIVERGENCE_X, dynamics.Y_LIMIT_TOL = 100.0, 1e-3
+serial = basin_scan(params, **grid)
+assert basin_scan(params, **grid, workers=2) == serial != default
+for x0, y0, outcome in serial.iter_rows():
+    assert repr(outcome) == repr(classify_fate(params, State(x0, y0), grid["budget"]))
+"""
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_import_leaves_the_pool_unloaded(self):
         # a fresh interpreter: this one may have loaded the pool already
@@ -858,12 +918,11 @@ def test_property_inlined_steps_match_the_kernel(alpha, beta, gamma, mu, x, y):
     assert trajectory.indices == tuple(range(n + 1))
     assert repr(trajectory.points) == repr(tuple(images[: n + 1]))
     if n < 3:
-        th = FateThresholds()
         if trajectory.terminated is Termination.CONVERGED:
             a, b = images[n - 1], images[n]
-            assert n > 0 and abs(b.x - a.x) < th.step_tol and abs(b.y - a.y) < th.step_tol
+            assert n > 0 and abs(b.x - a.x) < dynamics.STEP_TOL and abs(b.y - a.y) < dynamics.STEP_TOL
         else:
             assert trajectory.terminated is Termination.DIVERGED
-            assert n == len(images) - 1 or images[n].x > th.divergence_x
+            assert n == len(images) - 1 or images[n].x > dynamics.DIVERGENCE_X
     assert outcome.iterations_used < len(images)
     assert repr(outcome.final_state) == repr(images[outcome.iterations_used])

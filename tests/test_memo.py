@@ -39,7 +39,6 @@ import reference
 from helpers import SHOWCASE, analysis_params, nudged
 from mosquito_allee import (
     BasinGrid,
-    FateThresholds,
     InternalConsistencyError,
     Params,
     Region,
@@ -241,7 +240,7 @@ def _instances():
     yield check_sum_identity(SHOWCASE, 50, 0)
     yield check_adult_bound(SHOWCASE, 50, 0)
     yield basin_scan(SHOWCASE, (0.0, 7.0), (0.0, 5.0), 4, 3, budget=1000)
-    yield from (FateThresholds(), derived_constants(SHOWCASE), step_general(SHOWCASE, State(1.0, 1.0)))
+    yield from (derived_constants(SHOWCASE), step_general(SHOWCASE, State(1.0, 1.0)))
 
 
 def _pairs():
@@ -258,7 +257,7 @@ PAIRS = list(_pairs())
 def test_every_value_class_is_compared():
     modules = (model, stability, dynamics)
     classes = {c for m in modules for c in vars(m).values() if dataclasses.is_dataclass(c) and c.__module__ == m.__name__}
-    assert len(classes) == 15 and {type(new) for new, _ in PAIRS} == classes
+    assert len(classes) == 14 and {type(new) for new, _ in PAIRS} == classes
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,11 @@ for bit (``repr`` tells every double apart, ``-0.0`` included) over both
 regimes, windows and budgets, including starts whose first image
 overflows or passes ``divergence_x`` and states exactly at each fate
 rule's threshold and at each bound of the test a step that fires no
-rule passes; ``iterate``, ``classify_fate`` and the lockstep engine
-also under threshold overrides.  ``classify_fate`` and the engine on a
-one-start array must agree too, at the start certificate's boundaries.
+rule passes; ``iterate``, ``simulate``, ``classify_fate`` and the
+lockstep engine also under other fate cutoffs, module constants that
+``helpers.set_cutoffs`` patches and the oracle takes as arguments.
+``classify_fate`` and the engine on a one-start array must agree too,
+at the start certificate's boundaries.
 The package calls must emit no numpy warnings.
 
 Both engines carry a fate on one schema, ``_FateState``: ``_start``
@@ -55,11 +57,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import SHOWCASE, interior_params, origin_only_params
+from helpers import SHOWCASE, interior_params, origin_only_params, set_cutoffs
 from mosquito_allee import (
     ConfigurationError,
     DomainError,
-    FateThresholds,
     Params,
     Region,
     State,
@@ -93,11 +94,11 @@ def cases(draw):
         start = (0.0, 0.0)
     else:
         start = (fp.x, fp.y)
-    thresholds = draw(
+    cutoffs = draw(
         st.one_of(
-            st.none(),
+            st.just({}),
             st.builds(
-                lambda e, tol: FateThresholds(divergence_x=10.0**e, step_tol=tol),
+                lambda e, tol: {"divergence_x": 10.0**e, "step_tol": tol},
                 st.floats(2.0, 9.0),
                 st.sampled_from([1e-14, 1e-8]),
             ),
@@ -105,39 +106,40 @@ def cases(draw):
     )
     window = draw(st.sampled_from([1, 8, 1024]))
     budget = draw(st.integers(1, 60_000))
-    return params, State(*start), thresholds, window, budget
+    return params, State(*start), cutoffs, window, budget
 
 
 @settings(max_examples=80)
 @given(case=cases())
 def test_engine_matches_reference_bit_for_bit(case):
-    params, s0, thresholds, window, budget = case
-    expected_trajectory = reference.iterate(params, s0, budget, thresholds, window)
-    expected_outcome = reference.classify_fate(params, s0, budget, thresholds)
+    params, s0, cutoffs, window, budget = case
+    expected_trajectory = reference.iterate(params, s0, budget, window, **cutoffs)
+    expected_outcome = reference.classify_fate(params, s0, budget, **cutoffs)
 
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error")  # overflowing starts print no numpy warnings
         patch.setattr(dynamics, "TRAJECTORY_WINDOW", window)
-        trajectory = iterate(params, s0, budget, thresholds)
-        outcome = classify_fate(params, s0, budget, thresholds)
+        set_cutoffs(patch, cutoffs)
+        trajectory = iterate(params, s0, budget)
+        outcome = classify_fate(params, s0, budget)
     assert trajectory == expected_trajectory
     assert repr(trajectory) == repr(expected_trajectory)
     assert outcome == expected_outcome
     assert repr(outcome) == repr(expected_outcome)
 
 
-@st.composite
-def default_cases(draw):
-    params, s0, _, _, budget = draw(cases())
-    return params, s0, budget
-
-
 @settings(max_examples=80)
-@given(case=default_cases())
+@given(case=cases())
 def test_simulate_matches_reference_bit_for_bit(case):
-    params, s0, budget = case
-    expected = (reference.iterate(params, s0, budget), reference.classify_fate(params, s0, budget))
-    got = simulate(params, s0, budget)
+    params, s0, cutoffs, window, budget = case
+    expected = (
+        reference.iterate(params, s0, budget, window, **cutoffs),
+        reference.classify_fate(params, s0, budget, **cutoffs),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "TRAJECTORY_WINDOW", window)
+        set_cutoffs(patch, cutoffs)
+        got = simulate(params, s0, budget)
     assert got == expected
     assert repr(got) == repr(expected)
 
@@ -156,17 +158,18 @@ def test_fate_resumes_exactly_from_the_state_it_returns(case, long_budget, first
     # stop_x, and each later one runs twice as many steps as the last, so
     # some call ends in every doubling of the step count, the last one
     # between a growth fate's last two estimate checkpoints included
-    params, s0, thresholds, _, budget = case
+    params, s0, cutoffs, _, budget = case
     budget = 10**5 if long_budget else budget  # long enough to accept most growth estimates
-    th = thresholds if thresholds is not None else FateThresholds()
-    context = dynamics._fate_context(params, th)
+    with pytest.MonkeyPatch.context() as patch:
+        set_cutoffs(patch, cutoffs)
+        context = dynamics._fate_context(params)  # which carries the cutoffs
     start = dynamics._start(s0.x, s0.y, context)[2]
-    whole = dynamics._fate_from(params, budget, th, context, 0, start)
-    part, k = dynamics._fate_from(params, budget, th, context, 0, start, first, stop_x), first
+    whole = dynamics._fate_from(params, budget, context, 0, start)
+    part, k = dynamics._fate_from(params, budget, context, 0, start, first, stop_x), first
     while part[0] is None:
         n, state = part[2:]
         k *= 2
-        part = dynamics._fate_from(params, budget, th, context, n, state, n + k)
+        part = dynamics._fate_from(params, budget, context, n, state, n + k)
         assert part[0] is not None or part[2] == n + k
     assert repr(part) == repr(whole)
 
@@ -218,7 +221,7 @@ def assert_simulate_matches_reference(monkeypatch, params, s0, budget, window):
     Both read ``TRAJECTORY_WINDOW`` when called, so patching it sets their window.
     """
     monkeypatch.setattr(dynamics, "TRAJECTORY_WINDOW", window)
-    expected = (reference.iterate(params, s0, budget, None, window), reference.classify_fate(params, s0, budget))
+    expected = (reference.iterate(params, s0, budget, window), reference.classify_fate(params, s0, budget))
     got = simulate(params, s0, budget)
     assert got == expected
     assert repr(got) == repr(expected)
@@ -307,7 +310,7 @@ def test_simulate_overflow_on_a_block_start_matches_reference(monkeypatch, y0, w
     # first of a block at window 8, and at 1024 too, or inside one
     for iterate_window in (8, 1024):
         monkeypatch.setattr(dynamics, "TRAJECTORY_WINDOW", iterate_window)
-        expected = reference.iterate(params, State(1.0, y0), 5000, None, iterate_window)
+        expected = reference.iterate(params, State(1.0, y0), 5000, iterate_window)
         got = iterate(params, State(1.0, y0), 5000)
         assert repr(got) == repr(expected)
         assert got.n_steps == 2 * window
@@ -342,11 +345,11 @@ def lockstep_cases(draw):
             starts.append((fp.x, fp.y))
         else:  # one ulp off (x*, y*): a region boundary, or a stall
             starts.append((np.nextafter(fp.x, rng.choice([0.0, np.inf])), np.nextafter(fp.y, rng.choice([0.0, np.inf]))))
-    thresholds = draw(
+    cutoffs = draw(
         st.one_of(
-            st.none(),
+            st.just({}),
             st.builds(
-                lambda e, tol, y_tol: FateThresholds(divergence_x=10.0**e, step_tol=tol, y_limit_tol=y_tol),
+                lambda e, tol, y_tol: {"divergence_x": 10.0**e, "step_tol": tol, "y_limit_tol": y_tol},
                 st.floats(2.0, 9.0),
                 st.sampled_from([1e-14, 1e-8]),
                 st.sampled_from([1e-6, 1e-3, 1e-1]),
@@ -357,17 +360,17 @@ def lockstep_cases(draw):
     # the hand-off point: 0 keeps every cell in lockstep to its end, and
     # any other count hands cells over in whatever state they have reached
     crossover = draw(st.one_of(st.just(LOCKSTEP_CROSSOVER), st.integers(0, len(starts))))
-    return params, [(float(x), float(y)) for x, y in starts], thresholds, budget, crossover
+    return params, [(float(x), float(y)) for x, y in starts], cutoffs, budget, crossover
 
 
-def assert_lockstep_matches_reference(params, starts, budget, thresholds=None, crossover=LOCKSTEP_CROSSOVER):
-    expected = [reference.classify_fate(params, State(x, y), budget, thresholds) for x, y in starts]
+def assert_lockstep_matches_reference(params, starts, budget, cutoffs, crossover=LOCKSTEP_CROSSOVER):
+    expected = [reference.classify_fate(params, State(x, y), budget, **cutoffs) for x, y in starts]
     x0, y0 = (np.array(c, dtype=float) for c in zip(*starts))
-    th = thresholds if thresholds is not None else FateThresholds()
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(dynamics, "LOCKSTEP_CROSSOVER", crossover)
+        set_cutoffs(mp, cutoffs)
         warnings.simplefilter("error")  # overflowing starts print no numpy warnings
-        got = dynamics._outcomes(dynamics._lockstep_fates(params, x0, y0, budget, th))
+        got = dynamics._outcomes(dynamics._lockstep_fates(params, x0, y0, budget, dynamics._fate_context(params)))
     assert got == expected
     assert repr(got) == repr(expected)
 
@@ -375,8 +378,8 @@ def assert_lockstep_matches_reference(params, starts, budget, thresholds=None, c
 @settings(max_examples=100)
 @given(case=lockstep_cases())
 def test_lockstep_engine_matches_reference_bit_for_bit(case):
-    params, starts, thresholds, budget, crossover = case
-    assert_lockstep_matches_reference(params, starts, budget, thresholds, crossover)
+    params, starts, cutoffs, budget, crossover = case
+    assert_lockstep_matches_reference(params, starts, budget, cutoffs, crossover)
 
 
 # mu = 1 and a tiny alpha: from (0, 1e-6) one step lands in the origin
@@ -393,13 +396,13 @@ BALL_IN_ONE_STEP = Params(alpha=1e-12, beta=1.0, gamma=1.0, mu=1.0)
         # growth past its first estimate checkpoint (step 1187) when the
         # extinction next to the fixed point ends (step 1402); the
         # estimate is accepted at the next checkpoint (step 2228)
-        (SHOWCASE, (5.0, 2.0), 5000, FateThresholds(y_limit_tol=1e-3)),
+        (SHOWCASE, (5.0, 2.0), 5000, {"y_limit_tol": 1e-3}),
     ],
 )
 def test_lockstep_engine_edge_starts(params, start, budget, thresholds, crossover):
     # with crossover 2 the last two cells are handed over when the third-last ends
     starts = [start, (0.0, 0.0), (1e-10, 0.0), (4.0, 1.599999999), (6.0, 3.0)]
-    assert_lockstep_matches_reference(params, starts, budget, thresholds, crossover)
+    assert_lockstep_matches_reference(params, starts, budget, thresholds or {}, crossover)
 
 
 # near its existence threshold, with x* about 158: an orbit from (166, 0)
@@ -410,27 +413,27 @@ SLOW_FIXED_POINT = Params(
 
 
 @pytest.mark.parametrize(
-    "params, start, budget, thresholds",
+    "params, start, budget, cutoffs",
     [
         # max(x, y) after step 30 equals the radius
         pytest.param(
-            SHOWCASE, (1.0, 1.0), 1000, FateThresholds(extinction_radius=0.0006622501356481844), id="ball-at-radius"
+            SHOWCASE, (1.0, 1.0), 1000, {"extinction_radius": 0.0006622501356481844}, id="ball-at-radius"
         ),
-        pytest.param(BALL_IN_ONE_STEP, (0.0, 1e-6), 100, None, id="ball-before-any-certificate"),
+        pytest.param(BALL_IN_ONE_STEP, (0.0, 1e-6), 100, {}, id="ball-before-any-certificate"),
         # from x = 0, y1 = (1 - mu)*y0 = 1.6 = alpha/mu exactly
-        pytest.param(Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.5), (0.0, 3.2), 1, None, id="thm1-ii-at-cap"),
-        pytest.param(SLOW_FIXED_POINT, (166.0, 0.0), 100, FateThresholds(divergence_x=100.0), id="omega1-after-growth"),
+        pytest.param(Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.5), (0.0, 3.2), 1, {}, id="thm1-ii-at-cap"),
+        pytest.param(SLOW_FIXED_POINT, (166.0, 0.0), 100, {"divergence_x": 100.0}, id="omega1-after-growth"),
         # no interior point: x passes divergence_x at step 1, and y <= alpha/mu still certifies extinction later
         pytest.param(
-            Params(alpha=0.8, beta=0.7, gamma=2.0, mu=0.4), (1.0, 1e10), 100, None, id="thm1-ii-after-growth"
+            Params(alpha=0.8, beta=0.7, gamma=2.0, mu=0.4), (1.0, 1e10), 100, {}, id="thm1-ii-after-growth"
         ),
         # x1 equals divergence_x; (x1, y1) lies outside both regions
-        pytest.param(SHOWCASE, (200.0, 0.0), 1, FateThresholds(divergence_x=199.20398009950247), id="x-at-divergence"),
+        pytest.param(SHOWCASE, (200.0, 0.0), 1, {"divergence_x": 199.20398009950247}, id="x-at-divergence"),
         # x1 = 100.0 exactly, the first estimate checkpoint
-        pytest.param(SHOWCASE, (0.0, 113.07635158019905), 10**4, FateThresholds(y_limit_tol=0.1), id="x-at-checkpoint"),
+        pytest.param(SHOWCASE, (0.0, 113.07635158019905), 10**4, {"y_limit_tol": 0.1}, id="x-at-checkpoint"),
         # the first two checkpoints' estimates differ by 0.1*y_limit_tol exactly
         pytest.param(
-            SHOWCASE, (6.0, 3.0), 10**4, FateThresholds(y_limit_tol=0.0003483250847446939), id="estimate-at-tolerance"
+            SHOWCASE, (6.0, 3.0), 10**4, {"y_limit_tol": 0.0003483250847446939}, id="estimate-at-tolerance"
         ),
         # the one-test steps' exits, on certified orbits past their first step:
         # |x1 - x| equals step_tol at step 12, the least x-step of this growth
@@ -439,7 +442,7 @@ SLOW_FIXED_POINT = Params(
             SHOWCASE,
             (5.0, 2.0),
             3000,
-            FateThresholds(step_tol=0.022407000273341637, y_limit_tol=1e-3),
+            {"step_tol": 0.022407000273341637, "y_limit_tol": 1e-3},
             id="dx-at-step-tol",
         ),
         # one ulp more: at step 12 both |x1 - x| and |y1 - y| are below step_tol
@@ -447,39 +450,40 @@ SLOW_FIXED_POINT = Params(
             SHOWCASE,
             (5.0, 2.0),
             3000,
-            FateThresholds(step_tol=0.02240700027334164, y_limit_tol=1e-3),
+            {"step_tol": 0.02240700027334164, "y_limit_tol": 1e-3},
             id="dx-below-step-tol",
         ),
         # at step 20 |x1 - x| is below step_tol but |y1 - y| = 0.03 is not: no stall until step 25
         pytest.param(
-            SHOWCASE, (1.0, 1.0), 1000, FateThresholds(step_tol=0.005899604640286388), id="dx-below-step-tol-y-moving"
+            SHOWCASE, (1.0, 1.0), 1000, {"step_tol": 0.005899604640286388}, id="dx-below-step-tol-y-moving"
         ),
         # x after step 20 equals the radius while y = 0.071 does not: the ball is reached at step 26
         pytest.param(
-            SHOWCASE, (1.0, 1.0), 1000, FateThresholds(extinction_radius=0.007092257374053066), id="x-at-radius"
+            SHOWCASE, (1.0, 1.0), 1000, {"extinction_radius": 0.007092257374053066}, id="x-at-radius"
         ),
         # x after step 30 equals the radius and y = 0.092 is inside: the ball is reached at step 30
         pytest.param(
             Params(alpha=0.1, beta=5.0, gamma=2.0, mu=0.4),
             (1.0, 0.1),
             1000,
-            FateThresholds(extinction_radius=0.5488705190896546),
+            {"extinction_radius": 0.5488705190896546},
             id="x-at-radius-y-inside",
         ),
         # gamma + y overflows, so x1 = inf/inf is nan; the start is in Omega2, (x*, y*) = (1, 0.5).
         # Only a first step can meet it: after one, y <= alpha + (1 - mu)*y0, about y0/2 here
         pytest.param(
-            Params(alpha=0.5, beta=1e300, gamma=1e300, mu=0.5), (2.0, sys.float_info.max), 100, None, id="nan-image"
+            Params(alpha=0.5, beta=1e300, gamma=1e300, mu=0.5), (2.0, sys.float_info.max), 100, {}, id="nan-image"
         ),
     ],
 )
-def test_fate_rules_at_their_boundaries(params, start, budget, thresholds):
+def test_fate_rules_at_their_boundaries(params, start, budget, cutoffs, monkeypatch):
     s0 = State(*start)
-    expected = reference.classify_fate(params, s0, budget, thresholds)
-    outcome = classify_fate(params, s0, budget, thresholds)
+    expected = reference.classify_fate(params, s0, budget, **cutoffs)
+    set_cutoffs(monkeypatch, cutoffs)
+    outcome = classify_fate(params, s0, budget)
     assert outcome == expected
     assert repr(outcome) == repr(expected)
-    assert_lockstep_matches_reference(params, [start], budget, thresholds, crossover=0)
+    assert_lockstep_matches_reference(params, [start], budget, cutoffs, crossover=0)
 
 
 def test_basin_scan_matches_reference_across_worker_counts(monkeypatch):
@@ -498,21 +502,23 @@ def test_basin_scan_matches_reference_across_worker_counts(monkeypatch):
         assert repr(outcome) == repr(expected)
 
 
-def assert_certificate_shapes_agree(params, starts, budget, thresholds=None):
+def assert_certificate_shapes_agree(params, starts, budget, cutoffs):
     """``classify_fate``, on floats, against the engine on a one-start array."""
-    th = thresholds if thresholds is not None else FateThresholds()
-    for x, y in starts:
-        outcome = classify_fate(params, State(x, y), budget, thresholds)
-        engine = dynamics._outcomes(dynamics._lockstep_fates(params, np.array([x]), np.array([y]), budget, th))[0]
-        assert outcome == engine
-        assert repr(outcome) == repr(engine)
+    with pytest.MonkeyPatch.context() as patch:
+        set_cutoffs(patch, cutoffs)
+        context = dynamics._fate_context(params)
+        for x, y in starts:
+            outcome = classify_fate(params, State(x, y), budget)
+            engine = dynamics._outcomes(dynamics._lockstep_fates(params, np.array([x]), np.array([y]), budget, context))
+            assert outcome == engine[0]
+            assert repr(outcome) == repr(engine[0])
 
 
 @settings(max_examples=100)
 @given(case=lockstep_cases())
 def test_start_certificate_agrees_on_floats_and_arrays(case):
-    params, starts, thresholds, budget, _ = case
-    assert_certificate_shapes_agree(params, starts, budget, thresholds)
+    params, starts, cutoffs, budget, _ = case
+    assert_certificate_shapes_agree(params, starts, budget, cutoffs)
 
 
 def _ulps(v):
@@ -530,17 +536,17 @@ def _rule_points(params):
     return [(x, y) for x in _ulps(fp.x) for y in _ulps(fp.y)] + [(fp.x, 0.0), (0.0, fp.y)]
 
 
-@pytest.mark.parametrize("thresholds", [None, FateThresholds(extinction_radius=5.0)], ids=["radius-1e-9", "radius-5"])
+@pytest.mark.parametrize("cutoffs", [{}, {"extinction_radius": 5.0}], ids=["radius-1e-9", "radius-5"])
 @pytest.mark.parametrize(
     "params",
     [SHOWCASE, TINY_FIXED_POINT, SLOW_FIXED_POINT, BALL_IN_ONE_STEP, Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.5)],
     ids=["showcase", "tiny-fixed-point", "slow-fixed-point", "ball-in-one-step", "origin-only"],
 )
-def test_start_certificate_agrees_at_its_boundaries(params, thresholds):
-    r = (thresholds or FateThresholds()).extinction_radius
+def test_start_certificate_agrees_at_its_boundaries(params, cutoffs):
+    r = cutoffs.get("extinction_radius", 1e-9)
     r_up = math.nextafter(r, math.inf)
     starts = [(r, r), (r_up, r), (r, r_up), (r_up, r_up)]
-    assert_certificate_shapes_agree(params, starts + _rule_points(params), 2000, thresholds)
+    assert_certificate_shapes_agree(params, starts + _rule_points(params), 2000, cutoffs)
 
 
 RULE_PARAMS = [SHOWCASE, TINY_FIXED_POINT, SLOW_FIXED_POINT, Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.5)]
