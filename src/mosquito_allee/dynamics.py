@@ -49,7 +49,9 @@ the stepping.  A fate's resumable state is declared once, as
 ``_FateState``: ``_start`` builds it, on floats or arrays, ``_fate_from``
 resumes from it and returns it, and the lockstep engine compacts it.
 ``check_invariance`` tests its images against the regions' bounds
-widened by a rounding allowance.  The sampled checks scale the unit
+widened by a rounding allowance; it enters ``np.errstate`` only where
+one scalar bound on the window's top corner says an image can
+overflow.  The sampled checks scale the unit
 uniforms of ``_unit_draws``, which a process keeps for small draws, so
 a sweep draws each seed's stream once.
 ``classify_fate`` steps its start on ``_fate_from``, without numpy.
@@ -318,12 +320,12 @@ def _index(name: str, value) -> int:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _checked(params: Params, budget: int) -> int:
-    """The budget, as an int, once ``params`` and it are valid."""
+def _checked(params: Params, budget: int, name: str = "budget") -> int:
+    """The budget, as an int, once ``params`` and it are valid; errors call it ``name``."""
     params.require_analysis_valid()
-    budget = _index("budget", budget)
+    budget = _index(name, budget)
     if budget < 1:
-        raise ConfigurationError(f"budget must be >= 1, got {budget}")
+        raise ConfigurationError(f"{name} must be >= 1, got {budget}")
     return budget
 
 
@@ -337,7 +339,7 @@ def iterate(params: Params, s0: State, max_iter: int) -> Trajectory:
     finite state.  The window is ``TRAJECTORY_WINDOW``; it and the
     cutoffs are read when called.
     """
-    return _orbit(params, s0, _checked(params, max_iter), False)[0]
+    return _orbit(params, s0, _checked(params, max_iter, "max_iter"), False)[0]
 
 
 def _orbit(params: Params, s0: State, budget: int, fate: bool) -> tuple[Trajectory, tuple | None]:
@@ -723,7 +725,13 @@ def check_invariance(
     ``(x*u, y*v)`` in ``Omega1`` and ``(x* + span*u, y* + span*v)`` in
     ``Omega2``, bit for bit the ``default_rng(seed).uniform`` draws of
     the region's window.  A start that lands on ``(x*, y*)`` is moved
-    along ``x`` into the region.
+    along ``x`` into the region.  ``region`` may be the member or its
+    value (``"omega1"``); any other is a ``ConfigurationError``.
+
+    The images are made under ``np.errstate`` only when the bound of
+    ``_invariance_images`` on the window's top corner, ``(x*, y*)`` or
+    just past ``(x* + span, y* + span)``, is not finite.  Otherwise no
+    image can overflow, and no floating-point flag is raised.
 
     An image escapes when it lands on ``(x*, y*)`` or lies beyond a
     bound of the region by more than ``_ESCAPE_ULPS`` ulps of that
@@ -733,8 +741,13 @@ def check_invariance(
     ``x*``, whose denominator cancels next to the existence threshold.
     """
     fp = _require_interior(params)
-    if region not in (Region.OMEGA1, Region.OMEGA2):
+    try:
+        checked = Region(region)
+    except ValueError:
+        checked = None
+    if checked is not Region.OMEGA1 and checked is not Region.OMEGA2:
         raise ConfigurationError(f"invariance is defined for omega1/omega2, got {region}")
+    omega1 = checked is Region.OMEGA1
     samples, seed = _require_sampling(samples, seed)
     xs, ys = fp.x, fp.y
     # the kernel's product, in its operation order; every Omega2 sample's is at least this
@@ -752,7 +765,7 @@ def check_invariance(
     import numpy as np
 
     u, v = _unit_draws(seed, samples)
-    if region is Region.OMEGA1:
+    if omega1:
         x0, y0 = xs * u, ys * v
     else:
         # xs + span*u, without a temporary
@@ -765,35 +778,61 @@ def check_invariance(
     if np.count_nonzero(at_fp):  # measure-zero draw; the fixed point is not in the region
         at_fp &= y0 == ys
         # move it along x into the region sampled: down into Omega1, up into Omega2
-        moved = 0.5 * xs if region is Region.OMEGA1 else np.nextafter(xs, np.inf)
+        moved = 0.5 * xs if omega1 else np.nextafter(xs, np.inf)
         x0 = np.where(at_fp, moved, x0)
 
-    # the regions' bounds, each widened by the rounding allowance
-    ax, ay = _ESCAPE_ULPS * math.ulp(xs), _ESCAPE_ULPS * math.ulp(ys)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x0, y0)
-        if region is Region.OMEGA1:
-            # an image is not a State, so Omega1's quadrant bounds are tested
-            # too; np.minimum passes a nan on, which fails the test as it should
-            inside = (x1 <= xs + ax) & (y1 <= ys + ay) & (np.minimum(x1, y1) >= 0.0)
-        else:
-            inside = (x1 >= xs - ax) & (y1 >= ys - ay)
-        on_fp = x1 == xs
-        if np.count_nonzero(on_fp):  # only an image with x = x* can be (x*, y*)
-            inside &= ~(on_fp & (y1 == ys))
-        escapes = samples - int(np.count_nonzero(inside))
-        # an image inside Omega1's box is finite, one in Omega2 may be inf;
-        # images are nonnegative, so x1 - y1 is finite exactly when both are
-        finite = not (escapes or region is Region.OMEGA2) or np.count_nonzero(np.isfinite(x1 - y1)) == samples
-    if not finite:
-        # a float64 limit, not a counterexample: a State cannot hold inf
-        raise ConfigurationError(f"sampling span {span} overflows the map's float64 images; use a smaller span")
+    # every start lies at or below the window's top corner, a start moved
+    # off (x*, y*) into Omega2 included
+    top_x, top_y = (xs, ys) if omega1 else (math.nextafter(xs + span, math.inf), ys + span)
+    if (top_x + top_y + params.gamma) + params.beta * top_y * top_y / params.gamma < math.inf:
+        # no image can overflow, so no floating-point flag is raised: see _invariance_images
+        x1, y1, inside, escapes = _invariance_images(params, omega1, fp, x0, y0)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x1, y1, inside, escapes = _invariance_images(params, omega1, fp, x0, y0)
+            # an image inside Omega1's box is finite, one in Omega2 may be inf;
+            # images are nonnegative, so x1 - y1 is finite exactly when both are
+            finite = (omega1 and not escapes) or np.count_nonzero(np.isfinite(x1 - y1)) == samples
+        if not finite:
+            # a float64 limit, not a counterexample: a State cannot hold inf
+            raise ConfigurationError(f"sampling span {span} overflows the map's float64 images; use a smaller span")
 
     counterexample = None
     if escapes:
         i = int(np.argmin(inside))
         counterexample = (State(float(x0[i]), float(y0[i])), State(float(x1[i]), float(y1[i])))
-    return InvarianceReport(region=region, samples=samples, escapes=escapes, counterexample=counterexample)
+    return InvarianceReport(checked, samples, escapes, counterexample)
+
+
+def _invariance_images(params: Params, omega1: bool, fp: State, x0, y0):
+    """The images of the starts ``(x0, y0)`` of :func:`check_invariance`, tested.
+
+    Returns ``(x1, y1, inside, escapes)``: the images, whether each stays
+    inside Omega1 (``omega1``) or Omega2, widened by ``_ESCAPE_ULPS``, and
+    how many do not.  Starts at or below ``(top_x, top_y)`` have finite
+    images, and raise no overflow or invalid flag, when
+    ``(top_x + top_y + gamma) + beta*top_y*top_y/gamma`` is finite: every
+    rounding is monotone, so with ``0 <= k <= min(x, 1)``, as ``alpha <=
+    1``, ``x1 = (x - k) + g`` is at most that bound, ``y1 = k + (1-mu)*y``
+    at most ``1 + top_y``, and the denominators ``1 + x`` and ``gamma + y``
+    are finite and at least 1 and ``gamma``.  Otherwise the caller runs
+    it under ``np.errstate``.
+    """
+    import numpy as np
+
+    xs, ys = fp.x, fp.y
+    x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, x0, y0)
+    if omega1:
+        # an image is not a State, so Omega1's quadrant bounds are tested
+        # too; np.minimum passes a nan on, which fails the test as it should
+        inside = (x1 <= xs + _ESCAPE_ULPS * math.ulp(xs)) & (y1 <= ys + _ESCAPE_ULPS * math.ulp(ys))
+        inside &= np.minimum(x1, y1) >= 0.0
+    else:
+        inside = (x1 >= xs - _ESCAPE_ULPS * math.ulp(xs)) & (y1 >= ys - _ESCAPE_ULPS * math.ulp(ys))
+    on_fp = x1 == xs
+    if np.count_nonzero(on_fp):  # only an image with x = x* can be (x*, y*)
+        inside &= ~(on_fp & (y1 == ys))
+    return x1, y1, inside, len(inside) - int(np.count_nonzero(inside))
 
 
 def sum_identity_residual(params: Params, s: State) -> float:

@@ -21,6 +21,13 @@ same discriminant condition.  It is cross-checked by the trace-determinant
 numpy; a disagreement away from the tolerance bands raises an
 :class:`~mosquito_allee.errors.InternalConsistencyError`.
 
+:func:`find_fixed_points` builds only what its report holds: the
+origin's label takes two comparisons, since both of its moduli lie in
+``[0, 1)``, and the origin itself is one of two shared module
+constants.  It calls :func:`interior_fixed_point` and
+:func:`classify_interior` through the module's globals, so a caller
+that wraps them by name sees every call.
+
 :func:`interior_fixed_point` is memoized per ``Params`` in a
 thread-safe ``functools.lru_cache`` of at most 64 entries, so a
 parameter set's interior point is computed once however many routines
@@ -116,6 +123,12 @@ class FixedPointReport:
     origin_eigenvalues: tuple[float, float]
 
 
+_ORIGIN = State(0.0, 0.0)
+# the origin as a reported fixed point, attracting and non-hyperbolic,
+# shared by every report
+_ORIGINS = tuple(FixedPoint(_ORIGIN, PointKind.ORIGIN, s) for s in (Stability.ATTRACTING, Stability.NON_HYPERBOLIC))
+
+
 @lru_cache(maxsize=64)
 def interior_fixed_point(params: Params) -> State | None:
     """Closed-form interior fixed point, or None when it does not exist.
@@ -195,16 +208,6 @@ def alpha_thresholds(params: Params) -> tuple[float, float] | None:
     alpha1 = p + q + math.sqrt(q * (2.0 * p + q))
     alpha2 = (p * p) / alpha1
     return alpha1, alpha2
-
-
-def _label_from_moduli(moduli, tol: float) -> Stability:
-    if any(abs(m - 1.0) <= tol for m in moduli):
-        return Stability.NON_HYPERBOLIC
-    if all(m < 1.0 for m in moduli):
-        return Stability.ATTRACTING
-    if all(m > 1.0 for m in moduli):
-        return Stability.REPELLING
-    return Stability.SADDLE
 
 
 def _jury_test(matrix) -> tuple[Stability, tuple[float, float, float, float]]:
@@ -290,10 +293,9 @@ def classify_interior(params: Params) -> InteriorClassification:
             )
 
     analysis = JacobianAnalysis(
-        matrix=matrix, eigenvalues=eigenvalues, moduli=moduli, A=a_quantity, B=b_quantity,
-        Lambda1=lambda1, Lambda2=lambda2, alpha1=alpha1, alpha2=alpha2,
+        matrix, eigenvalues, moduli, a_quantity, b_quantity, lambda1, lambda2, alpha1, alpha2
     )
-    return InteriorClassification(stability=label, analysis=analysis, notes=tuple(notes))
+    return InteriorClassification(label, analysis, tuple(notes))
 
 
 def _verify_fixed_point(params: Params, location: State) -> None:
@@ -322,32 +324,23 @@ def find_fixed_points(params: Params) -> FixedPointReport:
     """
     params.require_analysis_valid()
     origin_eigenvalues = (1.0 - params.alpha, 1.0 - params.mu)
-    origin = FixedPoint(
-        location=State(0.0, 0.0),
-        kind=PointKind.ORIGIN,
-        stability=_label_from_moduli(
-            [abs(origin_eigenvalues[0]), abs(origin_eigenvalues[1])], UNIT_MODULUS_TOL
-        ),
-    )
-    _verify_fixed_point(params, origin.location)
+    # 0 < alpha, mu <= 1, so both eigenvalues are their own moduli and lie
+    # in [0, 1): the origin attracts unless one is within UNIT_MODULUS_TOL of 1
+    origin = _ORIGINS[
+        abs(origin_eigenvalues[0] - 1.0) <= UNIT_MODULUS_TOL or abs(origin_eigenvalues[1] - 1.0) <= UNIT_MODULUS_TOL
+    ]
+    _verify_fixed_point(params, _ORIGIN)
 
     fp = interior_fixed_point(params)
     if fp is None:
-        return FixedPointReport(
-            regime=Regime.ORIGIN_ONLY,
-            origin=origin,
-            interior=None,
-            analysis=None,
-            origin_eigenvalues=origin_eigenvalues,
-        )
+        return FixedPointReport(Regime.ORIGIN_ONLY, origin, None, None, origin_eigenvalues)
 
     _verify_fixed_point(params, fp)
-    interior_result = classify_interior(params)
-    interior = FixedPoint(location=fp, kind=PointKind.INTERIOR, stability=interior_result.stability)
+    interior = classify_interior(params)
     return FixedPointReport(
-        regime=Regime.TWO_FIXED_POINTS,
-        origin=origin,
-        interior=interior,
-        analysis=interior_result.analysis,
-        origin_eigenvalues=origin_eigenvalues,
+        Regime.TWO_FIXED_POINTS,
+        origin,
+        FixedPoint(fp, PointKind.INTERIOR, interior.stability),
+        interior.analysis,
+        origin_eigenvalues,
     )

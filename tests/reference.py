@@ -15,8 +15,15 @@ give the same reports on images that leave a region by more than that.
 label against ``numpy.linalg.eigvals`` of the Jacobian, kept verbatim so
 that tests can require the trace-determinant cross-check in
 :mod:`mosquito_allee.stability` to give the same labels, analyses and
-errors.  ``interior_fixed_point`` is the closed form as it was before
-it was memoized, and ``OriginalState`` the value object as it was when
+errors.  ``_label_from_moduli`` is the moduli rule it labels the
+eigenvalues with, which the package once also labelled the origin with.
+``find_fixed_points`` is the version that built its origin from that
+rule and every value object by keyword, kept verbatim (apart from
+calling the package's ``interior_fixed_point`` and
+``classify_interior`` by their module, as the package does) so that
+tests can require the package's to give the same reports and errors.
+``interior_fixed_point`` is the closed form as it was before it was
+memoized, and ``OriginalState`` the value object as it was when
 ``__post_init__`` validated and set each field after the generated
 ``__init__`` had set it (only the class name differs), kept verbatim so
 that tests can require the memoized closed form and the one-pass
@@ -41,6 +48,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 
+from mosquito_allee import stability
 from mosquito_allee.dynamics import (
     _ESCAPE_ULPS,
     DEFAULT_BUDGET,
@@ -61,11 +69,15 @@ from mosquito_allee.errors import ConfigurationError, DomainError, InternalConsi
 from mosquito_allee.model import Params, State, _w0_xy, derived_constants
 from mosquito_allee.stability import (
     UNIT_MODULUS_TOL,
+    FixedPoint,
+    FixedPointReport,
     InteriorClassification,
     JacobianAnalysis,
+    PointKind,
+    Regime,
     Stability,
-    _label_from_moduli,
     _require_interior,
+    _verify_fixed_point,
     alpha_thresholds,
     jacobian_at,
 )
@@ -524,6 +536,16 @@ def check_adult_bound(params: Params, samples: int, seed: int) -> AdultBoundRepo
     return AdultBoundReport(starts, horizon, y_limit, None)
 
 
+def _label_from_moduli(moduli, tol: float) -> Stability:
+    if any(abs(m - 1.0) <= tol for m in moduli):
+        return Stability.NON_HYPERBOLIC
+    if all(m < 1.0 for m in moduli):
+        return Stability.ATTRACTING
+    if all(m > 1.0 for m in moduli):
+        return Stability.REPELLING
+    return Stability.SADDLE
+
+
 def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> InteriorClassification:
     """Stability type of the interior fixed point, with full diagnostics.
 
@@ -609,3 +631,44 @@ def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> Interior
         alpha2=alpha2,
     )
     return InteriorClassification(stability=label, analysis=analysis, notes=tuple(notes))
+
+
+def find_fixed_points(params: Params) -> FixedPointReport:
+    """All fixed points of the restricted map, classified.
+
+    Returns the origin alone when ``beta <= mu*(1 + gamma*mu/alpha)``,
+    otherwise the origin plus the interior point with its Jacobian
+    analysis.  Every reported location is verified to satisfy the
+    fixed-point equation to within rounding.
+    """
+    params.require_analysis_valid()
+    origin_eigenvalues = (1.0 - params.alpha, 1.0 - params.mu)
+    origin = FixedPoint(
+        location=State(0.0, 0.0),
+        kind=PointKind.ORIGIN,
+        stability=_label_from_moduli(
+            [abs(origin_eigenvalues[0]), abs(origin_eigenvalues[1])], UNIT_MODULUS_TOL
+        ),
+    )
+    _verify_fixed_point(params, origin.location)
+
+    fp = stability.interior_fixed_point(params)
+    if fp is None:
+        return FixedPointReport(
+            regime=Regime.ORIGIN_ONLY,
+            origin=origin,
+            interior=None,
+            analysis=None,
+            origin_eigenvalues=origin_eigenvalues,
+        )
+
+    _verify_fixed_point(params, fp)
+    interior_result = stability.classify_interior(params)
+    interior = FixedPoint(location=fp, kind=PointKind.INTERIOR, stability=interior_result.stability)
+    return FixedPointReport(
+        regime=Regime.TWO_FIXED_POINTS,
+        origin=origin,
+        interior=interior,
+        analysis=interior_result.analysis,
+        origin_eigenvalues=origin_eigenvalues,
+    )

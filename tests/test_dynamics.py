@@ -9,13 +9,15 @@ import pickle
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import SHOWCASE, interior_params, origin_only_params, pumped_kernel, set_cutoffs
+import reference
+from helpers import SHOWCASE, analysis_params, interior_params, origin_only_params, pumped_kernel, set_cutoffs
 from mosquito_allee import dynamics, model
 from mosquito_allee import (
     ConfigurationError,
@@ -40,6 +42,14 @@ from mosquito_allee import (
 )
 
 ORIGIN_ONLY = Params(alpha=0.8, beta=0.7, gamma=2.0, mu=0.4)
+
+
+def _report_or_error(check, *args):
+    """``repr`` of the report, or the type and message of the error raised."""
+    try:
+        return repr(check(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 @pytest.fixture
@@ -111,7 +121,8 @@ class TestIterate:
         assert (t.terminated, t.n_steps) == (terminated, n_steps)
 
     def test_argument_validation(self):
-        with pytest.raises(ConfigurationError):
+        # the errors name iterate's own argument
+        with pytest.raises(ConfigurationError, match="^max_iter must be >= 1, got 0$"):
             iterate(SHOWCASE, State(1.0, 1.0), 0)
         with pytest.raises(ConfigurationError):
             iterate(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0), 10)
@@ -398,14 +409,67 @@ class TestCheckInvariance:
         assert check_invariance(SHOWCASE, region, samples=4, seed=0).escapes == escapes
 
     def test_argument_validation(self):
-        with pytest.raises(ConfigurationError):
-            check_invariance(SHOWCASE, Region.OUTSIDE, samples=10, seed=0)
+        for region in (Region.OUTSIDE, "omega3", None):
+            with pytest.raises(ConfigurationError, match="^invariance is defined for omega1/omega2, got "):
+                check_invariance(SHOWCASE, region, samples=10, seed=0)
         with pytest.raises(ConfigurationError):
             check_invariance(SHOWCASE, Region.OMEGA1, samples=0, seed=0)
         with pytest.raises(ConfigurationError):
             check_invariance(SHOWCASE, Region.OMEGA2, samples=10, seed=0, span=0.0)
         with pytest.raises(ConfigurationError):
             check_invariance(ORIGIN_ONLY, Region.OMEGA1, samples=10, seed=0)
+
+    @pytest.mark.parametrize("region", ["omega1", "omega2"])
+    def test_plain_string_region_runs_its_own_check(self, region, monkeypatch):
+        # every image lands at (1e6, 1e6): outside Omega1, inside Omega2
+        def far_kernel(alpha, beta, gamma, mu, x, y):
+            return np.full_like(x, 1e6), np.full_like(y, 1e6)
+
+        monkeypatch.setattr(dynamics, "_w0_xy", far_kernel)
+        report = check_invariance(SHOWCASE, region, samples=10, seed=0)
+        assert report.region is Region(region)
+        assert report.escapes == (10 if region == "omega1" else 0)
+        assert repr(report) == repr(check_invariance(SHOWCASE, Region(region), samples=10, seed=0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        params=analysis_params(),
+        omega1=st.booleans(),
+        span=st.none() | st.floats(1e-6, 1e6),
+        seed=st.integers(0, 3),
+    )
+    def test_bounded_windows_raise_no_floating_point_flag(self, params, omega1, span, seed):
+        # windows whose images cannot overflow never enter np.errstate, and
+        # raise no flag and no warning, under a caller's errstate that raises
+        region = Region.OMEGA1 if omega1 else Region.OMEGA2
+        expected = _report_or_error(reference.check_invariance_with_allowance, params, region, 64, seed, span)
+        assume(isinstance(expected, str))  # the set has an interior point, and a report
+
+        def no_errstate(**kwargs):
+            raise AssertionError("np.errstate was entered")
+
+        with np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(np, "errstate", no_errstate):
+                got = _report_or_error(check_invariance, params, region, 64, seed, span)
+        assert got == expected
+
+    @pytest.mark.parametrize("span, guarded", [(1.4e154, False), (1.5e154, True)])
+    def test_reports_agree_on_both_sides_of_the_overflow_bound(self, span, guarded, monkeypatch):
+        # beta*(y* + span)^2 overflows from a span of about 1.41e154, so the
+        # larger span runs under np.errstate, though these 8 draws stay finite
+        entered = []
+        errstate = np.errstate
+
+        def spy(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", spy)
+        report = check_invariance(SHOWCASE, Region.OMEGA2, 8, 0, span)
+        assert report.passed
+        assert bool(entered) is guarded
+        assert repr(report) == repr(reference.check_invariance_with_allowance(SHOWCASE, Region.OMEGA2, 8, 0, span))
 
     @pytest.mark.parametrize("region, bound", [(Region.OMEGA1, "high"), (Region.OMEGA2, "low")])
     def test_draw_at_the_fixed_point_stays_in_its_region(self, monkeypatch, region, bound):
@@ -618,7 +682,7 @@ def _grid(params=SHOWCASE, nx=40, ny=40, budget=1000, workers=1):
 # ended in lockstep, returned a grid, and one that reached the scalar loop
 # raised a TypeError, as the other calls did, from range, linspace or the RNG
 INTEGER_CALLS = [
-    pytest.param(lambda v: iterate(SHOWCASE, State(1.0, 1.0), v), "budget", 100, id="iterate-max_iter"),
+    pytest.param(lambda v: iterate(SHOWCASE, State(1.0, 1.0), v), "max_iter", 100, id="iterate-max_iter"),
     pytest.param(lambda v: classify_fate(SHOWCASE, State(1.0, 1.0), v), "budget", 100, id="classify_fate-budget"),
     pytest.param(lambda v: simulate(SHOWCASE, State(1.0, 1.0), v), "budget", 100, id="simulate-budget"),
     pytest.param(lambda v: _grid(budget=v), "budget", 1000, id="basin_scan-budget"),

@@ -19,6 +19,7 @@ from helpers import (
     origin_only_params,
     valid_params,
 )
+from reference import _label_from_moduli
 from mosquito_allee import (
     ConfigurationError,
     InternalConsistencyError,
@@ -36,7 +37,7 @@ from mosquito_allee import (
 )
 from mosquito_allee import stability
 from mosquito_allee.cli import report_to_json
-from mosquito_allee.stability import UNIT_MODULUS_TOL, _jury_test, _label_from_moduli
+from mosquito_allee.stability import UNIT_MODULUS_TOL, _jury_test
 
 
 def _fd_jacobian(p: Params, s: State, h: float = 1e-6) -> np.ndarray:
@@ -217,6 +218,54 @@ class TestClassifyInterior:
             classify_interior(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
 
 
+# the analysis benchmark's crash set, next to the existence threshold, and
+# the float64 corners the CLI tests run, each with an id
+FIXED_POINT_CORNERS = {
+    name: Params(alpha=a, beta=b, gamma=g, mu=m)
+    for name, (a, b, g, m) in {
+        "crash-set": (0.4060172786217775, 0.6523125203403398, 0.2383817077263435, 0.5034810722044961),
+        "mu-mu-underflows": (0.5, 0.9, 1.0, 1e-200),
+        "mu-mu-subnormal": (1.0, 1e-150, 4.4444691839e169, 1.5e-160),
+        "jacobian-underflow": (0.5, 0.9, 1e-170, 0.4),
+        "alpha1-zero": (0.5, 1.7e308, 1e-20, 1.0),
+        "jacobian-overflow": (0.5, 1e300, 1e300, 0.5),
+        "threshold-intermediate-origin-only": (1e-10, 1e300, 1e308, 1e-5),
+        "threshold-intermediate-interior": (1e-10, 1.5e308, 1e308, 1e-5),
+        "beta-y-y-underflows": (0.8, 0.9, 1e-300, 0.4),
+        "fixed-point-at-zero": (1.0, 1e300, 1e-300, 1.0),
+        "adult-bound-overflow": (1.0, 1e306, 1e10, 1e-3),
+        "orbit-overflow": (1.0, 1e300, 1e308, 1e-20),
+        "large-beta": (0.5, 1e6, 1.0, 0.5),
+        "origin-non-hyperbolic": (5e-10, 0.5, 1.0, 0.5),
+        "outside-the-regime": (1.5, 0.9, 2.0, 0.4),
+    }.items()
+}
+
+
+@st.composite
+def fixed_point_params(draw) -> Params:
+    """``analysis_params``, the corners, or alpha or mu next to ``UNIT_MODULUS_TOL``,
+    where the origin's label turns non-hyperbolic."""
+    kind = draw(st.sampled_from(["analysis", "corner", "origin-band"]))
+    if kind == "analysis":
+        return draw(analysis_params())
+    if kind == "corner":
+        return draw(st.sampled_from(list(FIXED_POINT_CORNERS.values())))
+    small = draw(st.floats(0.5 * UNIT_MODULUS_TOL, 2.0 * UNIT_MODULUS_TOL))
+    other, beta = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 10.0))
+    alpha, mu = (small, other) if draw(st.booleans()) else (other, small)
+    return Params(alpha=alpha, beta=beta, gamma=draw(st.floats(1e-3, 10.0)), mu=mu)
+
+
+def _report_and_json(call, params: Params):
+    """``repr`` and ``report_to_json`` of ``call(params)``, or the type and message of the error raised."""
+    try:
+        report = call(params)
+        return repr(report), report_to_json(report, params)
+    except Exception as exc:  # the reference must raise the same, whatever it is
+        return type(exc), str(exc)
+
+
 class TestFindFixedPoints:
     def test_showcase_report(self):
         report = find_fixed_points(SHOWCASE)
@@ -257,6 +306,14 @@ class TestFindFixedPoints:
     def test_requires_analysis_regime(self):
         with pytest.raises(ConfigurationError):
             find_fixed_points(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
+
+    @pytest.mark.parametrize("params", FIXED_POINT_CORNERS.values(), ids=FIXED_POINT_CORNERS.keys())
+    def test_corners_match_the_keyword_reference(self, params):
+        assert _report_and_json(find_fixed_points, params) == _report_and_json(reference.find_fixed_points, params)
+
+    @given(params=fixed_point_params())
+    def test_matches_the_keyword_reference_bit_for_bit(self, params):
+        assert _report_and_json(find_fixed_points, params) == _report_and_json(reference.find_fixed_points, params)
 
 
 def _outcome(call, *args):
