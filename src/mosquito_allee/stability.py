@@ -319,8 +319,10 @@ def find_fixed_points(params: Params) -> FixedPointReport:
 
     Returns the origin alone when ``beta <= mu*(1 + gamma*mu/alpha)``,
     otherwise the origin plus the interior point with its Jacobian
-    analysis.  Every reported location is verified to satisfy the
-    fixed-point equation to within rounding.
+    analysis.  The interior location is verified to satisfy the
+    fixed-point equation to within rounding.  The origin needs no check:
+    for every valid set its image is ``(0, 0)`` exactly, as
+    ``k = alpha*0/(1 + 0)`` and ``beta*0*0/(gamma + 0)`` are zero.
     """
     params.require_analysis_valid()
     origin_eigenvalues = (1.0 - params.alpha, 1.0 - params.mu)
@@ -329,7 +331,6 @@ def find_fixed_points(params: Params) -> FixedPointReport:
     origin = _ORIGINS[
         abs(origin_eigenvalues[0] - 1.0) <= UNIT_MODULUS_TOL or abs(origin_eigenvalues[1] - 1.0) <= UNIT_MODULUS_TOL
     ]
-    _verify_fixed_point(params, _ORIGIN)
 
     fp = interior_fixed_point(params)
     if fp is None:

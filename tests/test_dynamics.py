@@ -419,6 +419,14 @@ class TestCheckInvariance:
         with pytest.raises(ConfigurationError):
             check_invariance(ORIGIN_ONLY, Region.OMEGA1, samples=10, seed=0)
 
+    @pytest.mark.parametrize("span", [0.0, -1.0, math.inf, math.nan])
+    def test_span_is_checked_for_omega2_alone(self, span):
+        # Omega1 is sampled whole and never reads the span
+        expected = check_invariance(SHOWCASE, Region.OMEGA1, 1000, 5, span=None)
+        assert repr(check_invariance(SHOWCASE, Region.OMEGA1, 1000, 5, span=span)) == repr(expected)
+        with pytest.raises(ConfigurationError, match="^sampling span must be positive and finite, got "):
+            check_invariance(SHOWCASE, Region.OMEGA2, 1000, 5, span=span)
+
     @pytest.mark.parametrize("region", ["omega1", "omega2"])
     def test_plain_string_region_runs_its_own_check(self, region, monkeypatch):
         # every image lands at (1e6, 1e6): outside Omega1, inside Omega2

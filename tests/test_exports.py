@@ -47,6 +47,35 @@ def test_package_reexports_only_module_exports():
         assert getattr(mosquito_allee, name) is getattr(owner, name)
 
 
+CALL_TIME = {
+    "EXTINCTION_RADIUS": "dynamics",
+    "DIVERGENCE_X": "dynamics",
+    "Y_LIMIT_TOL": "dynamics",
+    "STEP_TOL": "dynamics",
+    "TRAJECTORY_WINDOW": "dynamics",
+    "MAX_GRID_CELLS": "dynamics",
+    "MAX_SAMPLES": "dynamics",
+    "UNIT_MODULUS_TOL": "stability",
+}
+
+
+@pytest.mark.parametrize("name", list(CALL_TIME))
+def test_setting_a_call_time_constant_on_the_package_is_refused(name, monkeypatch):
+    # the package's copy is read by nothing, so setting it would change nothing
+    owner = _module(CALL_TIME[name])
+    value = getattr(owner, name)
+    with pytest.raises(AttributeError, match=rf"set mosquito_allee\.{CALL_TIME[name]}\.{name} instead$"):
+        setattr(mosquito_allee, name, 2 * value)
+    assert getattr(mosquito_allee, name) == value  # still read from the package
+    monkeypatch.setattr(owner, name, 2 * value)  # and set on its module
+    assert getattr(owner, name) == 2 * value
+
+
+def test_other_package_attributes_can_still_be_set(monkeypatch):
+    monkeypatch.setattr(mosquito_allee, "DEFAULT_BUDGET", 5)
+    assert mosquito_allee.DEFAULT_BUDGET == 5
+
+
 def test_import_loads_neither_numpy_nor_the_cli():
     # a fresh interpreter, with any import of numpy made to fail
     probe = (

@@ -174,6 +174,23 @@ def test_fate_resumes_exactly_from_the_state_it_returns(case, long_budget, first
     assert repr(part) == repr(whole)
 
 
+@pytest.mark.parametrize("budget, block_end", [(50, 10**6), (10**6, 50)], ids=["at-budget", "at-block-end"])
+@pytest.mark.parametrize("s0", [State(0.2, 5.0), State(1.0, 1.0)], ids=["growth", "extinction"])
+def test_a_zero_length_fate_call_returns_its_state(s0, budget, block_end):
+    # a call with n == min(budget, block_end) takes no step: it returns its n
+    # and state, and fields only at the budget, where the fate ends
+    open_fate = dynamics._fate_context(SHOWCASE)
+    for context, start in (
+        (open_fate, dynamics._start(s0.x, s0.y, open_fate)[2]),
+        (dynamics._fate_context(None), dynamics._CLOSED_STATE._replace(x=s0.x, y=s0.y)),
+    ):
+        n, state = dynamics._fate_from(SHOWCASE, 10**6, context, 0, start, 50)[2:]
+        assert n == 50
+        fields, stalled, n1, state1 = dynamics._fate_from(SHOWCASE, budget, context, n, state, block_end)
+        assert (n1, repr(state1), stalled) == (n, repr(state), False)
+        assert (fields is None) == (budget > n)
+
+
 # beta so large that the interior fixed point lies inside the origin ball
 TINY_FIXED_POINT = Params(alpha=0.8, beta=1e12, gamma=0.1, mu=0.5)
 
@@ -468,6 +485,24 @@ SLOW_FIXED_POINT = Params(
             1000,
             {"extinction_radius": 0.5488705190896546},
             id="x-at-radius-y-inside",
+        ),
+        # x after step 1 is inside the radius while y is not, and step 2 raises x into the
+        # ball: on a certified orbit the rules hold the step after one that ends with
+        # x <= radius, since the one-test step tests the radius only on falling steps
+        pytest.param(
+            SHOWCASE,
+            (0.41048218146599424, 1.596022394108827),
+            1000,
+            {"extinction_radius": 1.107082907595516},
+            id="ball-on-rising-x",
+        ),
+        # a negative step_tol stalls nothing, as 0 does; x falls into the ball at step 30
+        pytest.param(
+            Params(alpha=0.1, beta=5.0, gamma=2.0, mu=0.4),
+            (1.0, 0.1),
+            1000,
+            {"extinction_radius": 0.5488705190896546, "step_tol": -1.0},
+            id="negative-step-tol",
         ),
         # gamma + y overflows, so x1 = inf/inf is nan; the start is in Omega2, (x*, y*) = (1, 0.5).
         # Only a first step can meet it: after one, y <= alpha + (1 - mu)*y0, about y0/2 here

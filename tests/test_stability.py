@@ -37,6 +37,7 @@ from mosquito_allee import (
 )
 from mosquito_allee import stability
 from mosquito_allee.cli import report_to_json
+from mosquito_allee.model import _w0_xy
 from mosquito_allee.stability import UNIT_MODULUS_TOL, _jury_test
 
 
@@ -264,6 +265,18 @@ def _report_and_json(call, params: Params):
         return repr(report), report_to_json(report, params)
     except Exception as exc:  # the reference must raise the same, whatever it is
         return type(exc), str(exc)
+
+
+@given(
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+    beta=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    gamma=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    mu=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_property_origin_is_a_fixed_point_exactly(alpha, beta, gamma, mu):
+    # why find_fixed_points verifies only the interior point: for every
+    # valid set the kernel maps the origin to +0.0 in both coordinates
+    assert repr(_w0_xy(alpha, beta, gamma, mu, 0.0, 0.0)) == repr((0.0, 0.0))
 
 
 class TestFindFixedPoints:
