@@ -41,7 +41,7 @@ falling step, as the rules hold the next step on them while ``x`` is
 within the radius, and the loop makes no int per step: a call counts
 its steps once, from what is left of its iterator.  On the showcase
 growth orbit a step costs about 137-141 ns (2-CPU Intel Xeon,
-CPython 3.11).  ``_orbit`` records nothing per step; the states a
+CPython 3.11.7, pinned to one CPU).  ``_orbit`` records nothing per step; the states a
 trajectory keeps are re-stepped on the kernel at the end
 (``_replay``).
 
