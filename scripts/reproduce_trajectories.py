@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import sys
 
-from mosquito_allee import Params, State, find_fixed_points, simulate
-from mosquito_allee.cli import report_to_json, trajectory_to_csv
+from mosquito_allee import ConfigurationError, DomainError, Params, State, find_fixed_points, simulate
+from mosquito_allee.cli import EXIT_CONFIG, report_to_json, trajectory_to_csv
 
 STARTS = {
     "high_adults_collapse": State(0.2, 4.0),
@@ -34,7 +35,12 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results", help="directory for CSV/JSON output")
     args = parser.parse_args()
 
-    params = Params(alpha=args.alpha, beta=args.beta, gamma=args.gamma, mu=args.mu)
+    try:
+        params = Params(alpha=args.alpha, beta=args.beta, gamma=args.gamma, mu=args.mu)
+    except (ConfigurationError, DomainError) as exc:
+        # before any output directory is made
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -281,7 +281,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         params = Params(alpha=args.alpha, beta=args.beta, gamma=args.gamma, mu=args.mu)
-        params.require_analysis_valid()
         return args.handler(params, args)
     except (ConfigurationError, DomainError, InternalConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

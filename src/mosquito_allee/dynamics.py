@@ -41,9 +41,9 @@ falling step, as the rules hold the next step on them while ``x`` is
 within the radius, and the loop makes no int per step: a call counts
 its steps once, from what is left of its iterator.  On the showcase
 growth orbit a step costs about 137-141 ns (2-CPU Intel Xeon,
-CPython 3.11.7, pinned to one CPU).  ``_orbit`` records nothing per step; the states a
-trajectory keeps are re-stepped on the kernel at the end
-(``_replay``).
+CPython 3.11.7, pinned to one CPU).  ``_orbit`` records nothing per
+step; the states a trajectory keeps are re-stepped on the kernel at
+the end (``_replay``).
 
 Each fate rule is written once, on floats and float64 arrays alike:
 the Omega1/Omega2 test in ``_regions``, the certificate a reached state
@@ -326,9 +326,8 @@ def _index(name: str, value) -> int:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _checked(params: Params, budget: int, name: str = "budget") -> int:
-    """The budget, as an int, once ``params`` and it are valid; errors call it ``name``."""
-    params.require_analysis_valid()
+def _checked(budget: int, name: str = "budget") -> int:
+    """The budget, as an int, once it is valid; errors call it ``name``."""
     budget = _index(name, budget)
     if budget < 1:
         raise ConfigurationError(f"{name} must be >= 1, got {budget}")
@@ -345,7 +344,7 @@ def iterate(params: Params, s0: State, max_iter: int) -> Trajectory:
     finite state.  The window is ``TRAJECTORY_WINDOW``; it and the
     cutoffs are read when called.
     """
-    return _orbit(params, s0, _checked(params, max_iter, "max_iter"), False)[0]
+    return _orbit(params, s0, _checked(max_iter, "max_iter"), False)[0]
 
 
 def _orbit(params: Params, s0: State, budget: int, fate: bool) -> tuple[Trajectory, tuple | None]:
@@ -662,7 +661,7 @@ def classify_fate(params: Params, s0: State, budget: int = DEFAULT_BUDGET) -> Tr
     outcome is the same here and in a scan, bit for bit.  No numpy is
     loaded.
     """
-    budget = _checked(params, budget)
+    budget = _checked(budget)
     context = _fate_context(params)
     done, ball, state = _start(s0.x, s0.y, context)
     fields = _fields(0, state, ball, False) if done else _fate_from(params, budget, context, 0, state)[0]
@@ -679,7 +678,7 @@ def simulate(params: Params, s0: State, budget: int) -> tuple[Trajectory, Trajec
     points, at most about ``3*TRAJECTORY_WINDOW`` steps.  No numpy is
     loaded.
     """
-    trajectory, fields = _orbit(params, s0, _checked(params, budget), True)
+    trajectory, fields = _orbit(params, s0, _checked(budget), True)
     return trajectory, _outcome(*fields)
 
 
@@ -1155,7 +1154,7 @@ def basin_scan(
     A grid holds at most ``MAX_GRID_CELLS`` cells.  The cutoffs are
     read when called, in the calling process, and sent to each worker.
     """
-    budget = _checked(params, budget)
+    budget = _checked(budget)
     nx, ny, workers = _index("nx", nx), _index("ny", ny), _index("workers", workers)
     if nx < 2 or ny < 2:
         raise ConfigurationError(f"grid resolution must be >= 2 per axis, got {nx}x{ny}")

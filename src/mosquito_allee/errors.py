@@ -24,9 +24,9 @@ class DomainError(MosquitoAlleeError, ValueError):
 class ConfigurationError(MosquitoAlleeError, ValueError):
     """A parameter set is invalid or unsupported for the requested routine.
 
-    Typical causes: nonpositive rates, a survival or transition fraction
-    above one where the restricted operator requires it in (0, 1], or a
-    query that needs an interior fixed point when none exists.
+    Typical causes: a ``Params`` rate outside its range (nonpositive, or
+    ``alpha`` or ``mu`` above one), or a query that needs an interior
+    fixed point when none exists.
     """
 
 

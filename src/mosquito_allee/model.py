@@ -1,27 +1,20 @@
-"""Parameter space, population states, and one-step evolution operators.
+"""Parameter space, population states, and the one-step evolution operator.
 
 The model tracks a wild mosquito population split into two compartments:
 larvae density ``x`` (all aquatic stages pooled) and adult density ``y``.
 One time step applies
 
-    x' = beta*y^2/(gamma+y) - alpha*x/(1+x) - (d0 + d1*x)*x + x
+    x' = beta*y^2/(gamma+y) - alpha*x/(1+x) + x
     y' = alpha*x/(1+x) - mu*y + y
 
 where ``beta*y/(gamma+y)`` is the adult birth rate with a mate-finding
 Allee effect (depressed at low adult density, saturating at ``beta``),
 ``alpha*x/(1+x)`` is the emergence flux of larvae into adults damped by
-intraspecific competition, ``mu`` is adult mortality, and ``d0``, ``d1``
-are density-independent and density-dependent larval death rates.
-
-Two operators are exposed:
-
-* :func:`step_general` -- the full map above.  With positive larval death
-  rates the image can leave the nonnegative quadrant; the raw result is
-  returned with a range flag instead of being clamped.
-* :func:`step_w0` -- the restricted map with ``d0 = d1 = 0``.  When
-  ``0 < alpha <= 1`` and ``0 < mu <= 1`` (the ``analysis_valid`` regime)
-  it maps the nonnegative quadrant into itself, which is the setting all
-  fixed-point and long-run analysis in this package relies on.
+intraspecific competition, and ``mu`` is adult mortality.  A
+:class:`Params` holds ``0 < alpha <= 1`` and ``0 < mu <= 1``, checked
+when it is built.  With those bounds :func:`step_w0` maps the
+nonnegative quadrant into itself: the setting all fixed-point and
+long-run analysis in this package relies on.
 
 All arithmetic is plain 64-bit floating point, and every public type is
 an immutable value object, so everything here is safe to share across
@@ -44,9 +37,7 @@ from .errors import ConfigurationError, DomainError
 __all__ = [
     "Params",
     "State",
-    "StepResult",
     "DerivedConstants",
-    "step_general",
     "step_w0",
     "derived_constants",
 ]
@@ -118,53 +109,30 @@ def _frozen(cls):
 
 @_frozen
 class Params:
-    """Model constants.
+    """Model constants, in the regime the paper analyses.
 
-    ``alpha``: larvae-to-adult emergence rate (per step).
-    ``beta``: saturated adult birth rate (per step).
-    ``gamma``: Allee constant (population units); larger values depress
-    the birth rate over a wider range of low adult densities.
-    ``mu``: adult death rate (per step).
-    ``d0``, ``d1``: larval death rates, density-independent and
-    density-dependent respectively.
+    ``alpha``: larvae-to-adult emergence rate (per step), ``0 < alpha <= 1``.
+    ``beta``: saturated adult birth rate (per step), ``beta > 0``.
+    ``gamma``: Allee constant (population units), ``gamma > 0``; larger
+    values depress the birth rate over a wider range of low adult densities.
+    ``mu``: adult death rate (per step), ``0 < mu <= 1``.
 
-    Construction accepts any positive rates and nonnegative death terms
-    so the general operator can be explored freely; routines that depend
-    on quadrant preservation additionally require :attr:`analysis_valid`.
+    A non-finite rate is a ``DomainError``, and a finite one outside its
+    range a ``ConfigurationError``; both name the field and its value.
     """
 
     alpha: float
     beta: float
     gamma: float
     mu: float
-    d0: float = 0.0
-    d1: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "mu", "d0", "d1"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        for name in ("alpha", "beta", "gamma", "mu"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("d0", "d1"):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-    @property
-    def analysis_valid(self) -> bool:
-        """True iff the restricted operator's quadrant-preserving regime holds.
-
-        Requires ``0 < alpha <= 1``, ``0 < mu <= 1`` and zero larval
-        death rates.
-        """
-        return self.alpha <= 1.0 and self.mu <= 1.0 and self.d0 == 0.0 and self.d1 == 0.0
-
-    def require_analysis_valid(self) -> None:
-        if not self.analysis_valid:
-            raise ConfigurationError(
-                "operation requires 0 < alpha <= 1, 0 < mu <= 1 and d0 = d1 = 0; "
-                f"got alpha={self.alpha}, mu={self.mu}, d0={self.d0}, d1={self.d1}"
-            )
+        for name, top in (("alpha", 1.0), ("beta", math.inf), ("gamma", math.inf), ("mu", 1.0)):
+            value = _require_finite(name, getattr(self, name))
+            if not 0.0 < value <= top:
+                bound = "> 0" if top == math.inf else "in (0, 1]"
+                raise ConfigurationError(f"{name} must be {bound}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @_frozen
@@ -192,25 +160,6 @@ class State:
         fields = self.__dict__
         fields["x"] = x
         fields["y"] = y
-
-
-@_frozen
-class StepResult:
-    """Raw image under the general operator, which may leave the quadrant.
-
-    ``in_quadrant`` is False when either coordinate went negative (only
-    possible with positive larval death rates or out-of-regime
-    parameters); the coordinates are returned unclamped either way.
-    """
-
-    x: float
-    y: float
-    in_quadrant: bool
-
-    def as_state(self) -> State:
-        if not self.in_quadrant:
-            raise DomainError(f"image ({self.x}, {self.y}) left the nonnegative quadrant")
-        return State(self.x, self.y)
 
 
 @_frozen
@@ -251,28 +200,9 @@ def _w0_xy(alpha: float, beta: float, gamma: float, mu: float, x, y):
 
 
 def step_w0(params: Params, s: State) -> State:
-    """One step of the restricted operator (no larval death terms).
-
-    Requires ``params.analysis_valid``; the image is then guaranteed to
-    stay in the nonnegative quadrant.
-    """
-    params.require_analysis_valid()
+    """One step of the map; the image stays in the nonnegative quadrant."""
     x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, s.x, s.y)
     return State(x1, y1)
-
-
-def step_general(params: Params, s: State) -> StepResult:
-    """One step of the full operator, including larval death terms.
-
-    No nonnegativity guarantee: with ``d0, d1 > 0`` or out-of-regime
-    parameters the image may leave the quadrant, in which case it is
-    returned as-is with ``in_quadrant=False`` rather than clamped.
-    With ``d0 = d1 = 0`` the result agrees bit-for-bit with
-    :func:`step_w0` (the death term subtracts an exact 0.0).
-    """
-    x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, s.x, s.y)
-    x1 = x1 - (params.d0 + params.d1 * s.x) * s.x
-    return StepResult(x1, y1, in_quadrant=(x1 >= 0.0 and y1 >= 0.0))
 
 
 def derived_constants(params: Params) -> DerivedConstants:
@@ -288,7 +218,6 @@ def derived_constants(params: Params) -> DerivedConstants:
     exactly instead and rounded once, so it reads inf only if the
     threshold itself exceeds ``sys.float_info.max``.
     """
-    params.require_analysis_valid()
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
     threshold_beta = mu * (1.0 + gamma * mu / alpha)
     if threshold_beta == math.inf:

@@ -137,7 +137,6 @@ def interior_fixed_point(params: Params) -> State | None:
     ``beta > derived_constants(params).threshold_beta``.  Memoized per
     ``Params`` (at most 64 sets); errors are not cached.
     """
-    params.require_analysis_valid()
     constants = derived_constants(params)
     if not params.beta > constants.threshold_beta:
         return None
@@ -186,7 +185,6 @@ def jacobian_at(params: Params, s: State) -> np.ndarray:
     """
     import numpy as np
 
-    params.require_analysis_valid()
     return np.array(_jacobian(params, s))
 
 
@@ -324,7 +322,6 @@ def find_fixed_points(params: Params) -> FixedPointReport:
     for every valid set its image is ``(0, 0)`` exactly, as
     ``k = alpha*0/(1 + 0)`` and ``beta*0*0/(gamma + 0)`` are zero.
     """
-    params.require_analysis_valid()
     origin_eigenvalues = (1.0 - params.alpha, 1.0 - params.mu)
     # 0 < alpha, mu <= 1, so both eigenvalues are their own moduli and lie
     # in [0, 1): the origin attracts unless one is within UNIT_MODULUS_TOL of 1

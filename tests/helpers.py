@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from mosquito_allee import Params, dynamics, model
@@ -116,5 +117,6 @@ def analysis_params(draw) -> Params:
         mu, gamma = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 10.0))
     beta = mu * draw(st.floats(1.01, 100.0))
     alpha1, alpha2 = alpha_thresholds(Params(alpha=1.0, beta=beta, gamma=gamma, mu=mu))
-    target = alpha1 if kind == "alpha1" else alpha2
-    return Params(alpha=target * (1.0 + draw(st.floats(-1e-8, 1e-8))), beta=beta, gamma=gamma, mu=mu)
+    alpha = (alpha1 if kind == "alpha1" else alpha2) * (1.0 + draw(st.floats(-1e-8, 1e-8)))
+    assume(alpha <= 1.0)  # a threshold above 1 has no Params next to it
+    return Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu)

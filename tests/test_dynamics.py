@@ -124,8 +124,6 @@ class TestIterate:
         # the errors name iterate's own argument
         with pytest.raises(ConfigurationError, match="^max_iter must be >= 1, got 0$"):
             iterate(SHOWCASE, State(1.0, 1.0), 0)
-        with pytest.raises(ConfigurationError):
-            iterate(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0), 10)
 
 
 class TestMembership:
@@ -250,8 +248,6 @@ class TestClassifyFate:
     def test_argument_validation(self):
         with pytest.raises(ConfigurationError):
             classify_fate(SHOWCASE, State(1.0, 1.0), budget=0)
-        with pytest.raises(ConfigurationError):
-            classify_fate(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0))
 
 
 class TestStallUnderTheorem1ii:
@@ -421,11 +417,15 @@ class TestCheckInvariance:
 
     @pytest.mark.parametrize("span", [0.0, -1.0, math.inf, math.nan])
     def test_span_is_checked_for_omega2_alone(self, span):
-        # Omega1 is sampled whole and never reads the span
+        # Omega1 is sampled whole and never reads the span, in the package and the oracle alike
         expected = check_invariance(SHOWCASE, Region.OMEGA1, 1000, 5, span=None)
         assert repr(check_invariance(SHOWCASE, Region.OMEGA1, 1000, 5, span=span)) == repr(expected)
         with pytest.raises(ConfigurationError, match="^sampling span must be positive and finite, got "):
             check_invariance(SHOWCASE, Region.OMEGA2, 1000, 5, span=span)
+        for region in (Region.OMEGA1, Region.OMEGA2):
+            args = (SHOWCASE, region, 1000, 5, span)
+            oracle = reference.check_invariance_with_allowance
+            assert _report_or_error(check_invariance, *args) == _report_or_error(oracle, *args)
 
     @pytest.mark.parametrize("region", ["omega1", "omega2"])
     def test_plain_string_region_runs_its_own_check(self, region, monkeypatch):

@@ -119,9 +119,8 @@ SOURCES = sorted((ROOT / "src" / "mosquito_allee").glob("*.py"))
 # where a public name's reader may live
 READERS = [*SOURCES, *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
 # names the source paper defines, kept for a library user though the
-# package itself does not read them: the general map with larval death
-# rates, its result, and the Jacobian at a state
-PAPER_DEFINED = {"step_general", "StepResult", "jacobian_at"}
+# package itself does not read them: the Jacobian at a state
+PAPER_DEFINED = {"jacobian_at"}
 
 
 def _tree(path: Path) -> ast.Module:

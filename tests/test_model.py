@@ -1,4 +1,4 @@
-"""Tests for parameter validation, states, and the one-step operators."""
+"""Tests for parameter validation, states, and the one-step operator."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from mosquito_allee import (
     Params,
     State,
     derived_constants,
-    step_general,
     step_w0,
 )
 from mosquito_allee.model import _w0_xy
@@ -30,12 +29,6 @@ class TestParams:
             with pytest.raises(ConfigurationError):
                 Params(**{**base, **override})
 
-    def test_rejects_negative_death_rates(self):
-        with pytest.raises(ConfigurationError):
-            Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4, d0=-0.1)
-        with pytest.raises(ConfigurationError):
-            Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4, d1=-1.0)
-
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             Params(alpha=float("nan"), beta=0.9, gamma=2.0, mu=0.4)
@@ -44,20 +37,23 @@ class TestParams:
 
     def test_coerces_to_float(self):
         p = Params(alpha=1, beta=2, gamma=3, mu=1)
-        assert isinstance(p.alpha, float) and isinstance(p.d0, float)
+        assert isinstance(p.alpha, float) and isinstance(p.mu, float)
 
-    def test_analysis_valid_flag(self):
-        assert SHOWCASE.analysis_valid
-        assert Params(alpha=1.0, beta=0.9, gamma=2.0, mu=1.0).analysis_valid
-        assert not Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4).analysis_valid
-        assert not Params(alpha=0.8, beta=0.9, gamma=2.0, mu=1.2).analysis_valid
-        assert not Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4, d0=0.1).analysis_valid
-        assert not Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4, d1=0.1).analysis_valid
-
-    def test_require_analysis_valid_raises(self):
-        with pytest.raises(ConfigurationError):
-            Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4).require_analysis_valid()
-        SHOWCASE.require_analysis_valid()
+    def test_analysis_regime_is_checked_at_construction(self):
+        # the one check of 0 < alpha, mu <= 1: no routine can be handed a set outside it
+        base = dict(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4)
+        edge = Params(**{**base, "alpha": 1.0, "mu": 1.0})
+        assert (edge.alpha, edge.mu) == (1.0, 1.0)
+        tiny = Params(alpha=5e-324, beta=5e-324, gamma=5e-324, mu=5e-324)
+        assert (tiny.alpha, tiny.beta, tiny.gamma, tiny.mu) == (5e-324,) * 4
+        above_one = math.nextafter(1.0, math.inf)
+        for name in ("alpha", "mu"):
+            with pytest.raises(ConfigurationError, match=rf"^{name} must be in \(0, 1\], got {above_one!r}$"):
+                Params(**{**base, name: above_one})
+        for name in ("d0", "d1"):
+            with pytest.raises(TypeError):
+                Params(**base, **{name: 0.0})
+        assert Params.__match_args__ == ("alpha", "beta", "gamma", "mu")
 
 
 class TestState:
@@ -135,12 +131,6 @@ class TestStepW0:
         image = step_w0(SHOWCASE, State(4.0, 1.6))
         assert image.x == 4.0 and image.y == 1.6
 
-    def test_requires_analysis_regime(self):
-        with pytest.raises(ConfigurationError):
-            step_w0(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            step_w0(Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4, d0=0.1), State(1.0, 1.0))
-
     def test_quadrant_preserved_in_regime(self):
         rng = np.random.default_rng(11)
         for _ in range(10_000):
@@ -148,37 +138,6 @@ class TestStepW0:
             s = State(float(rng.uniform(0.0, 1e4)), float(rng.uniform(0.0, 1e4)))
             image = step_w0(p, s)
             assert image.x >= 0.0 and image.y >= 0.0
-
-
-class TestStepGeneral:
-    def test_showcase_death_term_example(self):
-        p = Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4, d0=0.1)
-        result = step_general(p, State(4.0, 1.6))
-        assert result.x == 3.6 and result.y == 1.6
-        assert result.in_quadrant
-        assert result.as_state() == State(3.6, 1.6)
-
-    def test_can_leave_quadrant(self):
-        p = Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4, d0=5.0)
-        result = step_general(p, State(1.0, 0.0))
-        assert result.x == -4.4 and result.y == 0.4
-        assert not result.in_quadrant
-        with pytest.raises(DomainError):
-            result.as_state()
-
-    def test_matches_restricted_operator_without_death_terms(self):
-        rng = np.random.default_rng(12)
-        for _ in range(300):
-            p = valid_params(rng)
-            s = State(float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.0, 100.0)))
-            restricted = step_w0(p, s)
-            general = step_general(p, s)
-            assert general.x == restricted.x and general.y == restricted.y
-            assert general.in_quadrant
-
-    def test_works_outside_analysis_regime(self):
-        result = step_general(Params(alpha=2.0, beta=0.9, gamma=2.0, mu=0.4), State(0.5, 1.0))
-        assert np.isfinite(result.x) and np.isfinite(result.y)
 
 
 class TestDerivedConstants:
@@ -210,10 +169,6 @@ class TestDerivedConstants:
                     assert p.beta <= p.mu
                     continue
                 assert (p.beta > dc.threshold_beta) == (p.gamma < dc.allee_threshold_gamma)
-
-    def test_requires_analysis_regime(self):
-        with pytest.raises(ConfigurationError):
-            derived_constants(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
 
     @pytest.mark.parametrize("beta", [1e300, 1.5e308])
     def test_overflowing_intermediate_keeps_a_finite_threshold(self, beta):

@@ -228,8 +228,6 @@ def test_simulate_one_pass_matches_separate_calls(params, s0, budget):
 def test_simulate_argument_validation():
     with pytest.raises(ConfigurationError):
         simulate(SHOWCASE, State(1.0, 1.0), 0)
-    with pytest.raises(ConfigurationError):
-        simulate(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0), 10)
 
 
 def assert_simulate_matches_reference(monkeypatch, params, s0, budget, window):

@@ -8,24 +8,28 @@ import subprocess
 import sys
 from pathlib import Path
 
-from mosquito_allee.cli import EXIT_OK, main
+from mosquito_allee.cli import EXIT_CONFIG, EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "reproduce_trajectories.py"
 SHOWCASE_ARGS = ["--alpha", "0.8", "--beta", "0.9", "--gamma", "2", "--mu", "0.4"]
 
 
-def test_reproduce_trajectories_matches_cli(tmp_path):
-    budget = 2000
-    out_dir = tmp_path / "script"
+def _run_script(*args: str) -> subprocess.CompletedProcess:
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--budget", str(budget), "--out-dir", str(out_dir)],
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), *args],
         env=dict(os.environ, PYTHONPATH=pythonpath),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_reproduce_trajectories_matches_cli(tmp_path):
+    budget = 2000
+    out_dir = tmp_path / "script"
+    proc = _run_script("--budget", str(budget), "--out-dir", str(out_dir))
     assert proc.returncode == 0, proc.stderr
 
     starts = runpy.run_path(str(SCRIPT))["STARTS"]
@@ -41,3 +45,12 @@ def test_reproduce_trajectories_matches_cli(tmp_path):
     cli_out = tmp_path / "fixed_points.json"
     assert main(["fixed-points", *SHOWCASE_ARGS, "--out", str(cli_out)]) == EXIT_OK
     assert (out_dir / "fixed_points.json").read_bytes() == cli_out.read_bytes()
+
+
+def test_reproduce_trajectories_refuses_parameters_out_of_range(tmp_path):
+    out_dir = tmp_path / "script"
+    proc = _run_script("--alpha", "1.5", "--out-dir", str(out_dir))
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    assert proc.stderr == "error: alpha must be in (0, 1], got 1.5\n"
+    assert not out_dir.exists()

@@ -63,10 +63,6 @@ class TestInteriorFixedPoint:
         assert interior_fixed_point(Params(alpha=0.8, beta=0.8, gamma=2.0, mu=0.4)) is None
         assert interior_fixed_point(Params(alpha=1.0, beta=0.5, gamma=1.0, mu=1.0)) is None
 
-    def test_requires_analysis_regime(self):
-        with pytest.raises(ConfigurationError):
-            interior_fixed_point(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
-
     def test_location_satisfies_fixed_point_equation(self):
         rng = np.random.default_rng(21)
         for _ in range(500):
@@ -112,10 +108,6 @@ class TestJacobianAt:
             j = jacobian_at(p, s)
             fd = _fd_jacobian(p, s)
             assert np.linalg.norm(fd - j) / np.linalg.norm(j) <= 1e-6
-
-    def test_requires_analysis_regime(self):
-        with pytest.raises(ConfigurationError):
-            jacobian_at(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0))
 
 
 class TestAlphaThresholds:
@@ -214,10 +206,6 @@ class TestClassifyInterior:
         with pytest.raises(OverflowError, match=r"Jacobian entry beta\*y\*.* is nan"):
             classify_interior(params)
 
-    def test_requires_analysis_regime(self):
-        with pytest.raises(ConfigurationError):
-            classify_interior(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
-
 
 # the analysis benchmark's crash set, next to the existence threshold, and
 # the float64 corners the CLI tests run, each with an id
@@ -238,7 +226,6 @@ FIXED_POINT_CORNERS = {
         "orbit-overflow": (1.0, 1e300, 1e308, 1e-20),
         "large-beta": (0.5, 1e6, 1.0, 0.5),
         "origin-non-hyperbolic": (5e-10, 0.5, 1.0, 0.5),
-        "outside-the-regime": (1.5, 0.9, 2.0, 0.4),
     }.items()
 }
 
@@ -315,10 +302,6 @@ class TestFindFixedPoints:
             numeric = np.sort(np.linalg.eigvals(jacobian_at(p, State(0.0, 0.0))).real)
             closed = np.sort(report.origin_eigenvalues)
             assert np.max(np.abs(numeric - closed)) <= 1e-12
-
-    def test_requires_analysis_regime(self):
-        with pytest.raises(ConfigurationError):
-            find_fixed_points(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
 
     @pytest.mark.parametrize("params", FIXED_POINT_CORNERS.values(), ids=FIXED_POINT_CORNERS.keys())
     def test_corners_match_the_keyword_reference(self, params):
