@@ -29,6 +29,13 @@ class TestParams:
             with pytest.raises(ConfigurationError):
                 Params(**{**base, **override})
 
+    def test_rejects_negative_death_rates(self):
+        # the larval-death rates are no longer fields: d0 or d1 is refused whatever its sign
+        with pytest.raises(TypeError):
+            Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4, d0=-0.1)
+        with pytest.raises(TypeError):
+            Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4, d1=-1.0)
+
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             Params(alpha=float("nan"), beta=0.9, gamma=2.0, mu=0.4)
@@ -38,6 +45,21 @@ class TestParams:
     def test_coerces_to_float(self):
         p = Params(alpha=1, beta=2, gamma=3, mu=1)
         assert isinstance(p.alpha, float) and isinstance(p.mu, float)
+
+    def test_analysis_valid_flag(self):
+        # the regime is no flag: a Params exists only inside it
+        assert not hasattr(SHOWCASE, "analysis_valid")
+        Params(alpha=1.0, beta=0.9, gamma=2.0, mu=1.0)
+        with pytest.raises(ConfigurationError, match="^alpha must be in"):
+            Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4)
+        with pytest.raises(ConfigurationError, match="^mu must be in"):
+            Params(alpha=0.8, beta=0.9, gamma=2.0, mu=1.2)
+
+    def test_require_analysis_valid_raises(self):
+        # construction raises what require_analysis_valid() used to
+        assert not hasattr(Params, "require_analysis_valid")
+        with pytest.raises(ConfigurationError, match=r"^alpha must be in \(0, 1\], got 1\.5$"):
+            Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4)
 
     def test_analysis_regime_is_checked_at_construction(self):
         # the one check of 0 < alpha, mu <= 1: no routine can be handed a set outside it
@@ -131,6 +153,13 @@ class TestStepW0:
         image = step_w0(SHOWCASE, State(4.0, 1.6))
         assert image.x == 4.0 and image.y == 1.6
 
+    def test_requires_analysis_regime(self):
+        # the out-of-regime set is refused when its Params is built, before step_w0 runs
+        with pytest.raises(ConfigurationError):
+            step_w0(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0))
+        with pytest.raises(TypeError):
+            step_w0(Params(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4, d0=0.1), State(1.0, 1.0))
+
     def test_quadrant_preserved_in_regime(self):
         rng = np.random.default_rng(11)
         for _ in range(10_000):
@@ -169,6 +198,10 @@ class TestDerivedConstants:
                     assert p.beta <= p.mu
                     continue
                 assert (p.beta > dc.threshold_beta) == (p.gamma < dc.allee_threshold_gamma)
+
+    def test_requires_analysis_regime(self):
+        with pytest.raises(ConfigurationError):
+            derived_constants(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
 
     @pytest.mark.parametrize("beta", [1e300, 1.5e308])
     def test_overflowing_intermediate_keeps_a_finite_threshold(self, beta):

@@ -63,6 +63,10 @@ class TestInteriorFixedPoint:
         assert interior_fixed_point(Params(alpha=0.8, beta=0.8, gamma=2.0, mu=0.4)) is None
         assert interior_fixed_point(Params(alpha=1.0, beta=0.5, gamma=1.0, mu=1.0)) is None
 
+    def test_requires_analysis_regime(self):
+        with pytest.raises(ConfigurationError):
+            interior_fixed_point(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
+
     def test_location_satisfies_fixed_point_equation(self):
         rng = np.random.default_rng(21)
         for _ in range(500):
@@ -108,6 +112,11 @@ class TestJacobianAt:
             j = jacobian_at(p, s)
             fd = _fd_jacobian(p, s)
             assert np.linalg.norm(fd - j) / np.linalg.norm(j) <= 1e-6
+
+
+    def test_requires_analysis_regime(self):
+        with pytest.raises(ConfigurationError):
+            jacobian_at(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4), State(1.0, 1.0))
 
 
 class TestAlphaThresholds:
@@ -206,11 +215,15 @@ class TestClassifyInterior:
         with pytest.raises(OverflowError, match=r"Jacobian entry beta\*y\*.* is nan"):
             classify_interior(params)
 
+    def test_requires_analysis_regime(self):
+        with pytest.raises(ConfigurationError):
+            classify_interior(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
+
 
 # the analysis benchmark's crash set, next to the existence threshold, and
 # the float64 corners the CLI tests run, each with an id
-FIXED_POINT_CORNERS = {
-    name: Params(alpha=a, beta=b, gamma=g, mu=m)
+CORNER_RATES = {
+    name: dict(alpha=a, beta=b, gamma=g, mu=m)
     for name, (a, b, g, m) in {
         "crash-set": (0.4060172786217775, 0.6523125203403398, 0.2383817077263435, 0.5034810722044961),
         "mu-mu-underflows": (0.5, 0.9, 1.0, 1e-200),
@@ -226,8 +239,10 @@ FIXED_POINT_CORNERS = {
         "orbit-overflow": (1.0, 1e300, 1e308, 1e-20),
         "large-beta": (0.5, 1e6, 1.0, 0.5),
         "origin-non-hyperbolic": (5e-10, 0.5, 1.0, 0.5),
+        "outside-the-regime": (1.5, 0.9, 2.0, 0.4),
     }.items()
 }
+FIXED_POINT_CORNERS = {name: Params(**rates) for name, rates in CORNER_RATES.items() if rates["alpha"] <= 1.0}
 
 
 @st.composite
@@ -303,9 +318,19 @@ class TestFindFixedPoints:
             closed = np.sort(report.origin_eigenvalues)
             assert np.max(np.abs(numeric - closed)) <= 1e-12
 
-    @pytest.mark.parametrize("params", FIXED_POINT_CORNERS.values(), ids=FIXED_POINT_CORNERS.keys())
-    def test_corners_match_the_keyword_reference(self, params):
-        assert _report_and_json(find_fixed_points, params) == _report_and_json(reference.find_fixed_points, params)
+    def test_requires_analysis_regime(self):
+        with pytest.raises(ConfigurationError):
+            find_fixed_points(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
+
+    @pytest.mark.parametrize("rates", CORNER_RATES.values(), ids=CORNER_RATES.keys())
+    def test_corners_match_the_keyword_reference(self, rates):
+        # the set outside the regime fails alike for both, when its Params is built
+        def built(call):
+            return lambda rates: call(Params(**rates))
+
+        package = _report_and_json(built(find_fixed_points), rates)
+        assert package == _report_and_json(built(reference.find_fixed_points), rates)
+        assert (package[0] is ConfigurationError) == (rates["alpha"] > 1.0)
 
     @given(params=fixed_point_params())
     def test_matches_the_keyword_reference_bit_for_bit(self, params):
