@@ -14,7 +14,15 @@ import argparse
 import pathlib
 import sys
 
-from mosquito_allee import ConfigurationError, DomainError, Params, State, find_fixed_points, simulate
+from mosquito_allee import (
+    ConfigurationError,
+    DomainError,
+    InternalConsistencyError,
+    Params,
+    State,
+    find_fixed_points,
+    simulate,
+)
 from mosquito_allee.cli import EXIT_CONFIG, report_to_json, trajectory_to_csv
 
 STARTS = {
@@ -35,17 +43,22 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results", help="directory for CSV/JSON output")
     args = parser.parse_args()
 
+    # the parameters, the report and its JSON are settled before any
+    # output directory is made; their errors are usage errors, as in the CLI
     try:
         params = Params(alpha=args.alpha, beta=args.beta, gamma=args.gamma, mu=args.mu)
-    except (ConfigurationError, DomainError) as exc:
-        # before any output directory is made
+        report = find_fixed_points(params)
+        report_json = report_to_json(report, params)
+    except (ConfigurationError, DomainError, InternalConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"error: a quantity derived from these parameters is outside float64 range ({exc})", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    report = find_fixed_points(params)
-    (out_dir / "fixed_points.json").write_text(report_to_json(report, params), encoding="utf-8", newline="")
+    (out_dir / "fixed_points.json").write_text(report_json, encoding="utf-8", newline="")
     print(f"regime: {report.regime.value}")
     if report.interior is not None:
         loc = report.interior.location

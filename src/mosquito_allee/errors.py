@@ -33,12 +33,11 @@ class ConfigurationError(MosquitoAlleeError, ValueError):
 class InternalConsistencyError(MosquitoAlleeError, RuntimeError):
     """A result failed its internal verification.
 
-    Three checks raise it: the stability label against the
-    trace-determinant test, a fixed point against the map, and the
-    closed form's denominator ``alpha*(beta-mu) - gamma*mu^2`` against
-    the existence decision (it can round to ``<= 0`` within a few ulps
-    of the threshold).  Existence itself is decided once, so its two
-    equivalent forms are reported but never compared.  This signals a
-    bug or the limit of floating-point resolution, never a user
-    mistake; it should not be caught and ignored.
+    One check raises it: the closed form's denominator
+    ``alpha*(beta-mu) - gamma*mu^2`` against the existence decision (it
+    can round to ``<= 0`` within a few ulps of the threshold).
+    Existence itself is decided once, so its two equivalent forms are
+    reported but never compared.  This signals a bug or the limit of
+    floating-point resolution, never a user mistake; it should not be
+    caught and ignored.
     """

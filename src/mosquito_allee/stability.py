@@ -14,12 +14,14 @@ read off the Jacobian
 At the interior point the eigenvalues are ``1 - Lambda`` where Lambda
 solves ``Lambda^2 - (mu + A)*Lambda + A*(mu - B) = 0`` with
 ``A = alpha/(1 + x*)^2`` and ``B = beta*y*(2*gamma + y*)/(gamma + y*)^2``.
-The type is decided by comparing ``alpha`` against the roots
+The type is decided once, by comparing ``alpha`` against the roots
 ``alpha_1 >= alpha_2`` of the quadratic whose coefficients come from the
-same discriminant condition.  It is cross-checked by the trace-determinant
-(Jury) test on the Jacobian's entries, in float arithmetic and without
-numpy; a disagreement away from the tolerance bands raises an
-:class:`~mosquito_allee.errors.InternalConsistencyError`.
+same discriminant condition.  That comparison is the Jury test on the
+Jacobian: at the interior point ``det(I - J) < 0``, and ``det(I + J)``
+has the sign of ``alpha_1 - alpha``, so the point is a saddle below
+``alpha_1`` and repelling above it.  ``tests/test_closed_forms.py``
+proves both identities with sympy and checks the label against the
+Jury test in exact arithmetic; nothing re-derives it at run time.
 
 :func:`find_fixed_points` builds only what its report holds: the
 origin's label takes two comparisons, since both of its moduli lie in
@@ -43,7 +45,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InternalConsistencyError
-from .model import Params, State, _frozen, _w0_xy, derived_constants
+from .model import Params, State, _frozen, derived_constants
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,9 +59,6 @@ __all__ = [
 
 # |modulus - 1| and |alpha - alpha_i| below this count as non-hyperbolic
 UNIT_MODULUS_TOL = 1e-9
-
-# residual bound for verifying a computed fixed point actually is one
-_RESIDUAL_TOL = 1e-12
 
 
 class Stability(str, enum.Enum):
@@ -208,34 +207,14 @@ def alpha_thresholds(params: Params) -> tuple[float, float] | None:
     return alpha1, alpha2
 
 
-def _jury_test(matrix) -> tuple[Stability, tuple[float, float, float, float]]:
-    """Jury test on a real 2x2 matrix ``J``, ``p(l) = l^2 - tr*l + det``.
-
-    A saddle when ``p(1)*p(-1) < 0``, else attracting when ``|det| < 1``,
-    else repelling.  ``p(1) = 1 - tr + det`` and ``p(-1) = 1 + tr + det``
-    are evaluated as ``det(I - J)`` and ``det(I + J)``, free of cancellation
-    against 1.  Returns the label and ``(tr, det, p(1), p(-1))``.
-    """
-    (m00, m01), (m10, m11) = matrix
-    off = m01 * m10
-    p_plus, p_minus = (1.0 - m00) * (1.0 - m11) - off, (1.0 + m00) * (1.0 + m11) - off
-    det = m00 * m11 - off
-    if p_plus < 0.0 < p_minus or p_minus < 0.0 < p_plus:
-        label = Stability.SADDLE
-    else:
-        label = Stability.ATTRACTING if abs(det) < 1.0 else Stability.REPELLING
-    return label, (m00 + m11, det, p_plus, p_minus)
-
-
 def classify_interior(params: Params) -> InteriorClassification:
     """Stability type of the interior fixed point, with full diagnostics.
 
     The label is decided by comparing ``alpha`` with the thresholds
-    ``alpha1``/``alpha2`` and cross-checked by the trace-determinant test
-    on the Jacobian.  ``alpha`` within ``UNIT_MODULUS_TOL`` of a
-    threshold is labelled non-hyperbolic; a disagreement farther than
-    ten times that from both thresholds and from unit modulus raises an
-    internal consistency error.
+    ``alpha1``/``alpha2``: saddle below ``alpha1``, repelling above it,
+    which is what the Jury test on the Jacobian gives (see the module
+    docstring).  ``alpha`` within ``UNIT_MODULUS_TOL`` of a threshold is
+    labelled non-hyperbolic.
     """
     fp = _require_interior(params)
     alpha, mu = params.alpha, params.mu
@@ -270,24 +249,7 @@ def classify_interior(params: Params) -> InteriorClassification:
         if alpha1 > 1.0:
             notes.append(
                 "alpha1 exceeds 1, outside the analysis regime for alpha; "
-                "saddle label confirmed by the trace-determinant test"
-            )
-
-    jury_label, (tr, det, p_plus, p_minus) = _jury_test(matrix)
-    if jury_label is not label:
-        band = 10.0 * UNIT_MODULUS_TOL
-        near_threshold = min(abs(alpha - alpha1), abs(alpha - alpha2)) <= band
-        if near_threshold or any(abs(m - 1.0) <= band for m in moduli):
-            notes.append(
-                f"threshold label {label.value} vs trace-determinant label {jury_label.value} "
-                "inside the tolerance band; threshold label kept"
-            )
-        else:
-            raise InternalConsistencyError(
-                f"stability disagreement at {params}: thresholds give {label.value} "
-                f"(alpha1={alpha1!r}, alpha2={alpha2!r}) but the trace-determinant test "
-                f"(tr={tr!r}, det={det!r}, p(1)={p_plus!r}, p(-1)={p_minus!r}) "
-                f"gives {jury_label.value}"
+                "every alpha in the regime lies below it, so the point is a saddle"
             )
 
     analysis = JacobianAnalysis(
@@ -296,31 +258,17 @@ def classify_interior(params: Params) -> InteriorClassification:
     return InteriorClassification(label, analysis, tuple(notes))
 
 
-def _verify_fixed_point(params: Params, location: State) -> None:
-    # the kernel's image of a state is finite and nonnegative, so it is
-    # compared as floats, without a State of its own
-    x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, location.x, location.y)
-    residual = max(abs(x1 - location.x), abs(y1 - location.y))
-    scale = max(1.0, abs(location.x), abs(location.y))
-    # 1e-12 absolute, relaxed only when the point itself is so large that
-    # double rounding of its coordinates exceeds that (x* blows up as beta
-    # approaches the existence threshold)
-    allowed = max(_RESIDUAL_TOL, 16.0 * math.ulp(scale))
-    if not residual <= allowed:
-        raise InternalConsistencyError(
-            f"fixed-point residual {residual} exceeds {allowed} at {location}"
-        )
-
-
 def find_fixed_points(params: Params) -> FixedPointReport:
     """All fixed points of the restricted map, classified.
 
     Returns the origin alone when ``beta <= mu*(1 + gamma*mu/alpha)``,
     otherwise the origin plus the interior point with its Jacobian
-    analysis.  The interior location is verified to satisfy the
-    fixed-point equation to within rounding.  The origin needs no check:
-    for every valid set its image is ``(0, 0)`` exactly, as
-    ``k = alpha*0/(1 + 0)`` and ``beta*0*0/(gamma + 0)`` are zero.
+    analysis.  Neither location is stepped through the map here.  The
+    origin's image is ``(0, 0)`` exactly for every valid set, as
+    ``k = alpha*0/(1 + 0)`` and ``beta*0*0/(gamma + 0)`` are zero.  The
+    interior point is fixed by its closed form, which the tests prove
+    with sympy; they also bound how far the map moves its float
+    coordinates.
     """
     origin_eigenvalues = (1.0 - params.alpha, 1.0 - params.mu)
     # 0 < alpha, mu <= 1, so both eigenvalues are their own moduli and lie
@@ -333,7 +281,6 @@ def find_fixed_points(params: Params) -> FixedPointReport:
     if fp is None:
         return FixedPointReport(Regime.ORIGIN_ONLY, origin, None, None, origin_eigenvalues)
 
-    _verify_fixed_point(params, fp)
     interior = classify_interior(params)
     return FixedPointReport(
         Regime.TWO_FIXED_POINTS,

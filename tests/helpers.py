@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from mosquito_allee import Params, dynamics, model
-from mosquito_allee.stability import alpha_thresholds
+from mosquito_allee import Params, Stability, dynamics, model
+from mosquito_allee.stability import alpha_thresholds, classify_interior
 
 # used throughout the docs and regression fixtures: interior fixed point
 # (4, 1.6), existence threshold 0.8, adult growth limit 2
@@ -120,3 +121,53 @@ def analysis_params(draw) -> Params:
     alpha = (alpha1 if kind == "alpha1" else alpha2) * (1.0 + draw(st.floats(-1e-8, 1e-8)))
     assume(alpha <= 1.0)  # a threshold above 1 has no Params next to it
     return Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu)
+
+
+def jury_test(matrix) -> tuple[Stability, tuple]:
+    """Jury test on a real 2x2 matrix ``J``, ``p(l) = l^2 - tr*l + det``.
+
+    A saddle when ``p(1)*p(-1) < 0``, else attracting when ``|det| < 1``,
+    else repelling.  ``p(1) = 1 - tr + det`` and ``p(-1) = 1 + tr + det``
+    are evaluated as ``det(I - J)`` and ``det(I + J)``, free of
+    cancellation against 1.  The entries may be floats, or ``Fraction``s
+    for an exact label.  Returns the label and ``(tr, det, p(1), p(-1))``.
+    """
+    (m00, m01), (m10, m11) = matrix
+    off = m01 * m10
+    p_plus, p_minus = (1 - m00) * (1 - m11) - off, (1 + m00) * (1 + m11) - off
+    det = m00 * m11 - off
+    if p_plus < 0 < p_minus or p_minus < 0 < p_plus:
+        label = Stability.SADDLE
+    else:
+        label = Stability.ATTRACTING if abs(det) < 1 else Stability.REPELLING
+    return label, (m00 + m11, det, p_plus, p_minus)
+
+
+def exact_interior_jacobian(params: Params):
+    """The Jacobian ``((1 - a, b), (a, 1 - mu))`` at the exact interior
+    fixed point of the float rates, in ``Fraction``s; None where that
+    point does not exist (``alpha*(beta-mu) - gamma*mu^2 <= 0`` exactly).
+    """
+    alpha, beta, gamma, mu = map(Fraction, (params.alpha, params.beta, params.gamma, params.mu))
+    denom = alpha * (beta - mu) - gamma * mu * mu
+    if denom <= 0:
+        return None
+    x, y = gamma * mu * mu / denom, gamma * mu / (beta - mu)
+    a = alpha / ((1 + x) * (1 + x))
+    b = beta * y * (2 * gamma + y) / ((gamma + y) * (gamma + y))
+    return (1 - a, b), (a, 1 - mu)
+
+
+def assert_threshold_label_is_exact(params: Params) -> None:
+    """``classify_interior``'s label is the Jury label of the exact Jacobian.
+
+    The failure names the exact trace-determinant terms, rounded for
+    reading.
+    """
+    label = classify_interior(params).stability
+    exact, terms = jury_test(exact_interior_jacobian(params))
+    tr, det, p_plus, p_minus = map(float, terms)
+    assert label is exact, (
+        f"threshold label {label.value} at {params}, but the exact trace-determinant test "
+        f"(tr={tr!r}, det={det!r}, p(1)={p_plus!r}, p(-1)={p_minus!r}) gives {exact.value}"
+    )

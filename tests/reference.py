@@ -13,12 +13,14 @@ package's, which allows a few dozen ulps of rounding past a bound, to
 give the same reports on images that leave a region by more than that.
 ``classify_interior`` is the version that cross-checked its threshold
 label against ``numpy.linalg.eigvals`` of the Jacobian, kept verbatim so
-that tests can require the trace-determinant cross-check in
-:mod:`mosquito_allee.stability` to give the same labels, analyses and
-errors.  ``_label_from_moduli`` is the moduli rule it labels the
-eigenvalues with, which the package once also labelled the origin with.
+that tests can require the threshold label in
+:mod:`mosquito_allee.stability`, which no longer re-checks itself, to
+give the same labels and analyses wherever the cross-check passed.
+``_label_from_moduli`` is the moduli rule it labels the eigenvalues
+with, which the package once also labelled the origin with.
 ``find_fixed_points`` is the version that built its origin from that
-rule and every value object by keyword, kept verbatim (apart from
+rule and every value object by keyword, and stepped each location
+through the map with ``_verify_fixed_point``, kept verbatim (apart from
 calling the package's ``interior_fixed_point`` and
 ``classify_interior`` by their module, as the package does) so that
 tests can require the package's to give the same reports and errors.
@@ -80,7 +82,6 @@ from mosquito_allee.stability import (
     Regime,
     Stability,
     _require_interior,
-    _verify_fixed_point,
     alpha_thresholds,
     jacobian_at,
 )
@@ -633,6 +634,26 @@ def classify_interior(params: Params, tol: float = UNIT_MODULUS_TOL) -> Interior
         alpha2=alpha2,
     )
     return InteriorClassification(stability=label, analysis=analysis, notes=tuple(notes))
+
+
+# residual bound for verifying a computed fixed point actually is one
+_RESIDUAL_TOL = 1e-12
+
+
+def _verify_fixed_point(params: Params, location: State) -> None:
+    # the kernel's image of a state is finite and nonnegative, so it is
+    # compared as floats, without a State of its own
+    x1, y1 = _w0_xy(params.alpha, params.beta, params.gamma, params.mu, location.x, location.y)
+    residual = max(abs(x1 - location.x), abs(y1 - location.y))
+    scale = max(1.0, abs(location.x), abs(location.y))
+    # 1e-12 absolute, relaxed only when the point itself is so large that
+    # double rounding of its coordinates exceeds that (x* blows up as beta
+    # approaches the existence threshold)
+    allowed = max(_RESIDUAL_TOL, 16.0 * math.ulp(scale))
+    if not residual <= allowed:
+        raise InternalConsistencyError(
+            f"fixed-point residual {residual} exceeds {allowed} at {location}"
+        )
 
 
 def find_fixed_points(params: Params) -> FixedPointReport:

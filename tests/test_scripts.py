@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mosquito_allee.cli import EXIT_CONFIG, EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,3 +56,30 @@ def test_reproduce_trajectories_refuses_parameters_out_of_range(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == "error: alpha must be in (0, 1], got 1.5\n"
     assert not out_dir.exists()
+
+
+# the existence threshold's denominator rounds to 0, and mu*mu underflows
+REPORT_ERRORS = {
+    "crash-set": (
+        ["--alpha", "0.4060172786217775", "--beta", "0.6523125203403398"]
+        + ["--gamma", "0.2383817077263435", "--mu", "0.5034810722044961"],
+        "error: existence threshold passed but alpha*(beta-mu) - gamma*mu^2 = 0.0 <= 0\n",
+    ),
+    "mu-mu-underflows": (
+        ["--alpha", "0.8", "--beta", "0.9", "--gamma", "2", "--mu", "1e-200"],
+        "error: a quantity derived from these parameters is outside float64 range (float division by zero)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, stderr", REPORT_ERRORS.values(), ids=REPORT_ERRORS.keys())
+def test_reproduce_trajectories_reports_a_failed_report_as_a_usage_error(tmp_path, capsys, args, stderr):
+    out_dir = tmp_path / "script"
+    proc = _run_script(*args, "--out-dir", str(out_dir))
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    assert proc.stderr == stderr
+    assert not out_dir.exists()
+    # the CLI's fixed-points reports the same line
+    assert main(["fixed-points", *args]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", stderr)

@@ -14,8 +14,10 @@ from helpers import (
     REPELLING,
     SHOWCASE,
     analysis_params,
+    assert_threshold_label_is_exact,
     identity_params,
     interior_params,
+    jury_test,
     origin_only_params,
     valid_params,
 )
@@ -38,7 +40,7 @@ from mosquito_allee import (
 from mosquito_allee import stability
 from mosquito_allee.cli import report_to_json
 from mosquito_allee.model import _w0_xy
-from mosquito_allee.stability import UNIT_MODULUS_TOL, _jury_test
+from mosquito_allee.stability import UNIT_MODULUS_TOL
 
 
 def _fd_jacobian(p: Params, s: State, h: float = 1e-6) -> np.ndarray:
@@ -269,6 +271,12 @@ def _report_and_json(call, params: Params):
         return type(exc), str(exc)
 
 
+def _dropped_recheck(error_type, message: str) -> bool:
+    """Whether an oracle's error came from a re-check the package no longer
+    runs: any ``InternalConsistencyError`` but the denominator check's."""
+    return error_type is InternalConsistencyError and not message.startswith("existence threshold passed")
+
+
 @given(
     alpha=st.floats(0.0, 1.0, exclude_min=True),
     beta=st.floats(0.0, exclude_min=True, allow_infinity=False),
@@ -276,8 +284,8 @@ def _report_and_json(call, params: Params):
     mu=st.floats(0.0, 1.0, exclude_min=True),
 )
 def test_property_origin_is_a_fixed_point_exactly(alpha, beta, gamma, mu):
-    # why find_fixed_points verifies only the interior point: for every
-    # valid set the kernel maps the origin to +0.0 in both coordinates
+    # why find_fixed_points needs no check of the origin: for every valid
+    # set the kernel maps it to +0.0 in both coordinates
     assert repr(_w0_xy(alpha, beta, gamma, mu, 0.0, 0.0)) == repr((0.0, 0.0))
 
 
@@ -334,35 +342,51 @@ class TestFindFixedPoints:
 
     @given(params=fixed_point_params())
     def test_matches_the_keyword_reference_bit_for_bit(self, params):
-        assert _report_and_json(find_fixed_points, params) == _report_and_json(reference.find_fixed_points, params)
+        package = _report_and_json(find_fixed_points, params)
+        oracle = _report_and_json(reference.find_fixed_points, params)
+        if _dropped_recheck(*oracle):
+            assert isinstance(package[0], str), package  # a report
+        else:
+            assert package == oracle
 
 
 def _outcome(call, *args):
-    """``call(*args)``, or the type of the exception it raises."""
+    """``call(*args)``, or the exception it raises."""
     try:
         return call(*args)
     except Exception as exc:  # the oracle must raise the same type, whatever it is
-        return type(exc)
+        return exc
 
 
 def _fixed_points_json(params: Params):
     return _outcome(lambda: report_to_json(find_fixed_points(params), params))
 
 
+def _agrees_with_the_oracle(new, old) -> bool:
+    """Equal results or errors of the same type; any result where the
+    oracle's error came from a re-check the package no longer runs."""
+    if isinstance(old, Exception):
+        if _dropped_recheck(type(old), str(old)):
+            return not isinstance(new, Exception)
+        return type(new) is type(old)
+    return new == old
+
+
 class TestTraceDeterminantCrossCheck:
-    """The trace-determinant cross-check against the ``eigvals`` one it replaced."""
+    """The threshold label against the trace-determinant (Jury) test, run
+    in the tests: in floats next to the ``eigvals`` oracle, and exactly in
+    ``Fraction``s (``tests/test_closed_forms.py``)."""
 
     @given(params=analysis_params())
     def test_matches_the_eigvals_reference(self, params):
         new = _outcome(classify_interior, params)
         old = _outcome(reference.classify_interior, params)
-        if isinstance(old, type):
-            assert new is old
-        else:
-            assert (new.stability, new.analysis) == (old.stability, old.analysis)
+        if not isinstance(old, Exception):
+            new, old = (new.stability, new.analysis), (old.stability, old.analysis)
+        assert _agrees_with_the_oracle(new, old)
         with mock.patch.object(stability, "classify_interior", reference.classify_interior):
             old_json = _fixed_points_json(params)
-        assert _fixed_points_json(params) == old_json
+        assert _agrees_with_the_oracle(_fixed_points_json(params), old_json)
 
     @given(params=analysis_params(), at_fixed_point=st.booleans(), x=st.floats(0.0, 50.0), y=st.floats(0.0, 50.0))
     def test_agrees_with_eigvals_outside_the_band(self, params, at_fixed_point, x, y):
@@ -371,24 +395,27 @@ class TestTraceDeterminantCrossCheck:
         jac = jacobian_at(params, fp if isinstance(fp, State) else State(x, y))
         moduli = np.abs(np.linalg.eigvals(jac)).tolist()
         assume(all(abs(m - 1.0) > 10.0 * UNIT_MODULUS_TOL for m in moduli))
-        assert _jury_test(jac.tolist())[0] is _label_from_moduli(moduli, UNIT_MODULUS_TOL)
+        assert jury_test(jac.tolist())[0] is _label_from_moduli(moduli, UNIT_MODULUS_TOL)
 
     def test_labels_each_kind(self):
-        assert _jury_test(((0.5, 0.0), (0.0, -0.3)))[0] is Stability.ATTRACTING
-        assert _jury_test(((0.5, 0.0), (0.0, 1.5)))[0] is Stability.SADDLE
-        assert _jury_test(((0.5, 0.0), (0.0, -1.5)))[0] is Stability.SADDLE
-        assert _jury_test(((2.0, 0.0), (0.0, 3.0)))[0] is Stability.REPELLING
-        assert _jury_test(((-2.0, 0.0), (0.0, 3.0)))[0] is Stability.REPELLING
+        assert jury_test(((0.5, 0.0), (0.0, -0.3)))[0] is Stability.ATTRACTING
+        assert jury_test(((0.5, 0.0), (0.0, 1.5)))[0] is Stability.SADDLE
+        assert jury_test(((0.5, 0.0), (0.0, -1.5)))[0] is Stability.SADDLE
+        assert jury_test(((2.0, 0.0), (0.0, 3.0)))[0] is Stability.REPELLING
+        assert jury_test(((-2.0, 0.0), (0.0, 3.0)))[0] is Stability.REPELLING
 
     def test_disagreement_names_the_trace_determinant_terms(self):
-        # a threshold label that the Jacobian contradicts, away from every band
+        # a threshold label that the Jacobian contradicts, away from every band,
+        # fails the exact check that test_closed_forms.py runs on hypothesis draws
+        assert_threshold_label_is_exact(SHOWCASE)
         with mock.patch.object(stability, "alpha_thresholds", return_value=(0.5, 0.1)):
-            with pytest.raises(InternalConsistencyError, match=r"tr=.*det=.*p\(1\)=.*p\(-1\)="):
-                classify_interior(SHOWCASE)
+            with pytest.raises(AssertionError, match=r"tr=.*det=.*p\(1\)=.*p\(-1\)=.*gives saddle"):
+                assert_threshold_label_is_exact(SHOWCASE)
 
     def test_disagreement_inside_the_band_is_a_note(self):
-        # alpha just above a patched alpha1 reads repelling; the Jacobian says saddle
+        # alpha just above a patched alpha1 reads repelling, though the Jacobian
+        # says saddle: the threshold label stands, and nothing adds a note
         with mock.patch.object(stability, "alpha_thresholds", return_value=(SHOWCASE.alpha - 5e-9, 0.1)):
             result = classify_interior(SHOWCASE)
         assert result.stability is Stability.REPELLING
-        assert any("trace-determinant label saddle" in note for note in result.notes)
+        assert result.notes == ()
