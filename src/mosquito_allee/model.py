@@ -188,11 +188,16 @@ def _w0_xy(alpha: float, beta: float, gamma: float, mu: float, x, y):
     ``alpha <= 1`` even after rounding, each partial result is
     nonnegative and the float image cannot dip below zero.
 
-    ``dynamics._fate_from``, the one scalar stepping loop, carries an
-    inlined copy of these three lines, in the same operation order,
-    because the call and its tuple were about a third of a scalar step.
-    ``test_property_inlined_steps_match_the_kernel`` in
-    ``tests/test_dynamics.py`` pins that copy to this kernel, bit for bit.
+    The scalar stepping loop carries inlined copies of these three
+    lines, in the same operation order, because the call and its tuple
+    were about a third of a scalar step: one in ``dynamics._fate_from``,
+    and two in its helper ``dynamics._rising_pairs``, which takes a
+    rising orbit's steps two a pass.  All three are pinned to this kernel,
+    bit for bit, by ``test_property_inlined_steps_match_the_kernel`` in
+    ``tests/test_dynamics.py``, whose five steps reach both of the
+    helper's copies, and by
+    ``test_rising_pair_runs_match_the_one_step_reference`` in
+    ``tests/test_reference.py``, on orbits up to 1e5 steps long.
     """
     k = alpha * x / (1.0 + x)
     g = beta * y * y / (gamma + y)

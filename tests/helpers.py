@@ -97,11 +97,14 @@ def nudged(value: float, ulps: int) -> float:
 @st.composite
 def analysis_params(draw) -> Params:
     """Both regimes; beta within 8 ulps of the existence threshold; alpha
-    within a relative 1e-8 of alpha1 or alpha2.
+    within a relative 1e-8 of alpha1 or alpha2, or a relative 1e-6 to
+    1e-2 to either side of alpha1.
 
     alpha2 lies below ``gamma*mu^2/(beta - mu)``, so next to it there is
     no interior point.  alpha1 stays at most 1 only for mu above 2/3, so
-    its sets draw mu from [0.7, 1] and a small gamma.
+    its sets draw mu from [0.7, 1] and a small gamma.  Outside the
+    ``10*UNIT_MODULUS_TOL`` band around alpha1 the point is a saddle
+    below it and repels above it.
     """
     kind = draw(st.sampled_from(["regime", "threshold", "alpha1", "alpha2"]))
     if kind in ("regime", "threshold"):
@@ -118,7 +121,13 @@ def analysis_params(draw) -> Params:
         mu, gamma = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 10.0))
     beta = mu * draw(st.floats(1.01, 100.0))
     alpha1, alpha2 = alpha_thresholds(Params(alpha=1.0, beta=beta, gamma=gamma, mu=mu))
-    alpha = (alpha1 if kind == "alpha1" else alpha2) * (1.0 + draw(st.floats(-1e-8, 1e-8)))
+    offset = st.floats(-1e-8, 1e-8)
+    if kind == "alpha1":
+        # alpha1 >= 2Q > 2/3 on these sets, so a relative 1e-6 lies
+        # outside the band of 10*UNIT_MODULUS_TOL = 1e-8 around it
+        wide = st.builds(math.copysign, st.floats(-6.0, -2.0).map(lambda e: 10.0**e), st.sampled_from([-1.0, 1.0]))
+        offset = st.one_of(offset, wide)
+    alpha = (alpha1 if kind == "alpha1" else alpha2) * (1.0 + draw(offset))
     assume(alpha <= 1.0)  # a threshold above 1 has no Params next to it
     return Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu)
 

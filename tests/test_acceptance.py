@@ -17,7 +17,6 @@ from mosquito_allee import (
     Stability,
     State,
     Verdict,
-    basin_scan,
     check_invariance,
     classify_fate,
     classify_interior,

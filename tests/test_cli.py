@@ -20,7 +20,6 @@ from mosquito_allee import (
     InvarianceReport,
     Params,
     State,
-    Termination,
     check_adult_bound,
     check_sum_identity,
     derived_constants,

@@ -13,11 +13,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import SHOWCASE, analysis_params, interior_params, origin_only_params, pumped_kernel, set_cutoffs
+from helpers import SHOWCASE, analysis_params, interior_params, pumped_kernel, set_cutoffs
 from mosquito_allee import dynamics, model
 from mosquito_allee import (
     ConfigurationError,
@@ -966,30 +966,33 @@ COORDINATES = st.one_of(
     x=COORDINATES,
     y=COORDINATES,
 )
+# x rises from 1000 on every step: steps 2-5 are two pairs of _rising_pairs
+@example(alpha=0.8, beta=0.9, gamma=2.0, mu=0.4, x=1000.0, y=5.0)
 def test_property_inlined_steps_match_the_kernel(alpha, beta, gamma, mu, x, y):
-    # _fate_from holds the one inlined copy of _w0_xy, and iterate,
-    # classify_fate and simulate all step on it.  Three steps, as
+    # _fate_from and _rising_pairs hold the inlined copies of _w0_xy, and
+    # iterate, classify_fate and simulate all step on them.  Five steps, as
     # _fate_from runs its first step on the rules and may pass the next ones
-    # on the one test of a step that fires none
+    # on the one test of a step that fires none, or, where x rises from
+    # ulp(x) >= STEP_TOL, hand them to _rising_pairs' two copies, a pair a pass
     params = Params(alpha=alpha, beta=beta, gamma=gamma, mu=mu)
     s0 = State(x, y)
     # the kernel's images, chained, up to the first non-finite one
     images = [s0]
-    for _ in range(3):
+    for _ in range(5):
         x, y = dynamics._w0_xy(alpha, beta, gamma, mu, x, y)
         if not (math.isfinite(x) and math.isfinite(y)):
             break
         images.append(State(x, y))
-    trajectory = iterate(params, s0, 3)
+    trajectory = iterate(params, s0, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflowing starts print no numpy warnings
-        outcome = classify_fate(params, s0, 3)
-    assert repr(simulate(params, s0, 3)) == repr((trajectory, outcome))
+        outcome = classify_fate(params, s0, 5)
+    assert repr(simulate(params, s0, 5)) == repr((trajectory, outcome))
     # the trajectory ends at the last finite image, or before at a stall or past divergence_x
     n = trajectory.n_steps
     assert trajectory.indices == tuple(range(n + 1))
     assert repr(trajectory.points) == repr(tuple(images[: n + 1]))
-    if n < 3:
+    if n < 5:
         if trajectory.terminated is Termination.CONVERGED:
             a, b = images[n - 1], images[n]
             assert n > 0 and abs(b.x - a.x) < dynamics.STEP_TOL and abs(b.y - a.y) < dynamics.STEP_TOL

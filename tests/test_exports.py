@@ -4,10 +4,11 @@ re-exports exactly the names that its library modules export.
 A name deleted from a module but left in an ``__all__`` would break
 ``from mosquito_allee import *``.
 
-An AST guard keeps the names few: every name a source module imports is
-used in that module, and every exported name is read somewhere in
-``src/``, ``bench/`` or ``scripts/`` outside its own definition, unless
-the source paper defines it.
+An AST guard keeps the names few: every name that a module of the
+package, of the tests or of ``scripts/`` imports is used in that module,
+and every exported name is read somewhere in ``src/``, ``bench/`` or
+``scripts/`` outside its own definition, unless the source paper
+defines it.
 """
 
 from __future__ import annotations
@@ -116,8 +117,14 @@ print(loaded("dataclasses"))
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "mosquito_allee").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # where a public name's reader may live
-READERS = [*SOURCES, *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
+READERS = [*SOURCES, *sorted((ROOT / "bench").glob("*.py")), *SCRIPTS]
+# the modules whose every import must be used; a package module goes by its file name
+IMPORTERS = {
+    **{p.name: p for p in SOURCES},
+    **{str(p.relative_to(ROOT)): p for p in [*sorted((ROOT / "tests").glob("*.py")), *SCRIPTS]},
+}
 # names the source paper defines, kept for a library user though the
 # package itself does not read them: the Jacobian at a state
 PAPER_DEFINED = {"jacobian_at"}
@@ -138,7 +145,7 @@ def _loads(node: ast.AST) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", IMPORTERS.values(), ids=IMPORTERS.keys())
 def test_every_import_is_used(path):
     tree = _tree(path)
     bound = set()

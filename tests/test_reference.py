@@ -53,14 +53,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import SHOWCASE, interior_params, origin_only_params, set_cutoffs
+from helpers import SHOWCASE, analysis_params, interior_params, origin_only_params, set_cutoffs
 from mosquito_allee import (
     ConfigurationError,
     DomainError,
+    InternalConsistencyError,
     Params,
     Region,
     State,
@@ -141,6 +142,58 @@ def test_simulate_matches_reference_bit_for_bit(case):
         set_cutoffs(patch, cutoffs)
         got = simulate(params, s0, budget)
     assert got == expected
+    assert repr(got) == repr(expected)
+
+
+@st.composite
+def rising_cases(draw):
+    """A set of ``analysis_params``, a start in or around Omega2, a budget and a ``STEP_TOL``.
+
+    ``x`` is drawn near ``x*`` (near 1 with no interior point), plus
+    nothing or any magnitude up to ``2**60``, where ``ulp(x)`` reaches
+    every ``STEP_TOL`` drawn, and ``y`` near ``y*`` (near ``alpha/mu``).
+    ``STEP_TOL`` is negative, 0, its default or up to ``1e-1``; half the
+    budgets are ``1e5``, long enough for most growth estimates.
+    """
+    params = draw(analysis_params())
+    try:
+        fp = interior_fixed_point(params)
+    except InternalConsistencyError:  # the denominator check, next to the threshold
+        assume(False)
+    corner = fp or State(1.0, params.alpha / params.mu)
+    x = corner.x * draw(st.floats(0.5, 4.0)) + draw(
+        st.one_of(st.just(0.0), st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(0, 60)))
+    )
+    y = corner.y * draw(st.floats(0.5, 4.0))
+    step_tol = draw(st.one_of(st.sampled_from([-1.0, 0.0, 1e-14]), st.floats(-14.0, -1.0).map(lambda e: 10.0**e)))
+    budget = draw(st.one_of(st.just(10**5), st.integers(1, 10**5)))
+    return params, State(x, y), budget, step_tol
+
+
+# the orbits below pin each bound of _rising_pairs' test; pairs are steps (2, 3), (4, 5), ...
+@settings(max_examples=40)
+@given(case=rising_cases())
+# x rises by 0.25 a step to 2**51 at step 256 and stays there: the orbit stalls on step 257
+@example(case=(SHOWCASE, State(2.0**51 - 64, 2.0), 3000, 1e-14))
+# x rises by 0.5 a step to 2**52 at step 5 and stays there on step 6, where the
+# orbit stalls, though x rises again on step 7 as y grows
+@example(case=(Params(alpha=0.8, beta=0.25, gamma=2.0, mu=0.1), State(2.0**52 - 2.5, 7.215), 200, 0.05))
+# x lands on the first estimate checkpoint, 100.0, at step 3
+@example(case=(SHOWCASE, State(95.25649709360914, 5.0), 10**5, 1e-14))
+# x rises by less than STEP_TOL from step 2, where ulp(x) is far below it: the orbit stalls on step 8
+@example(case=(SHOWCASE, State(6.0, 4.0), 3000, 0.1))
+def test_rising_pair_runs_match_the_one_step_reference(case):
+    # _fate_from hands a rising orbit below its gate to _rising_pairs, two
+    # steps a pass behind a compare-only test; the oracle steps once a pass
+    # and tests every rule, so each step count and state must be its own
+    params, s0, budget, step_tol = case
+    expected_outcome = reference.classify_fate(params, s0, budget, step_tol=step_tol)
+    expected = (reference.iterate(params, s0, budget, step_tol=step_tol), expected_outcome)
+    with pytest.MonkeyPatch.context() as patch:
+        set_cutoffs(patch, {"step_tol": step_tol})
+        outcome = classify_fate(params, s0, budget)
+        got = simulate(params, s0, budget)
+    assert repr(outcome) == repr(expected_outcome)
     assert repr(got) == repr(expected)
 
 

@@ -18,7 +18,6 @@ from helpers import (
     identity_params,
     interior_params,
     jury_test,
-    origin_only_params,
     valid_params,
 )
 from reference import _label_from_moduli
