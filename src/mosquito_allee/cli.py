@@ -3,7 +3,9 @@
 All numeric output is machine-readable: trajectory and basin data as
 CSV (floats at 17 significant digits, losslessly re-parseable),
 fixed-point reports as JSON.  Exit codes: 0 success, 1 configuration
-error, 2 I/O error, 3 property falsified by sampling.
+error, 2 I/O error, 3 property falsified by sampling.  :func:`run` is
+the one error policy and :func:`summary_line` the one verdict summary;
+``main`` and ``scripts/reproduce_trajectories.py`` both use them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .dynamics import (
     BasinGrid,
     Region,
     Trajectory,
+    TrajectoryOutcome,
     Verdict,
     basin_scan,
     check_adult_bound,
@@ -37,6 +40,8 @@ __all__ = [
     "trajectory_to_csv",
     "report_to_dict",
     "report_to_json",
+    "summary_line",
+    "run",
     "main",
 ]
 
@@ -166,10 +171,8 @@ def trajectory_to_csv(trajectory: Trajectory) -> str:
     return "n,x,y\n" + "".join(rows)
 
 
-def _cmd_simulate(params: Params, args) -> int:
-    trajectory, outcome = simulate(params, State(args.x0, args.y0), args.budget)
-
-    _write_chunks(args.out, (trajectory_to_csv(trajectory),))
+def summary_line(outcome: TrajectoryOutcome) -> str:
+    """``simulate``'s one-line verdict summary of ``outcome``, without a newline."""
     summary = (
         f"verdict={outcome.verdict.value}"
         f" iterations={outcome.iterations_used}"
@@ -179,7 +182,14 @@ def _cmd_simulate(params: Params, args) -> int:
     )
     if outcome.y_limit_estimate is not None:
         summary += f" y_limit_estimate={_fmt(outcome.y_limit_estimate)}"
-    print(summary)
+    return summary
+
+
+def _cmd_simulate(params: Params, args) -> int:
+    trajectory, outcome = simulate(params, State(args.x0, args.y0), args.budget)
+
+    _write_chunks(args.out, (trajectory_to_csv(trajectory),))
+    print(summary_line(outcome))
     return EXIT_OK
 
 
@@ -272,16 +282,16 @@ def _cmd_check(params: Params, args) -> int:
     return EXIT_OK if passed else EXIT_FALSIFIED
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_CONFIG
+def run(action, *args) -> int:
+    """The exit code ``action(*args)`` returns, under the front end's one error policy.
 
+    A ``ConfigurationError``, ``DomainError``,
+    ``InternalConsistencyError`` or ``ArithmeticError`` prints one
+    ``error:`` line on stderr and gives ``EXIT_CONFIG``; an ``OSError``
+    prints one and gives ``EXIT_IO``.
+    """
     try:
-        params = Params(alpha=args.alpha, beta=args.beta, gamma=args.gamma, mu=args.mu)
-        return args.handler(params, args)
+        return action(*args)
     except (ConfigurationError, DomainError, InternalConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -292,6 +302,15 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else EXIT_CONFIG
+    return run(lambda: args.handler(Params(alpha=args.alpha, beta=args.beta, gamma=args.gamma, mu=args.mu), args))
 
 
 if __name__ == "__main__":

@@ -15,8 +15,11 @@ any trajectory whose adult density ever dips to ``alpha/mu`` or below
 goes extinct.  Outside these proven cases classification is empirical:
 a trajectory is extinct once it enters a small ball at the origin
 (``EXTINCTION_RADIUS``), and unboundedly growing once it enters
-``Omega2`` or its ``x`` exceeds ``DIVERGENCE_X``.  Anything else within
-the iteration budget is reported ``undetermined`` rather than guessed.
+``Omega2`` or its ``x`` exceeds ``DIVERGENCE_X``.  A growth certificate
+outranks the ball: an orbit that holds it is never in the ball, so where
+``(x*, y*)`` lies inside the ball a start in ``Omega2`` still grows.
+Anything else within the iteration budget is reported ``undetermined``
+rather than guessed.
 
 Growth is asymptotically linear in the step count (the increment
 approaches a positive constant), so enormous ``x`` values are never
@@ -568,7 +571,8 @@ def _fate_from(
         rise = x1 - x  # read again once the rules have set a gate
         stalled = abs(rise) < step_tol and abs(y1 - y) < step_tol
         x, y = x1, y1
-        ball = x <= radius and y <= radius  # max() would cost a call per step
+        # a cell that holds the growth certificate is never in the ball
+        ball = x <= radius and y <= radius and not growth  # max() would cost a call per step
         if ball:
             break
         # a certified orbit pays no call
@@ -694,8 +698,12 @@ def classify_fate(params: Params, s0: State, budget: int = DEFAULT_BUDGET) -> Tr
     an interior fixed point any observed ``y <= alpha/mu`` proves
     extinction.  Iteration then confirms within the budget: extinction
     runs until the origin ball is reached, growth until the adult-limit
-    estimate stabilizes.  Starts outside the proven regions are
-    classified empirically by the same finite-time events.
+    estimate stabilizes; an orbit that holds the growth certificate never
+    counts as in the ball, even where ``(x*, y*)`` lies inside it.
+    Starts outside the proven regions are classified empirically by the
+    same finite-time events.  An interior point that rounds onto an
+    axis is refused with ``interior_fixed_point``'s
+    ``ConfigurationError``.
     ``undetermined`` is returned when the budget expires without any
     certificate or event, for a start at the fixed point, and for orbits
     that go numerically stationary away from the origin (which only
@@ -1065,8 +1073,9 @@ def _start(x, y, context: tuple) -> tuple:
     done = ball
     if fp is not None:
         at_fp = (x == fp.x) & (y == fp.y)
-        # a start at the fixed point is undetermined, even inside the origin ball
-        ball = ball & (at_fp ^ True)
+        # a start at the fixed point is undetermined, and one in Omega2 grows,
+        # even inside the origin ball
+        ball = ball & ((at_fp | growth) ^ True)
         done, tag = ball | at_fp, 2 * extinction + 3 * growth
     return done, ball, _FateState(x, y, tag, extinction, growth, zero + math.nan, zero + _FIRST_CHECKPOINT_X)
 
@@ -1138,7 +1147,8 @@ def _lockstep_fates(
             displacement = np.maximum(np.abs(x1 - x), np.abs(y1 - y))
             x, y = x1, y1
 
-            ball = np.maximum(x, y) <= r
+            # growth < in_ball: in the ball and without the growth certificate
+            ball = growth < (np.maximum(x, y) <= r)
             # only while a cell lacks a certificate; a cell in the ball keeps its tag
             if np.count_nonzero(extinction if fp is None else extinction | growth) < len(idx):
                 extinction, growth, tag = _certify(x, y, fp, y_cap, extinction | ball, growth, tag)

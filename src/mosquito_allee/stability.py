@@ -133,8 +133,10 @@ def interior_fixed_point(params: Params) -> State | None:
     """Closed-form interior fixed point, or None when it does not exist.
 
     The package's one existence decision: the point exists iff
-    ``beta > derived_constants(params).threshold_beta``.  Memoized per
-    ``Params`` (at most 64 sets); errors are not cached.
+    ``beta > derived_constants(params).threshold_beta``.  A point whose
+    float ``x*`` or ``y*`` rounds to 0 would lie on an axis, and the
+    region tests would put axis starts in Omega2: it raises
+    ``ConfigurationError``.  Memoized per ``Params`` (at most 64 sets); errors are not cached.
     """
     constants = derived_constants(params)
     if not params.beta > constants.threshold_beta:
@@ -148,7 +150,14 @@ def interior_fixed_point(params: Params) -> State | None:
         raise InternalConsistencyError(
             f"existence threshold passed but alpha*(beta-mu) - gamma*mu^2 = {denom} <= 0"
         )
-    return State(gm2 / denom, gamma * mu / (beta - mu))
+    x, y = gm2 / denom, gamma * mu / (beta - mu)
+    if x == 0.0 or y == 0.0:
+        # worded as check_invariance's underflow guard, which it comes before
+        raise ConfigurationError(
+            f"beta*y*^2 = {beta * y * y!r} at the interior fixed point ({x!r}, {y!r}), which rounds onto an "
+            "axis: x* or y* underflows float64's normal range and is outside float64 range"
+        )
+    return State(x, y)
 
 
 def _require_interior(params: Params) -> State:

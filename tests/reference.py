@@ -247,7 +247,8 @@ def classify_fate(
 
     x, y = s0.x, s0.y
     n = 0
-    ball_hit = max(x, y) <= extinction_radius
+    # a start holding the growth certificate is never in the ball
+    ball_hit = not growth_proved and max(x, y) <= extinction_radius
     stalled = False
     estimate: float | None = None
     est_prev: float | None = None
@@ -261,7 +262,7 @@ def classify_fate(
         displacement = max(abs(x1 - x), abs(y1 - y))
         x, y = x1, y1
 
-        if max(x, y) <= extinction_radius:
+        if not growth_proved and max(x, y) <= extinction_radius:
             ball_hit = True
             break
         if fp is None:

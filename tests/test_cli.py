@@ -6,6 +6,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -93,6 +94,15 @@ def test_simulate_summary_omits_an_overflowing_estimate(capsys):
     assert summary.startswith("verdict=unbounded iterations=0 ")
     assert "certificate=thm2-omega2" in summary
     assert "y_limit_estimate=" not in summary
+
+
+def test_simulate_growth_certificate_outranks_the_origin_ball(capsys):
+    # (x*, y*) = (4e-13, 8e-13) and the start lie inside the ball, the start in Omega2
+    params = ["--alpha", "0.8", "--beta", "0.9", "--gamma", "1e-12", "--mu", "0.4"]
+    argv = ["simulate", *params, "--x0", "5e-10", "--y0", "5e-10", "--budget", "100000", "--out", os.devnull]
+    assert main(argv) == EXIT_OK
+    summary = capsys.readouterr().out
+    assert summary.startswith("verdict=unbounded iterations=13064 ") and " certificate=thm2-omega2 " in summary
 
 
 def test_simulate_writes_file(tmp_path, capsys):
@@ -490,6 +500,17 @@ class TestExitCodes:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and "outside float64 range" in line
+
+    @pytest.mark.parametrize(
+        "command", [["fixed-points"], ["simulate", "--x0", "5", "--y0", "0"]], ids=["fixed-points", "simulate"]
+    )
+    def test_interior_point_on_an_axis_is_a_usage_error(self, command, capsys):
+        params = ["--alpha", "0.5", "--beta", "1e200", "--gamma", "1e-200", "--mu", "0.5"]
+        assert main([command[0], *params, *command[1:]]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "(0.0, 0.0), which rounds onto an axis" in line
 
     def test_unwritable_output_path(self, capsys):
         code = main(["fixed-points", *SHOWCASE_ARGS, "--out", "/nonexistent-dir/report.json"])

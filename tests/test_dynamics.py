@@ -300,6 +300,63 @@ class TestOverflowingEstimate:
         assert {(c.verdict, c.y_limit_estimate) for row in grid.cells for c in row} == {(Verdict.UNBOUNDED_GROWTH, None)}
 
 
+class TestGrowthCertificateOutranksTheBall:
+    """A cell that holds the growth certificate is never in the origin ball.
+
+    At ``gamma=1e-12`` the interior point ``(4e-13, 8e-13)`` lies inside
+    the ball, and the start ``(5e-10, 5e-10)`` in Omega2 next to it.  Its
+    outcome is the one with no ball at all, ``EXTINCTION_RADIUS = 0``.
+    """
+
+    PARAMS = Params(alpha=0.8, beta=0.9, gamma=1e-12, mu=0.4)
+    START = State(5e-10, 5e-10)
+    BUDGET = 10**5
+
+    @pytest.fixture
+    def no_ball(self):
+        assert membership(self.PARAMS, self.START) is Region.OMEGA2
+        assert max(self.START.x, self.START.y) <= dynamics.EXTINCTION_RADIUS
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "EXTINCTION_RADIUS", 0.0)
+            outcome = classify_fate(self.PARAMS, self.START, self.BUDGET)
+        assert (outcome.verdict, outcome.theorem_tag, outcome.iterations_used) == (
+            Verdict.UNBOUNDED_GROWTH,
+            TheoremTag.THM2_OMEGA2,
+            13064,
+        )
+        return outcome
+
+    def test_classify_fate(self, no_ball):
+        assert repr(classify_fate(self.PARAMS, self.START, self.BUDGET)) == repr(no_ball)
+
+    def test_simulate(self, no_ball):
+        assert repr(simulate(self.PARAMS, self.START, self.BUDGET)[1]) == repr(no_ball)
+
+    # 0: every cell steps in lockstep; 10**6: every cell on the scalar loop
+    @pytest.mark.parametrize("crossover", [0, 10**6])
+    def test_basin_scan(self, crossover, no_ball, monkeypatch):
+        monkeypatch.setattr(dynamics, "LOCKSTEP_CROSSOVER", crossover)
+        grid = basin_scan(self.PARAMS, (5e-10, 6e-10), (5e-10, 6e-10), 2, 2, budget=self.BUDGET)
+        assert repr(grid.cells[0][0]) == repr(no_ball)
+
+
+class TestInteriorPointOnAnAxis:
+    """An interior point that rounds to ``(0, 0)`` is refused, not used."""
+
+    PARAMS = Params(alpha=0.5, beta=1e200, gamma=1e-200, mu=0.5)
+
+    # the origin, and an axis start that the rounded point would put in Omega2
+    @pytest.mark.parametrize("start", [State(0.0, 0.0), State(5.0, 0.0)], ids=["origin", "axis"])
+    def test_classify_fate_and_membership(self, start):
+        for call in (classify_fate, membership):
+            with pytest.raises(ConfigurationError, match="rounds onto an axis"):
+                call(self.PARAMS, start)
+
+    def test_basin_scan(self):
+        with pytest.raises(ConfigurationError, match="rounds onto an axis"):
+            basin_scan(self.PARAMS, (0.0, 5.0), (0.0, 5.0), 2, 2, budget=10)
+
+
 class TestCheckInvariance:
     def test_showcase_regions_hold(self):
         for region in (Region.OMEGA1, Region.OMEGA2):

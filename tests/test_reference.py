@@ -23,7 +23,9 @@ lockstep engine also under other fate cutoffs, module constants that
 ``helpers.set_cutoffs`` patches and the oracle takes as arguments.
 ``classify_fate`` and the engine on a one-start array must agree too,
 at the start certificate's boundaries.
-The package calls must emit no numpy warnings.
+The package calls must emit no numpy warnings, and no verdict may
+contradict its certificate: an Omega2 start that lies in the origin
+ball next to an ``(x*, y*)`` inside it still grows.
 
 Both engines carry a fate on one schema, ``_FateState``: ``_start``
 builds it from a start, on floats or with one array per field, the
@@ -66,6 +68,8 @@ from mosquito_allee import (
     Region,
     State,
     Termination,
+    TheoremTag,
+    Verdict,
     basin_scan,
     check_invariance,
     classify_fate,
@@ -79,18 +83,40 @@ from mosquito_allee import (
 from mosquito_allee.dynamics import LOCKSTEP_CROSSOVER
 
 
+def assert_verdict_agrees_with_certificate(outcome):
+    """A Theorem 2 Omega2 certificate never comes with extinction, nor an
+    extinction certificate (Omega1, Theorem 1(ii)) with growth."""
+    tag, verdict = outcome.theorem_tag, outcome.verdict
+    if tag is TheoremTag.THM2_OMEGA2:
+        assert verdict in (Verdict.UNBOUNDED_GROWTH, Verdict.UNDETERMINED), outcome
+    if tag in (TheoremTag.THM2_OMEGA1, TheoremTag.THM1_II):
+        assert verdict in (Verdict.EXTINCTION, Verdict.UNDETERMINED), outcome
+
+
+def ball_interior_params(rng: np.random.Generator) -> Params:
+    """``interior_params`` with gamma from 1e-15 to 1e-12, which puts (x*, y*) inside the origin ball."""
+    p = interior_params(rng)
+    return Params(alpha=p.alpha, beta=p.beta, gamma=10.0 ** rng.uniform(-15.0, -12.0), mu=p.mu)
+
+
+# (x*, y*) = (4e-13, 8e-13) and the start lie inside the origin ball, the start in Omega2
+BALL_OMEGA2_CASE = (Params(alpha=0.8, beta=0.9, gamma=1e-12, mu=0.4), State(5e-10, 5e-10), {}, 1024, 20_000)
+
+
 @st.composite
 def cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    params = draw(st.sampled_from([interior_params, origin_only_params]))(rng)
+    params = draw(st.sampled_from([interior_params, origin_only_params, ball_interior_params]))(rng)
     fp = interior_fixed_point(params)
-    kind = draw(st.sampled_from(["box"] * 5 + ["tall", "huge", "origin", "fixed-point"]))
+    kind = draw(st.sampled_from(["box"] * 5 + ["tall", "huge", "origin", "fixed-point", "omega2", "omega2"]))
     if kind == "box":
         start = (draw(st.floats(0.0, 12.0)), draw(st.floats(0.0, 8.0)))
     elif kind == "tall":  # x passes divergence_x at once; the fate runs on
         start = (draw(st.floats(0.0, 12.0)), draw(st.floats(1e9, 1e12)))
     elif kind == "huge":  # the first image may overflow
         start = (draw(st.floats(0.0, 1e300)), draw(st.floats(0.0, 1e300)))
+    elif kind == "omega2" and fp is not None:  # next to (x*, y*): in the ball for ball_interior_params
+        start = (fp.x * draw(st.floats(1.0, 10.0)), fp.y * draw(st.floats(1.0, 10.0)))
     elif kind == "origin" or fp is None:
         start = (0.0, 0.0)
     else:
@@ -112,6 +138,7 @@ def cases(draw):
 
 @settings(max_examples=80)
 @given(case=cases())
+@example(case=BALL_OMEGA2_CASE)
 def test_engine_matches_reference_bit_for_bit(case):
     params, s0, cutoffs, window, budget = case
     expected_trajectory = reference.iterate(params, s0, budget, window, **cutoffs)
@@ -127,10 +154,12 @@ def test_engine_matches_reference_bit_for_bit(case):
     assert repr(trajectory) == repr(expected_trajectory)
     assert outcome == expected_outcome
     assert repr(outcome) == repr(expected_outcome)
+    assert_verdict_agrees_with_certificate(outcome)
 
 
 @settings(max_examples=80)
 @given(case=cases())
+@example(case=BALL_OMEGA2_CASE)
 def test_simulate_matches_reference_bit_for_bit(case):
     params, s0, cutoffs, window, budget = case
     expected = (
@@ -143,6 +172,7 @@ def test_simulate_matches_reference_bit_for_bit(case):
         got = simulate(params, s0, budget)
     assert got == expected
     assert repr(got) == repr(expected)
+    assert_verdict_agrees_with_certificate(got[1])
 
 
 @st.composite
@@ -195,6 +225,7 @@ def test_rising_pair_runs_match_the_one_step_reference(case):
         got = simulate(params, s0, budget)
     assert repr(outcome) == repr(expected_outcome)
     assert repr(got) == repr(expected)
+    assert_verdict_agrees_with_certificate(outcome)
 
 
 @settings(max_examples=100)
@@ -276,6 +307,7 @@ def test_simulate_one_pass_matches_separate_calls(params, s0, budget):
     assert repr(outcome) == repr(expected_outcome)
     assert got == expected
     assert repr(got) == repr(expected)
+    assert_verdict_agrees_with_certificate(outcome)
 
 
 def test_simulate_argument_validation():
@@ -295,6 +327,7 @@ def assert_simulate_matches_reference(monkeypatch, params, s0, budget, window):
     assert repr(got) == repr(expected)
     trajectory = iterate(params, s0, budget)
     assert repr(trajectory) == repr(expected[0])
+    assert_verdict_agrees_with_certificate(got[1])
     return got
 
 
@@ -441,6 +474,8 @@ def assert_lockstep_matches_reference(params, starts, budget, cutoffs, crossover
         got = dynamics._outcomes(dynamics._lockstep_fates(params, x0, y0, budget, dynamics._fate_context(params)))
     assert got == expected
     assert repr(got) == repr(expected)
+    for outcome in got:
+        assert_verdict_agrees_with_certificate(outcome)
 
 
 @settings(max_examples=100)
@@ -569,6 +604,7 @@ def test_fate_rules_at_their_boundaries(params, start, budget, cutoffs, monkeypa
     outcome = classify_fate(params, s0, budget)
     assert outcome == expected
     assert repr(outcome) == repr(expected)
+    assert_verdict_agrees_with_certificate(outcome)
     assert_lockstep_matches_reference(params, [start], budget, cutoffs, crossover=0)
 
 
@@ -586,6 +622,7 @@ def test_basin_scan_matches_reference_across_worker_counts(monkeypatch):
         expected = reference.classify_fate(SHOWCASE, State(x0, y0), grid["budget"])
         assert outcome == expected
         assert repr(outcome) == repr(expected)
+        assert_verdict_agrees_with_certificate(outcome)
 
 
 def assert_certificate_shapes_agree(params, starts, budget, cutoffs):
@@ -598,6 +635,7 @@ def assert_certificate_shapes_agree(params, starts, budget, cutoffs):
             engine = dynamics._outcomes(dynamics._lockstep_fates(params, np.array([x]), np.array([y]), budget, context))
             assert outcome == engine[0]
             assert repr(outcome) == repr(engine[0])
+            assert_verdict_agrees_with_certificate(outcome)
 
 
 @settings(max_examples=100)

@@ -1,4 +1,5 @@
-"""The scripts write the same bytes as the CLI commands they mirror."""
+"""The scripts write the same bytes as the CLI commands they mirror, and
+report with the CLI's summary line, error lines and exit codes."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mosquito_allee.cli import EXIT_CONFIG, EXIT_OK, main
+from mosquito_allee.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "reproduce_trajectories.py"
@@ -28,7 +29,7 @@ def _run_script(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_reproduce_trajectories_matches_cli(tmp_path):
+def test_reproduce_trajectories_matches_cli(tmp_path, capsys):
     budget = 2000
     out_dir = tmp_path / "script"
     proc = _run_script("--budget", str(budget), "--out-dir", str(out_dir))
@@ -38,11 +39,15 @@ def test_reproduce_trajectories_matches_cli(tmp_path):
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(
         ["fixed_points.json"] + [f"trajectory_{name}.csv" for name in starts]
     )
+    lines = proc.stdout.splitlines()
     for name, s0 in starts.items():
         cli_out = tmp_path / f"{name}.csv"
         args = ["--x0", repr(s0.x), "--y0", repr(s0.y), "--budget", str(budget), "--out", str(cli_out)]
         assert main(["simulate", *SHOWCASE_ARGS, *args]) == EXIT_OK
         assert (out_dir / f"trajectory_{name}.csv").read_bytes() == cli_out.read_bytes()
+        # the start's name and coordinates, then the CLI's summary line
+        summary = capsys.readouterr().out
+        assert f"{name}: start ({s0.x}, {s0.y}) {summary.rstrip()}" in lines
 
     cli_out = tmp_path / "fixed_points.json"
     assert main(["fixed-points", *SHOWCASE_ARGS, "--out", str(cli_out)]) == EXIT_OK
@@ -83,3 +88,15 @@ def test_reproduce_trajectories_reports_a_failed_report_as_a_usage_error(tmp_pat
     # the CLI's fixed-points reports the same line
     assert main(["fixed-points", *args]) == EXIT_CONFIG
     assert capsys.readouterr() == ("", stderr)
+
+
+def test_reproduce_trajectories_reports_an_unwritable_directory_as_an_io_error(tmp_path):
+    # as the CLI does: exit 2 and one error line, with no traceback and no directory made
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    proc = _run_script("--budget", "10", "--out-dir", str(blocker / "script"))
+    assert proc.returncode == EXIT_IO
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: cannot write output: ") and str(blocker / "script") in line
+    assert sorted(tmp_path.iterdir()) == [blocker]

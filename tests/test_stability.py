@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -67,6 +68,21 @@ class TestInteriorFixedPoint:
     def test_requires_analysis_regime(self):
         with pytest.raises(ConfigurationError):
             interior_fixed_point(Params(alpha=1.5, beta=0.9, gamma=2.0, mu=0.4))
+
+    @pytest.mark.parametrize(
+        "params, point",
+        [
+            (Params(alpha=0.5, beta=1e200, gamma=1e-200, mu=0.5), "(0.0, 0.0)"),
+            # x* = 1e-327 rounds to 0 while y* = 1e-307 does not
+            (Params(alpha=1.0, beta=1e308, gamma=1e21, mu=1e-20), "(0.0, 1e-307)"),
+        ],
+        ids=["both", "x-only"],
+    )
+    def test_point_rounding_onto_an_axis_is_refused(self, params, point):
+        with pytest.raises(ConfigurationError, match=re.escape(f"fixed point {point}, which rounds onto an axis")):
+            interior_fixed_point(params)
+        with pytest.raises(ConfigurationError, match="outside float64 range"):
+            find_fixed_points(params)
 
     def test_location_satisfies_fixed_point_equation(self):
         rng = np.random.default_rng(21)
@@ -243,6 +259,8 @@ CORNER_RATES = {
         "outside-the-regime": (1.5, 0.9, 2.0, 0.4),
     }.items()
 }
+# their interior points round to (0, 0): interior_fixed_point refuses them
+ON_AXIS_CORNERS = ("alpha1-zero", "fixed-point-at-zero")
 FIXED_POINT_CORNERS = {name: Params(**rates) for name, rates in CORNER_RATES.items() if rates["alpha"] <= 1.0}
 
 
@@ -331,13 +349,16 @@ class TestFindFixedPoints:
 
     @pytest.mark.parametrize("rates", CORNER_RATES.values(), ids=CORNER_RATES.keys())
     def test_corners_match_the_keyword_reference(self, rates):
-        # the set outside the regime fails alike for both, when its Params is built
+        # the set outside the regime fails alike for both, when its Params is
+        # built, and so do the sets whose interior point rounds onto an axis
         def built(call):
             return lambda rates: call(Params(**rates))
 
         package = _report_and_json(built(find_fixed_points), rates)
         assert package == _report_and_json(built(reference.find_fixed_points), rates)
-        assert (package[0] is ConfigurationError) == (rates["alpha"] > 1.0)
+        on_axis = rates in [CORNER_RATES[name] for name in ON_AXIS_CORNERS]
+        assert (package[0] is ConfigurationError) == (rates["alpha"] > 1.0 or on_axis)
+        assert on_axis == ("rounds onto an axis" in str(package[1]))
 
     @given(params=fixed_point_params())
     def test_matches_the_keyword_reference_bit_for_bit(self, params):
